@@ -185,7 +185,9 @@ def solve_aux(pair: SdpPair, opts: Optional[SolverOptions] = None) -> AuxSolutio
     caps on w, minimizing tr(X) + 1'y: if the minimal point stays bounded as
     the cap tightens, the infimum is reported as attained at that point; if it
     grows roughly inversely with the cap, the instance is flagged
-    SuspectedUnattained.  The flag is heuristic: it never certifies
+    SuspectedUnattained.  A probe that does not converge says nothing about
+    growth, so the main solve's point is then reported as attained when it is
+    optimal and of moderate norm.  The flag is heuristic: it never certifies
     non-attainment.
     """
     opts = opts or SolverOptions(tol=1e-9, max_iters=300)
@@ -200,15 +202,16 @@ def solve_aux(pair: SdpPair, opts: Optional[SolverOptions] = None) -> AuxSolutio
     delta = 1e-4 * (1.0 + abs(w_star))
     loose = solve(build_refined_aux(pf, w_star + delta), probe_opts)
     tight = solve(build_refined_aux(pf, w_star + delta / 10.0), probe_opts)
+    first_small = first.status == OPTIMAL and bv_norm_inf(first.primal[:3]) <= norm_cap
+    probed = loose.status == OPTIMAL and tight.status == OPTIMAL
     attained = (
-        loose.status == OPTIMAL
-        and tight.status == OPTIMAL
+        probed
         and bv_norm_inf(tight.primal[:3]) <= norm_cap
         and tight.value <= 2.0 * loose.value + 1.0
     )
     if attained:
         X, y, _ = _extract(pf, tight)
-        if first.status == OPTIMAL and bv_norm_inf(first.primal[:3]) <= norm_cap:
+        if first_small:
             # the direct solution is preferable when it is just as small
             Xf, yf, _ = _extract(pf, first)
             g_first = float(np.trace(Xf.array) + np.sum(yf))
@@ -216,9 +219,8 @@ def solve_aux(pair: SdpPair, opts: Optional[SolverOptions] = None) -> AuxSolutio
                 X, y = Xf, yf
         return AuxSolution(X=X, y=y, w=w_star, attained_flag=ATTAINED, solve_status=first.status)
     X, y, w = _extract(pf, first)
-    return AuxSolution(
-        X=X, y=y, w=w, attained_flag=SUSPECTED_UNATTAINED, solve_status=first.status
-    )
+    flag = ATTAINED if first_small and not probed else SUSPECTED_UNATTAINED
+    return AuxSolution(X=X, y=y, w=w, attained_flag=flag, solve_status=first.status)
 
 
 def verify_strict_primal_unbounded(pair: SdpPair, W: SymMat, tol: float) -> bool:

@@ -127,30 +127,12 @@ def bv_copy(v):
 def bv_inner(u, v) -> float:
     total = 0.0
     for a, b in zip(u, v):
-        total += float(np.tensordot(a, b, axes=a.ndim))
+        total += float(np.vdot(a, b))
     return total
-
-
-def bv_add(u, v, alpha: float = 1.0):
-    return [a + alpha * b for a, b in zip(u, v)]
-
-
-def bv_scale(u, alpha: float):
-    return [alpha * a for a in u]
 
 
 def bv_norm_inf(u) -> float:
     return max((float(np.max(np.abs(a))) if a.size else 0.0) for a in u)
-
-
-def bv_symmetrize(u, structure: BlockStructure):
-    out = []
-    for b, a in zip(structure, u):
-        if b.kind == MATRIX:
-            out.append(0.5 * (a + a.T))
-        else:
-            out.append(a)
-    return out
 
 
 def svec(structure: BlockStructure, v) -> np.ndarray:

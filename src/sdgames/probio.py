@@ -9,6 +9,7 @@ trip losslessly.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Tuple, Union
@@ -30,6 +31,8 @@ def _parse_entry(v, where: str):
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ProblemFormatError(f"{where}: non-finite entry {v!r}")
         return v
     if isinstance(v, str):
         try:

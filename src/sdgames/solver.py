@@ -22,7 +22,6 @@ from .blocks import (
     bv_copy,
     bv_inner,
     bv_norm_inf,
-    svec,
 )
 
 OPTIMAL = "Optimal"
@@ -205,35 +204,45 @@ class _Ipm:
         self.sense = problem.sense
         sign = 1.0 if problem.sense == MIN else -1.0
         self.c = [sign * np.array(b, dtype=float) for b in problem.objective]
-        self.rows = [list(np.array(b, dtype=float) for b in a) for a, _ in problem.constraints]
+        # one p x d constraint matrix; row j is the concatenation of the raveled
+        # blocks of a_j, so a k x k matrix block owns k*k consecutive columns
+        self.shapes = [z.shape for z in self.structure.zeros()]
+        self.slices = []
+        d = 0
+        for shape in self.shapes:
+            self.slices.append(slice(d, d + int(np.prod(shape))))
+            d = self.slices[-1].stop
+        self.A = np.array(
+            [np.concatenate([np.ravel(b) for b in a]) for a, _ in problem.constraints]
+        ).reshape(problem.num_constraints, d)
         self.beta = problem.rhs.copy()
         self.warnings: List[str] = []
         self.cone_idx = [i for i, b in enumerate(self.blocks) if b.kind != FREE]
         self.free_idx = [i for i, b in enumerate(self.blocks) if b.kind == FREE]
         self.nu = self.structure.cone_dim
         self._presolve()
-        self.F = np.array(
-            [[row[i][0] for i in self.free_idx] for row in self.rows]
-        ).reshape(len(self.rows), len(self.free_idx))
+        self.p = self.A.shape[0]
+        self.F = self.A[:, [self.slices[i].start for i in self.free_idx]]
         self.beta_scale = 1.0 + (np.max(np.abs(self.beta)) if self.beta.size else 0.0)
         self.c_scale = 1.0 + bv_norm_inf(self.c)
         self.scale = self.beta_scale + self.c_scale
 
     def _presolve(self):
         """Drop linearly dependent constraint rows; flag inconsistent duplicates."""
-        rows_vec = np.array([svec(self.structure, r) for r in self.rows])
-        p = rows_vec.shape[0]
+        A = self.A
+        p = A.shape[0]
+        Q = np.zeros_like(A)  # orthonormal basis of the kept rows, first r rows
+        r = 0
         keep: List[int] = []
-        basis: List[np.ndarray] = []
         dropped: List[int] = []
         for j in range(p):
-            v = rows_vec[j].copy()
+            v = A[j].copy()
             for _ in range(2):  # reorthogonalize once against rounding
-                for q in basis:
-                    v -= (q @ v) * q
+                v -= Q[:r].T @ (Q[:r] @ v)
             nv = np.linalg.norm(v)
-            if nv > 1e-10 * (1.0 + np.linalg.norm(rows_vec[j])):
-                basis.append(v / nv)
+            if nv > 1e-10 * (1.0 + np.linalg.norm(A[j])):
+                Q[r] = v / nv
+                r += 1
                 keep.append(j)
             else:
                 dropped.append(j)
@@ -241,17 +250,17 @@ class _Ipm:
         self.dropped_rows = dropped
         self.inconsistent = False
         if dropped:
-            A_keep = rows_vec[keep]
+            A_keep = A[keep]
             b_keep = self.beta[keep]
             for j in dropped:
-                coeff, *_ = np.linalg.lstsq(A_keep.T, rows_vec[j], rcond=None)
+                coeff, *_ = np.linalg.lstsq(A_keep.T, A[j], rcond=None)
                 if abs(self.beta[j] - coeff @ b_keep) > 1e-8 * (1.0 + np.abs(self.beta).max()):
                     self.inconsistent = True
             self.warnings.append(
                 f"presolve removed {len(dropped)} linearly dependent constraint row(s)"
             )
-            self.rows = [self.rows[j] for j in keep]
-            self.beta = self.beta[keep]
+            self.A = A_keep
+            self.beta = b_keep
 
     def _expand_dual(self, y: np.ndarray) -> np.ndarray:
         if not self.dropped_rows:
@@ -261,14 +270,11 @@ class _Ipm:
         return full
 
     def apply_A(self, x) -> np.ndarray:
-        return np.array([bv_inner(row, x) for row in self.rows])
+        return self.A @ np.concatenate([np.ravel(b) for b in x])
 
     def apply_AT(self, y: np.ndarray):
-        out = self.structure.zeros()
-        for yk, row in zip(y, self.rows):
-            for i, blk in enumerate(row):
-                out[i] += yk * blk
-        return out
+        v = self.A.T @ y
+        return [v[sl].reshape(shape) for sl, shape in zip(self.slices, self.shapes)]
 
     def _initial_point(self):
         eta = self.opts.initial_centrality
@@ -276,7 +282,7 @@ class _Ipm:
         s = self.structure.identity(eta * self.beta_scale)
         for i in self.free_idx:
             s[i] = np.zeros(1)
-        y = np.zeros(len(self.rows))
+        y = np.zeros(self.p)
         return x, y, s
 
     def _cone_inner(self, x, s) -> float:
@@ -297,17 +303,17 @@ class _Ipm:
             )
 
     def _schur(self, scalings):
-        p = len(self.rows)
+        p = self.p
         S = np.zeros((p, p))
         for i in self.cone_idx:
             sc = scalings[i]
+            Ai = self.A[:, self.slices[i]]
             if self.blocks[i].kind == MATRIX:
-                a_stack = np.array([row[i] for row in self.rows])
-                waw = np.einsum("pq,lqr,rs->lps", sc.W, a_stack, sc.W)
-                S += np.einsum("kpq,lpq->kl", a_stack, waw)
+                k = self.blocks[i].size
+                waw = (sc.W @ Ai.reshape(p, k, k) @ sc.W).reshape(p, -1)
+                S += Ai @ waw.T
             else:
-                D = np.array([row[i] for row in self.rows])
-                S += (D * sc.w2) @ D.T
+                S += (Ai * sc.w2) @ Ai.T
         return S
 
     def _solve_augmented(self, Maug, rhs):
@@ -322,7 +328,7 @@ class _Ipm:
     def _direction(self, scalings, Maug, r_p, r_d, g):
         """Newton direction given the per-cone-block g-terms."""
         nf = len(self.free_idx)
-        p = len(self.rows)
+        p = self.p
         rhs_top = r_p.copy()
         work = self.structure.zeros()
         for i in self.cone_idx:
@@ -363,7 +369,7 @@ class _Ipm:
         if xnorm > 1e6 * self.scale:
             q = [xi / xnorm for xi in x]
             cq = bv_inner(self.c, q)
-            feas = np.max(np.abs(self.apply_A(q))) if self.rows else 0.0
+            feas = np.max(np.abs(self.apply_A(q))) if self.p else 0.0
             if cq < -1e-6 and feas <= 1e-6:
                 return DUAL_INFEASIBLE, q
         ynorm = float(np.max(np.abs(y))) if y.size else 0.0
@@ -386,7 +392,7 @@ class _Ipm:
         opts = self.opts
         if self.inconsistent:
             return self._result(
-                PRIMAL_INFEASIBLE, self.structure.zeros(), np.zeros(len(self.rows)),
+                PRIMAL_INFEASIBLE, self.structure.zeros(), np.zeros(self.p),
                 self.structure.zeros(), 0,
             )
         x, y, s = self._initial_point()
@@ -430,7 +436,7 @@ class _Ipm:
                 S = self._schur(scalings)
                 nf = len(self.free_idx)
                 if nf:
-                    p = len(self.rows)
+                    p = self.p
                     Maug = np.zeros((p + nf, p + nf))
                     Maug[:p, :p] = S
                     Maug[:p, p:] = self.F

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sdgames import auxiliary
 from sdgames.auxiliary import (
     ATTAINED,
     SUSPECTED_UNATTAINED,
@@ -17,7 +18,7 @@ from sdgames.auxiliary import (
 from sdgames.blocks import bv_inner
 from sdgames.generators import random_slater, random_unbounded
 from sdgames.model import SdpPair, SymMat, max_eigenvalue
-from sdgames.solver import OPTIMAL, SolverOptions, solve
+from sdgames.solver import MAX_ITERATIONS, NUMERICAL_FAILURE, OPTIMAL, SolverOptions, solve
 
 
 class TestBuildPrimalAux:
@@ -100,6 +101,25 @@ class TestSolveAux:
         aux = solve_aux(duality_gap_pair)
         assert aux.attained_flag == SUSPECTED_UNATTAINED
         assert abs(aux.w) <= 1e-3
+
+    @pytest.mark.parametrize("probe_status", [MAX_ITERATIONS, NUMERICAL_FAILURE])
+    def test_unconverged_probe_falls_back_to_main_solve(
+        self, bounded_pair, monkeypatch, probe_status
+    ):
+        def solve_with_failing_probe(problem, opts=None):
+            res = solve(problem, opts)
+            if problem.name.endswith("-refined-aux"):
+                res.status = probe_status
+            return res
+
+        monkeypatch.setattr(auxiliary, "solve", solve_with_failing_probe)
+        aux = solve_aux(bounded_pair)
+        opts = SolverOptions(tol=1e-9, max_iters=300)
+        first = solve(build_primal_aux(bounded_pair.to_float()), opts)
+        assert first.status == OPTIMAL
+        assert aux.attained_flag == ATTAINED
+        assert np.array_equal(aux.X.array, 0.5 * (first.primal[0] + first.primal[0].T))
+        assert np.array_equal(aux.y, first.primal[2])
 
 
 class TestStrictPrimalUnbounded:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +70,27 @@ class TestProblemFormat:
     def test_missing_field(self):
         with pytest.raises(ProblemFormatError, match="missing"):
             problem_from_dict({"n": 1, "m": 1, "C": [[1]], "A": [[[1]]]})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["C", "A[1]", "b"])
+    def test_non_finite_entry_rejected(self, field, value):
+        A = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+        doc = {"n": 2, "m": 2, "C": [[1, 0], [0, 1]], "A": A, "b": [1, 1]}
+        if field == "C":
+            doc["C"][1][1] = value
+        elif field == "A[1]":
+            doc["A"][1][1][1] = value
+        else:
+            doc["b"][1] = value
+        message = rf"{re.escape(field)}\[1\]: non-finite entry {value!r}"
+        with pytest.raises(ProblemFormatError, match=message):
+            problem_from_dict(doc)
+
+    def test_json_infinity_rejected_on_load(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"n": 1, "m": 1, "C": [[Infinity]], "A": [[[1]]], "b": [1]}')
+        with pytest.raises(ProblemFormatError, match=r"C\[0\]: non-finite entry inf"):
+            load_problem(path)
 
 
 class TestReportFormat:

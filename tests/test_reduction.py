@@ -135,6 +135,21 @@ class TestPipelineCorpus:
         assert any("constraint qualification" in s for s in out.notes)
 
 
+# Dense Slater pairs on which a refined-aux probe stops short of Optimal; the
+# pipeline used to fall back to M = 1 and report Inconclusive on them.
+@pytest.mark.parametrize(
+    "n, seed",
+    [(8, 1267815975), (6, 1572147493), (6, 1636759492), (3, 831769172), (6, 1061), (8, 1027)],
+)
+def test_dense_slater_regressions_strongly_optimal(n, seed):
+    pair = random_slater(n, n, seed)
+    out = run_pipeline(pair)
+    assert out.kind == STRONGLY_OPTIMAL
+    assert verify_strongly_optimal(
+        pair.to_float(), PrimalPoint(out.X_opt), DualPoint(tuple(out.y_opt)), 1e-6
+    )
+
+
 class TestEquivalenceProperties:
     def test_bounded_case_forward_and_converse(self):
         for seed in range(10):

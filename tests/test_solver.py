@@ -20,6 +20,8 @@ from sdgames.solver import (
     PRIMAL_INFEASIBLE,
     SolverOptions,
     StandardSdp,
+    _ConeScaling,
+    _Ipm,
     solve,
     solve_with_certificate,
 )
@@ -212,6 +214,129 @@ class TestPresolve:
         prob = StandardSdp(st, [np.array([1.0])], rows)
         r = solve(prob)
         assert r.status == PRIMAL_INFEASIBLE
+
+
+def _random_mixed_sdp(rng, n_indep=6, n_dep=3, consistent=True):
+    """Rows over matrix, diag and free blocks; the last n_dep rows are linear
+    combinations of earlier ones, with a matching (or perturbed) right-hand side."""
+    st = BlockStructure(
+        [matrix_block(3), diag_block(2), free_scalar(), matrix_block(2), free_scalar()]
+    )
+    rows = []
+    for _ in range(n_indep):
+        a = []
+        for b in st:
+            if b.kind == "matrix":
+                G = rng.normal(size=(b.size, b.size))
+                a.append(G + G.T)
+            else:
+                a.append(rng.normal(size=b.size))
+        rows.append((a, float(rng.normal())))
+    for _ in range(n_dep):
+        coef = rng.normal(size=len(rows))
+        a = [sum(c * r[0][i] for c, r in zip(coef, rows)) for i in range(len(st))]
+        rhs = float(sum(c * r[1] for c, r in zip(coef, rows)))
+        rows.append((a, rhs if consistent else rhs + 1.0))
+    order = rng.permutation(len(rows))
+    obj = [np.eye(3), np.ones(2), np.zeros(1), np.eye(2), np.zeros(1)]
+    return StandardSdp(st, obj, [rows[j] for j in order])
+
+
+def _random_point(rng, st, symmetric=True):
+    x = []
+    for b in st:
+        if b.kind == "matrix":
+            G = rng.normal(size=(b.size, b.size))
+            x.append(G @ G.T + np.eye(b.size) if symmetric else G)
+        elif b.kind == "diag":
+            x.append(rng.uniform(0.5, 2.0, size=b.size))
+        else:
+            x.append(rng.normal(size=1))
+    return x
+
+
+def _reference_presolve(problem):
+    """One-vector-at-a-time Gram-Schmidt on svec rows."""
+    rows_vec = np.array([svec(problem.structure, a) for a, _ in problem.constraints])
+    beta = problem.rhs
+    keep, basis, dropped = [], [], []
+    for j in range(rows_vec.shape[0]):
+        v = rows_vec[j].copy()
+        for _ in range(2):
+            for q in basis:
+                v -= (q @ v) * q
+        nv = np.linalg.norm(v)
+        if nv > 1e-10 * (1.0 + np.linalg.norm(rows_vec[j])):
+            basis.append(v / nv)
+            keep.append(j)
+        else:
+            dropped.append(j)
+    inconsistent = False
+    for j in dropped:
+        coeff, *_ = np.linalg.lstsq(rows_vec[keep].T, rows_vec[j], rcond=None)
+        if abs(beta[j] - coeff @ beta[keep]) > 1e-8 * (1.0 + np.abs(beta).max()):
+            inconsistent = True
+    return keep, dropped, inconsistent
+
+
+class TestConstraintOperator:
+    def test_apply_A_matches_row_loop(self):
+        rng = np.random.default_rng(101)
+        for _ in range(5):
+            prob = _random_mixed_sdp(rng)
+            ipm = _Ipm(prob, SolverOptions())
+            kept = [prob.constraints[j][0] for j in ipm.kept_rows]
+            for symmetric in (True, False):
+                x = _random_point(rng, prob.structure, symmetric)
+                ref = np.array([bv_inner(list(a), x) for a in kept])
+                assert np.allclose(ipm.apply_A(x), ref, rtol=1e-13, atol=1e-12)
+
+    def test_adjoint_identity(self):
+        rng = np.random.default_rng(103)
+        for _ in range(5):
+            prob = _random_mixed_sdp(rng)
+            ipm = _Ipm(prob, SolverOptions())
+            x = _random_point(rng, prob.structure, symmetric=False)
+            y = rng.normal(size=ipm.p)
+            aty = ipm.apply_AT(y)
+            assert prob.structure.conformal(aty)
+            lhs = float(y @ ipm.apply_A(x))
+            assert lhs == pytest.approx(bv_inner(aty, x), rel=1e-12, abs=1e-12)
+
+    def test_schur_matches_einsum(self):
+        rng = np.random.default_rng(107)
+        for _ in range(5):
+            prob = _random_mixed_sdp(rng)
+            ipm = _Ipm(prob, SolverOptions())
+            x = _random_point(rng, prob.structure)
+            s = _random_point(rng, prob.structure)
+            scalings = {i: _ConeScaling(ipm.blocks[i], x[i], s[i]) for i in ipm.cone_idx}
+            kept = [prob.constraints[j][0] for j in ipm.kept_rows]
+            ref = np.zeros((ipm.p, ipm.p))
+            for i in ipm.cone_idx:
+                a = np.array([row[i] for row in kept])
+                if ipm.blocks[i].kind == "matrix":
+                    W = scalings[i].W
+                    waw = np.einsum("pq,lqr,rs->lps", W, a, W)
+                    ref += np.einsum("kpq,lpq->kl", a, waw)
+                else:
+                    ref += (a * scalings[i].w2) @ a.T
+            S = ipm._schur(scalings)
+            assert np.allclose(S, ref, rtol=1e-12, atol=1e-10 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("consistent", [True, False])
+    def test_presolve_matches_gram_schmidt(self, consistent):
+        rng = np.random.default_rng(109)
+        for _ in range(5):
+            prob = _random_mixed_sdp(rng, consistent=consistent)
+            ipm = _Ipm(prob, SolverOptions())
+            keep, dropped, inconsistent = _reference_presolve(prob)
+            assert ipm.kept_rows == keep
+            assert ipm.dropped_rows == dropped
+            assert len(dropped) == 3
+            assert ipm.inconsistent == inconsistent == (not consistent)
+            assert ipm.p == len(keep)
+            assert np.array_equal(ipm.beta, prob.rhs[keep])
 
 
 class TestInvariants:
