@@ -43,20 +43,6 @@ class KktDimensions:
     d: int = 2
 
 
-@dataclass(frozen=True)
-class LogBound:
-    """A bound reported as an exponent: value = 2**log2_value."""
-
-    log2_value: int
-
-    def __post_init__(self):
-        if self.log2_value < 0:
-            raise ValueError("exponent must be nonnegative")
-
-    def decimal(self) -> str:
-        return str(self.log2_value)
-
-
 @dataclass(frozen=True, eq=False)
 class SolutionBoundM:
     """A constant M dominating tr(X*) + 1'y* + 1 for some auxiliary optimum."""

@@ -4,7 +4,7 @@ Commands: reduce (game pipeline), bound (solution bounds), gen (instance
 generators), verify (candidate checking), solve (direct primal/dual solves).
 
 Exit codes for reduce: 0 strongly optimal, 2 unboundedness certificate,
-3 inconclusive, 1 error.
+3 inconclusive, 1 error (in a batch: any file failed).
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .reduction import (
 )
 from .solver import SolverOptions
 
+# errors a command reports with exit code 1 instead of a traceback
+_FILE_ERRORS = (OSError, ValueError, RuntimeError)
+
 _EXIT_BY_KIND = {
     STRONGLY_OPTIMAL: 0,
     PRIMAL_UNBOUNDED_CERT: 2,
@@ -42,22 +45,25 @@ _EXIT_BY_KIND = {
 }
 
 
-def _print_report_text(name: str, report: dict, stream=sys.stdout) -> None:
+def _print_report_text(name: str, report: dict) -> None:
+    print(f"instance    : {name}")
+    if "error" in report:
+        print(f"error       : {report['error']}")
+        return
     M = report["M"]
-    print(f"instance    : {name}", file=stream)
-    print(f"outcome     : {report['outcome']}", file=stream)
-    print(f"game value  : {report['game_value']:.9g}", file=stream)
+    print(f"outcome     : {report['outcome']}")
+    print(f"game value  : {report['game_value']:.9g}")
     mval = "inf" if M["value"] is None else f"{M['value']:g}"
-    print(f"M           : {mval} ({M['mode']})", file=stream)
+    print(f"M           : {mval} ({M['mode']})")
     if M["certified_log2"] is not None:
-        print(f"certified lg: {M['certified_log2']}", file=stream)
+        print(f"certified lg: {M['certified_log2']}")
     if report.get("implied_w_bar") is not None:
-        print(f"implied w   : {report['implied_w_bar']:.9g}", file=stream)
+        print(f"implied w   : {report['implied_w_bar']:.9g}")
     for key in ("X", "y", "direction_X", "direction_y"):
         if report.get(key) is not None:
-            print(f"{key:12s}: {report[key]}", file=stream)
+            print(f"{key:12s}: {report[key]}")
     for note in report["notes"]:
-        print(f"note        : {note}", file=stream)
+        print(f"note        : {note}")
 
 
 def _reduce_one(path: Path, args) -> tuple:
@@ -78,6 +84,20 @@ def _reduce_one(path: Path, args) -> tuple:
     return outcome, report
 
 
+def _error_text(exc: Exception) -> str:
+    if isinstance(exc, ProblemFormatError):
+        return f"problem format error: {exc}"
+    return f"error: {exc}"
+
+
+def _batch_result(fut):
+    """The (outcome, report) of one batch file, or the error it failed with."""
+    try:
+        return fut.result()
+    except _FILE_ERRORS as exc:
+        return exc
+
+
 def cmd_reduce(args) -> int:
     path = Path(args.input)
     paths = sorted(path.glob("*.json")) if path.is_dir() else [path]
@@ -85,15 +105,21 @@ def cmd_reduce(args) -> int:
         print(f"no problem files under {path}", file=sys.stderr)
         return 1
     code = 0
-    results = {}
+    failed = False
     if len(paths) > 1:
+        # one failed file is reported in its place and does not stop the batch
         with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
             futs = {p: pool.submit(_reduce_one, p, args) for p in paths}
-        pairs = [(p, futs[p].result()) for p in paths]
+        pairs = [(p, _batch_result(futs[p])) for p in paths]
     else:
         pairs = [(paths[0], _reduce_one(paths[0], args))]
-    for p, (outcome, report) in pairs:
-        results[p.name] = report
+    for p, result in pairs:
+        if isinstance(result, Exception):
+            failed = True
+            report = {"error": _error_text(result)}
+        else:
+            outcome, report = result
+            code = max(code, _EXIT_BY_KIND[outcome.kind])
         if args.json:
             print(json.dumps({p.name: report} if len(paths) > 1 else report, indent=2))
         else:
@@ -104,8 +130,7 @@ def cmd_reduce(args) -> int:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / f"{p.stem}.report.json").write_text(json.dumps(report, indent=2) + "\n")
-        code = max(code, _EXIT_BY_KIND[outcome.kind])
-    return code
+    return 1 if failed else code
 
 
 def cmd_bound(args) -> int:
@@ -220,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", default="auto", help="solution bound: 'auto' or a number")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--text", action="store_true")
     p.add_argument("--out", default=None, help="directory for report files")
     p.set_defaults(func=cmd_reduce)
 
@@ -258,11 +282,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
-        print(f"problem format error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _FILE_ERRORS as exc:
+        print(_error_text(exc), file=sys.stderr)
         return 1
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Tuple, Union
@@ -25,21 +26,34 @@ class ProblemFormatError(ValueError):
     """Malformed problem file."""
 
 
+_HUGE_EXPONENT = re.compile(r"[eE][-+]?0*\d{5}")
+
+
 def _parse_entry(v, where: str):
     if isinstance(v, bool):
         raise ProblemFormatError(f"{where}: booleans are not valid entries")
-    if isinstance(v, int):
-        return Fraction(v)
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ProblemFormatError(f"{where}: non-finite entry {v!r}")
         return v
-    if isinstance(v, str):
+    if isinstance(v, int):
+        value = Fraction(v)
+    elif isinstance(v, str):
+        # Fraction expands 10**exponent in full, so a five-digit exponent would
+        # stall the parse; such a literal lies outside the float range anyway
+        if _HUGE_EXPONENT.search(v.replace("_", "")):
+            raise ProblemFormatError(f"{where}: entry beyond the float range")
         try:
-            return Fraction(v)
+            value = Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise ProblemFormatError(f"{where}: bad rational literal {v!r}") from exc
-    raise ProblemFormatError(f"{where}: unsupported entry {v!r}")
+    else:
+        raise ProblemFormatError(f"{where}: unsupported entry {v!r}")
+    try:
+        float(value)  # the solver works in floats
+    except OverflowError as exc:
+        raise ProblemFormatError(f"{where}: entry beyond the float range") from exc
+    return value
 
 
 def _parse_matrix(rows, n: int, where: str) -> SymMat:
@@ -70,7 +84,7 @@ def problem_from_dict(doc: dict) -> Tuple[SdpPair, dict]:
         if key not in doc:
             raise ProblemFormatError(f"missing field {key!r}")
     n, m = doc["n"], doc["m"]
-    if not isinstance(n, int) or not isinstance(m, int) or n < 1 or m < 1:
+    if any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in (n, m)):
         raise ProblemFormatError("n and m must be positive integers")
     C = _parse_matrix(doc["C"], n, "C")
     if not isinstance(doc["A"], list) or len(doc["A"]) != m:
@@ -80,6 +94,8 @@ def problem_from_dict(doc: dict) -> Tuple[SdpPair, dict]:
         raise ProblemFormatError(f"b: expected {m} entries")
     b = tuple(_parse_entry(v, f"b[{i}]") for i, v in enumerate(doc["b"]))
     name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise ProblemFormatError("name must be a string")
     metadata = {k: doc[k] for k in doc if k not in ("n", "m", "C", "A", "b")}
     return SdpPair(C=C, A=A, b=b, name=name), metadata
 
@@ -116,6 +132,8 @@ def load_problem(path: Union[str, Path]) -> Tuple[SdpPair, dict]:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal longer than int() accepts
+        raise ProblemFormatError(f"{path}: {exc}") from exc
     try:
         return problem_from_dict(doc)
     except ProblemFormatError as exc:

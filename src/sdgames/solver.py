@@ -5,6 +5,8 @@ where K is a product of psd matrix blocks, nonnegative diagonal blocks and
 free scalars.  Path following with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step; dense Cholesky/LU on the (augmented) Schur system.
 Free scalars are kept in the Newton system natively rather than split.
+Inside a solve the iterate is one flat vector: the matrix blocks, then all
+diagonal blocks as one nonnegative orthant, then the free scalars.
 """
 
 from __future__ import annotations
@@ -14,15 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .blocks import (
-    FREE,
-    MATRIX,
-    Block,
-    BlockStructure,
-    bv_copy,
-    bv_inner,
-    bv_norm_inf,
-)
+from .blocks import DIAG, FREE, MATRIX, BlockStructure, bv_norm_inf
 
 OPTIMAL = "Optimal"
 PRIMAL_INFEASIBLE = "PrimalInfeasibleDetected"
@@ -138,75 +132,63 @@ def _chol(a: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(sym + eps * np.eye(sym.shape[0]))
 
 
-def _max_step_matrix(x: np.ndarray, dx: np.ndarray) -> float:
-    """Largest alpha with x + alpha*dx psd, for x positive definite."""
-    L = _chol(x)
-    Z = np.linalg.solve(L, dx)
-    E = np.linalg.solve(L, Z.T).T
-    emin = float(np.linalg.eigvalsh(0.5 * (E + E.T))[0])
-    if emin >= -1e-14:
-        return np.inf
-    return -1.0 / emin
+def _min_eig_scaled(t: np.ndarray, lam: np.ndarray) -> float:
+    """lambda_min of Lambda^-1/2 T Lambda^-1/2 for a direction T in NT-scaled
+    coordinates, where the iterate itself is Lambda = diag(lam)."""
+    isq = 1.0 / np.sqrt(lam)
+    E = isq[:, None] * t * isq[None, :]
+    return float(np.linalg.eigvalsh(0.5 * (E + E.T))[0])
 
 
-def _max_step_diag(x: np.ndarray, dx: np.ndarray) -> float:
-    neg = dx < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(-x[neg] / dx[neg]))
+def _step_to_boundary(emin: float) -> float:
+    """Largest alpha with I + alpha*E in the cone, given lambda_min(E)."""
+    return -1.0 / emin if emin < -1e-14 else np.inf
 
 
 class _ConeScaling:
-    """Per-block Nesterov-Todd scaling data for one iteration."""
+    """Nesterov-Todd scaling of one matrix block for one iteration:
+    R with R^-1 X R^-T = R' S R = diag(lam), and W = R R'."""
 
-    def __init__(self, block: Block, x: np.ndarray, s: np.ndarray):
-        self.block = block
-        if block.kind == MATRIX:
-            Lx = _chol(x)
-            Ls = _chol(s)
-            U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
-            if np.any(sig <= 0):
-                raise np.linalg.LinAlgError("NT scaling broke down")
-            isq = 1.0 / np.sqrt(sig)
-            self.lam = sig
-            self.R = Lx @ (Vt.T * isq)
-            self.Rinv = (isq[:, None] * U.T) @ Ls.T
-            self.W = self.R @ self.R.T
-        else:
-            self.lam = np.sqrt(x * s)
-            self.w2 = x / s
+    def __init__(self, x: np.ndarray, s: np.ndarray):
+        Lx = _chol(x)
+        Ls = _chol(s)
+        U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
+        if np.any(sig <= 0):
+            raise np.linalg.LinAlgError("NT scaling broke down")
+        isq = 1.0 / np.sqrt(sig)
+        self.lam = sig
+        self.R = Lx @ (Vt.T * isq)
+        self.Rinv = (isq[:, None] * U.T) @ Ls.T
+        self.W = self.R @ self.R.T
 
-    def apply_w(self, u: np.ndarray) -> np.ndarray:
-        """W u W for matrix blocks, w^2 * u for diagonal blocks."""
-        if self.block.kind == MATRIX:
-            return self.W @ u @ self.W
-        return self.w2 * u
+    def scaled(self, dx: np.ndarray, ds: np.ndarray):
+        """The direction (R^-1 dX R^-T, R' dS R) in scaled coordinates."""
+        return self.Rinv @ dx @ self.Rinv.T, self.R.T @ ds @ self.R
 
-    def combine_target(self, sigma_mu: float, dxa: np.ndarray, dsa: np.ndarray, s: np.ndarray):
-        """g-term of the corrector direction: R T(sigma*mu*I - Hcorr) R'."""
-        if self.block.kind == MATRIX:
-            dxt = self.Rinv @ dxa @ self.Rinv.T
-            dst = self.R.T @ dsa @ self.R
-            H = 0.5 * (dxt @ dst + dst @ dxt)
-            psi = -H
-            np.fill_diagonal(psi, psi.diagonal() + sigma_mu)
-            denom = 0.5 * (self.lam[:, None] + self.lam[None, :])
-            return self.R @ (psi / denom) @ self.R.T
-        psi = sigma_mu - dxa * dsa
-        return psi / s
+    def combine_target(self, sigma_mu: float, dxt: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """g-term of the corrector direction, R T(sigma*mu*I - Hcorr) R', from the
+        predictor's scaled direction."""
+        H = 0.5 * (dxt @ dst + dst @ dxt)
+        psi = -H
+        np.fill_diagonal(psi, psi.diagonal() + sigma_mu)
+        denom = 0.5 * (self.lam[:, None] + self.lam[None, :])
+        return self.R @ (psi / denom) @ self.R.T
 
 
 class _Ipm:
+    """One solve.  The iterate x, s is one float vector over the columns of the
+    p x d constraint matrix A, ordered as the matrix blocks (each raveled),
+    then every diag block as one nonnegative orthant, then the free scalars."""
+
     def __init__(self, problem: StandardSdp, opts: SolverOptions):
         self.opts = opts
-        self.structure = problem.structure
-        self.blocks = list(problem.structure)
+        structure = problem.structure
         self.sense = problem.sense
         sign = 1.0 if problem.sense == MIN else -1.0
-        self.c = [sign * np.array(b, dtype=float) for b in problem.objective]
-        # one p x d constraint matrix; row j is the concatenation of the raveled
-        # blocks of a_j, so a k x k matrix block owns k*k consecutive columns
-        self.shapes = [z.shape for z in self.structure.zeros()]
+        blocks = list(structure)
+        # row j of A is the concatenation of the raveled blocks of a_j, so a
+        # k x k matrix block owns k*k consecutive columns
+        self.shapes = [z.shape for z in structure.zeros()]
         self.slices = []
         d = 0
         for shape in self.shapes:
@@ -217,15 +199,45 @@ class _Ipm:
         ).reshape(problem.num_constraints, d)
         self.beta = problem.rhs.copy()
         self.warnings: List[str] = []
-        self.cone_idx = [i for i, b in enumerate(self.blocks) if b.kind != FREE]
-        self.free_idx = [i for i, b in enumerate(self.blocks) if b.kind == FREE]
-        self.nu = self.structure.cone_dim
+        self.nu = structure.cone_dim
         self._presolve()
         self.p = self.A.shape[0]
-        self.F = self.A[:, [self.slices[i].start for i in self.free_idx]]
+        # permute the columns once into the flat order: matrix blocks, orthant, free
+        order = sorted(range(len(blocks)), key=lambda i: (MATRIX, DIAG, FREE).index(blocks[i].kind))
+        self.perm = np.concatenate([np.arange(d)[self.slices[i]] for i in order])
+        self.A = self.A[:, self.perm]
+        self.mats = []  # (flat slice, order) per matrix block
+        self.tr = np.arange(d)  # v[self.tr] transposes every matrix block of v
+        pos = 0
+        for i in order:
+            if blocks[i].kind == MATRIX:
+                k = blocks[i].size
+                sl = slice(pos, pos + k * k)
+                self.mats.append((sl, k))
+                self.tr[sl] = pos + np.arange(k * k).reshape(k, k).T.ravel()
+            pos += self.slices[i].stop - self.slices[i].start
+        self.ncone = d - sum(b.kind == FREE for b in blocks)
+        self.orth = slice(self.mats[-1][0].stop if self.mats else 0, self.ncone)
+        self.free = slice(self.ncone, d)
+        # augmented Newton matrix [[S, F], [F', 0]]; F is the free columns of A
+        # and the Schur complement S is written into it at every iteration
+        F = self.A[:, self.free]
+        self.Maug = np.block([[np.zeros((self.p, self.p)), F], [F.T, np.zeros((F.shape[1],) * 2)]])
+        self.c = sign * self._flat(problem.objective)
+        self.e = self._flat(structure.identity())
         self.beta_scale = 1.0 + (np.max(np.abs(self.beta)) if self.beta.size else 0.0)
-        self.c_scale = 1.0 + bv_norm_inf(self.c)
+        self.c_scale = 1.0 + float(np.max(np.abs(self.c)))
         self.scale = self.beta_scale + self.c_scale
+
+    def _flat(self, v) -> np.ndarray:
+        """Block list -> flat vector."""
+        return np.concatenate([np.ravel(b) for b in v])[self.perm]
+
+    def _blocks(self, v: np.ndarray) -> list:
+        """Flat vector -> block list."""
+        u = np.empty_like(v)
+        u[self.perm] = v
+        return [u[sl].reshape(shape) for sl, shape in zip(self.slices, self.shapes)]
 
     def _presolve(self):
         """Drop linearly dependent constraint rows; flag inconsistent duplicates."""
@@ -269,51 +281,44 @@ class _Ipm:
         full[self.kept_rows] = y
         return full
 
-    def apply_A(self, x) -> np.ndarray:
-        return self.A @ np.concatenate([np.ravel(b) for b in x])
-
-    def apply_AT(self, y: np.ndarray):
-        v = self.A.T @ y
-        return [v[sl].reshape(shape) for sl, shape in zip(self.slices, self.shapes)]
-
-    def _initial_point(self):
-        eta = self.opts.initial_centrality
-        x = self.structure.identity(eta * self.beta_scale)
-        s = self.structure.identity(eta * self.beta_scale)
-        for i in self.free_idx:
-            s[i] = np.zeros(1)
-        y = np.zeros(self.p)
-        return x, y, s
-
-    def _cone_inner(self, x, s) -> float:
-        return sum(bv_inner([x[i]], [s[i]]) for i in self.cone_idx)
-
     def _residuals(self, x, y, s):
-        r_p = self.beta - self.apply_A(x)
-        aty = self.apply_AT(y)
-        r_d = [c - a - sv for c, a, sv in zip(self.c, aty, s)]
-        return r_p, r_d
+        return self.beta - self.A @ x, self.c - self.A.T @ y - s
 
-    def _debug_weak_duality(self, pobj, dobj, x, y, s, r_p, r_d):
-        corr = abs(float(y @ r_p)) + abs(bv_inner(r_d, x))
+    def _infeasibilities(self, r_p, r_d):
+        pinf = (np.max(np.abs(r_p)) if r_p.size else 0.0) / self.beta_scale
+        return float(pinf), float(np.max(np.abs(r_d))) / self.c_scale
+
+    def _debug_weak_duality(self, pobj, dobj, x, y, r_p, r_d):
+        corr = abs(float(y @ r_p)) + abs(float(r_d @ x))
         slack = pobj - dobj + corr
         if slack < -1e-9 * (1.0 + abs(pobj) + abs(dobj) + corr):
             raise DebugInvariantViolation(
                 f"weak duality violated at an iterate: pobj={pobj!r} dobj={dobj!r} corr={corr!r}"
             )
 
+    def _scalings(self, x, s):
+        """NT scaling of each matrix block, and w2 = x/s on the orthant."""
+        nt = [_ConeScaling(x[sl].reshape(k, k), s[sl].reshape(k, k)) for sl, k in self.mats]
+        return nt, x[self.orth] / s[self.orth]
+
+    def _apply_w(self, scalings, u):
+        """W U W on each matrix block, w2 * u on the orthant, 0 on the free scalars."""
+        nt, w2 = scalings
+        out = np.zeros_like(u)
+        for (sl, k), sc in zip(self.mats, nt):
+            out[sl] = (sc.W @ u[sl].reshape(k, k) @ sc.W).ravel()
+        out[self.orth] = w2 * u[self.orth]
+        return out
+
     def _schur(self, scalings):
+        nt, w2 = scalings
         p = self.p
-        S = np.zeros((p, p))
-        for i in self.cone_idx:
-            sc = scalings[i]
-            Ai = self.A[:, self.slices[i]]
-            if self.blocks[i].kind == MATRIX:
-                k = self.blocks[i].size
-                waw = (sc.W @ Ai.reshape(p, k, k) @ sc.W).reshape(p, -1)
-                S += Ai @ waw.T
-            else:
-                S += (Ai * sc.w2) @ Ai.T
+        A_o = self.A[:, self.orth]
+        S = (A_o * w2) @ A_o.T
+        for (sl, k), sc in zip(self.mats, nt):
+            Ai = self.A[:, sl]
+            waw = (sc.W @ Ai.reshape(p, k, k) @ sc.W).reshape(p, -1)
+            S += Ai @ waw.T
         return S
 
     def _solve_augmented(self, Maug, rhs):
@@ -326,62 +331,48 @@ class _Ipm:
         return sol
 
     def _direction(self, scalings, Maug, r_p, r_d, g):
-        """Newton direction given the per-cone-block g-terms."""
-        nf = len(self.free_idx)
+        """Newton direction given the g-term g, which is 0 on the free scalars."""
         p = self.p
-        rhs_top = r_p.copy()
-        work = self.structure.zeros()
-        for i in self.cone_idx:
-            work[i] = g[i] - scalings[i].apply_w(r_d[i])
-        rhs_top -= self.apply_A(work)
-        if nf:
-            rhs = np.concatenate([rhs_top, np.array([r_d[i][0] for i in self.free_idx])])
-        else:
-            rhs = rhs_top
+        rhs = np.concatenate(
+            [r_p - self.A @ (g - self._apply_w(scalings, r_d)), r_d[self.free]]
+        )
         sol = self._solve_augmented(Maug, rhs)
         dy = sol[:p]
-        aty = self.apply_AT(dy)
-        dx = self.structure.zeros()
-        ds = self.structure.zeros()
-        for i in self.cone_idx:
-            ds[i] = r_d[i] - aty[i]
-            dx[i] = g[i] - scalings[i].apply_w(ds[i])
-            if self.blocks[i].kind == MATRIX:
-                dx[i] = 0.5 * (dx[i] + dx[i].T)
-        for k, i in enumerate(self.free_idx):
-            dx[i] = np.array([sol[p + k]])
+        ds = r_d - self.A.T @ dy
+        ds[self.free] = 0.0
+        dx = g - self._apply_w(scalings, ds)
+        dx = 0.5 * (dx + dx[self.tr])
+        dx[self.free] = sol[p:]
         return dx, dy, ds
 
-    def _step_lengths(self, x, s, dx, ds):
-        ap = ad = np.inf
-        for i in self.cone_idx:
-            if self.blocks[i].kind == MATRIX:
-                ap = min(ap, _max_step_matrix(x[i], dx[i]))
-                ad = min(ad, _max_step_matrix(s[i], ds[i]))
-            else:
-                ap = min(ap, _max_step_diag(x[i], dx[i]))
-                ad = min(ad, _max_step_diag(s[i], ds[i]))
-        return ap, ad
+    def _step_lengths(self, scalings, x, s, dx, ds):
+        """Largest steps that keep x + ap*dx and s + ad*ds in the cone, and the
+        direction of each matrix block in NT-scaled coordinates."""
+        nt, _ = scalings
+        o = self.orth
+        ep = float(np.min(dx[o] / x[o], initial=0.0))
+        ed = float(np.min(ds[o] / s[o], initial=0.0))
+        pairs = []
+        for (sl, k), sc in zip(self.mats, nt):
+            dxt, dst = sc.scaled(dx[sl].reshape(k, k), ds[sl].reshape(k, k))
+            ep = min(ep, _min_eig_scaled(dxt, sc.lam))
+            ed = min(ed, _min_eig_scaled(dst, sc.lam))
+            pairs.append((dxt, dst))
+        return _step_to_boundary(ep), _step_to_boundary(ed), pairs
 
     def _check_infeasibility(self, x, y, s):
         """Best-effort Farkas-ray detection once iterates diverge."""
-        xnorm = bv_norm_inf(x)
+        xnorm = float(np.max(np.abs(x)))
         if xnorm > 1e6 * self.scale:
-            q = [xi / xnorm for xi in x]
-            cq = bv_inner(self.c, q)
-            feas = np.max(np.abs(self.apply_A(q))) if self.p else 0.0
-            if cq < -1e-6 and feas <= 1e-6:
+            q = x / xnorm
+            feas = np.max(np.abs(self.A @ q)) if self.p else 0.0
+            if self.c @ q < -1e-6 and feas <= 1e-6:
                 return DUAL_INFEASIBLE, q
         ynorm = float(np.max(np.abs(y))) if y.size else 0.0
-        snorm = bv_norm_inf(s)
-        zn = max(ynorm, snorm)
+        zn = max(ynorm, float(np.max(np.abs(s))))
         if zn > 1e6 * self.scale:
             yhat = y / zn
-            aty = self.apply_AT(yhat)
-            resid = max(
-                (float(np.max(np.abs(aty[i] + s[i] / zn))) for i in range(len(self.blocks))),
-                default=0.0,
-            )
+            resid = float(np.max(np.abs(self.A.T @ yhat + s / zn)))
             if float(self.beta @ yhat) > 1e-6 and resid <= 1e-6:
                 return PRIMAL_INFEASIBLE, yhat
         if max(xnorm, zn) > self.opts.divergence_threshold * self.scale:
@@ -390,32 +381,30 @@ class _Ipm:
 
     def run(self) -> SolveResult:
         opts = self.opts
+        nc = self.ncone
         if self.inconsistent:
-            return self._result(
-                PRIMAL_INFEASIBLE, self.structure.zeros(), np.zeros(self.p),
-                self.structure.zeros(), 0,
-            )
-        x, y, s = self._initial_point()
-        best = (np.inf, bv_copy(x), y.copy(), bv_copy(s), 0)
+            d = self.A.shape[1]
+            return self._result(PRIMAL_INFEASIBLE, np.zeros(d), np.zeros(self.p), np.zeros(d), 0)
+        x = (opts.initial_centrality * self.beta_scale) * self.e
+        s = x.copy()
+        y = np.zeros(self.p)
+        best = (np.inf, x, y, s, 0)
         it = 0
         status = MAX_ITERATIONS
         ray = None
         for it in range(1, opts.max_iters + 1):
             r_p, r_d = self._residuals(x, y, s)
-            pobj = bv_inner(self.c, x)
+            pobj = float(self.c @ x)
             dobj = float(self.beta @ y)
-            pinf = (np.max(np.abs(r_p)) if r_p.size else 0.0) / self.beta_scale
-            dinf = max(
-                (np.max(np.abs(r_d[i])) if r_d[i].size else 0.0) for i in range(len(self.blocks))
-            ) / self.c_scale
-            compl = self._cone_inner(x, s)
+            pinf, dinf = self._infeasibilities(r_p, r_d)
+            compl = float(x[:nc] @ s[:nc])
             denom = 1.0 + abs(pobj) + abs(dobj)
             relgap = abs(pobj - dobj) / denom
             if opts.debug:
-                self._debug_weak_duality(pobj, dobj, x, y, s, r_p, r_d)
+                self._debug_weak_duality(pobj, dobj, x, y, r_p, r_d)
             merit = pinf + dinf + relgap
             if merit < best[0]:
-                best = (merit, bv_copy(x), y.copy(), bv_copy(s), it)
+                best = (merit, x, y, s, it)  # iterates are replaced, never updated in place
             if pinf <= opts.tol and dinf <= opts.tol and (
                 relgap <= opts.tol or compl / denom <= opts.tol
             ):
@@ -430,37 +419,27 @@ class _Ipm:
                 status, ray = det, det_ray
                 break
             try:
-                scalings = {
-                    i: _ConeScaling(self.blocks[i], x[i], s[i]) for i in self.cone_idx
-                }
-                S = self._schur(scalings)
-                nf = len(self.free_idx)
-                if nf:
-                    p = self.p
-                    Maug = np.zeros((p + nf, p + nf))
-                    Maug[:p, :p] = S
-                    Maug[:p, p:] = self.F
-                    Maug[p:, :p] = self.F.T
-                else:
-                    Maug = S
+                scalings = self._scalings(x, s)
+                Maug = self.Maug
+                Maug[: self.p, : self.p] = self._schur(scalings)
                 mu = compl / max(self.nu, 1)
                 # predictor
-                g_aff = {i: -x[i] for i in self.cone_idx}
-                dxa, dya, dsa = self._direction(scalings, Maug, r_p, r_d, g_aff)
-                apa, ada = self._step_lengths(x, s, dxa, dsa)
+                g = -x
+                g[self.free] = 0.0
+                dxa, dya, dsa = self._direction(scalings, Maug, r_p, r_d, g)
+                apa, ada, pairs = self._step_lengths(scalings, x, s, dxa, dsa)
                 apa, ada = min(1.0, apa), min(1.0, ada)
-                xa = [x[i] + apa * dxa[i] for i in range(len(self.blocks))]
-                sa = [s[i] + ada * dsa[i] for i in range(len(self.blocks))]
-                mu_aff = max(self._cone_inner(xa, sa), 0.0) / max(self.nu, 1)
+                xa = x[:nc] + apa * dxa[:nc]
+                sa = s[:nc] + ada * dsa[:nc]
+                mu_aff = max(float(xa @ sa), 0.0) / max(self.nu, 1)
                 sigma = min(1.0, max(mu_aff / mu, 0.0) ** 3) if mu > 0 else 0.0
                 # corrector
-                g = {
-                    i: -x[i]
-                    + scalings[i].combine_target(sigma * mu, dxa[i], dsa[i], s[i])
-                    for i in self.cone_idx
-                }
+                o = self.orth
+                g[o] += (sigma * mu - dxa[o] * dsa[o]) / s[o]
+                for (sl, _), sc, (dxt, dst) in zip(self.mats, scalings[0], pairs):
+                    g[sl] += sc.combine_target(sigma * mu, dxt, dst).ravel()
                 dx, dy, ds = self._direction(scalings, Maug, r_p, r_d, g)
-                ap, ad = self._step_lengths(x, s, dx, ds)
+                ap, ad, _ = self._step_lengths(scalings, x, s, dx, ds)
             except (np.linalg.LinAlgError, FloatingPointError):
                 if best[0] < 1e-6:
                     self.warnings.append("stopped at numerical precision limit")
@@ -475,18 +454,12 @@ class _Ipm:
                 self.warnings.append("step sizes collapsed; stopping early")
                 status = MAX_ITERATIONS
                 break
-            for i in range(len(self.blocks)):
-                x[i] = x[i] + ap * dx[i]
-                if self.blocks[i].kind == MATRIX:
-                    x[i] = 0.5 * (x[i] + x[i].T)
-                    s[i] = s[i] + ad * ds[i]
-                    s[i] = 0.5 * (s[i] + s[i].T)
-                else:
-                    s[i] = s[i] + ad * ds[i]
-            for i in self.free_idx:
-                s[i] = np.zeros(1)
+            x = x + ap * dx
+            x = 0.5 * (x + x[self.tr])
+            s = s + ad * ds
+            s = 0.5 * (s + s[self.tr])
             y = y + ad * dy
-            if not all(np.all(np.isfinite(b)) for b in x) or not np.all(np.isfinite(y)):
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
                 status = NUMERICAL_FAILURE
                 break
         if status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and best[0] < np.inf:
@@ -499,7 +472,7 @@ class _Ipm:
                 and res.dual_infeas <= opts.tol
                 and (
                     abs(res.gap) / denom <= opts.tol
-                    or self._cone_inner(res.primal, res.dual_slack) / denom <= opts.tol
+                    or float(x[:nc] @ s[:nc]) / denom <= opts.tol
                 )
             ):
                 res.status = OPTIMAL
@@ -507,26 +480,24 @@ class _Ipm:
 
     def _result(self, status, x, y, s, iterations, ray=None) -> SolveResult:
         r_p, r_d = self._residuals(x, y, s)
-        pobj = bv_inner(self.c, x)
+        pobj = float(self.c @ x)
         dobj = float(self.beta @ y)
-        pinf = (np.max(np.abs(r_p)) if r_p.size else 0.0) / self.beta_scale
-        dinf = max(
-            ((np.max(np.abs(r_d[i])) if r_d[i].size else 0.0) for i in range(len(self.blocks))),
-            default=0.0,
-        ) / self.c_scale
+        pinf, dinf = self._infeasibilities(r_p, r_d)
         sign = 1.0 if self.sense == MIN else -1.0
+        if status == DUAL_INFEASIBLE:
+            ray = self._blocks(ray)
         return SolveResult(
             status=status,
-            primal=x,
+            primal=self._blocks(x),
             dual=self._expand_dual(y),
-            dual_slack=s,
+            dual_slack=self._blocks(s),
             gap=pobj - dobj,
             iterations=iterations,
             value=sign * pobj,
             primal_objective=pobj,
             dual_objective=dobj,
-            primal_infeas=float(pinf),
-            dual_infeas=float(dinf),
+            primal_infeas=pinf,
+            dual_infeas=dinf,
             warnings=list(self.warnings),
             certificate=ray,
         )

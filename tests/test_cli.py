@@ -86,6 +86,48 @@ class TestProblemFormat:
         with pytest.raises(ProblemFormatError, match=message):
             problem_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), "1e400", "-1e400", "1e99999", "1e-99999", "1e0_0100000"]
+    )
+    @pytest.mark.parametrize("field", ["C", "A[1]", "b"])
+    def test_out_of_float_range_entry_rejected(self, field, value):
+        A = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+        doc = {"n": 2, "m": 2, "C": [[1, 0], [0, 1]], "A": A, "b": [1, 1]}
+        if field == "C":
+            doc["C"][1][1] = value
+        elif field == "A[1]":
+            doc["A"][1][1][1] = value
+        else:
+            doc["b"][1] = value
+        message = rf"{re.escape(field)}\[1\]: entry beyond the float range"
+        with pytest.raises(ProblemFormatError, match=message):
+            problem_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_boolean_dimension_rejected(self, key):
+        doc = {"n": 1, "m": 1, "C": [[1]], "A": [[[1]]], "b": [1]}
+        doc[key] = True
+        with pytest.raises(ProblemFormatError, match="positive integers"):
+            problem_from_dict(doc)
+
+    @pytest.mark.parametrize("name", [5, None, ["x"]])
+    def test_non_string_name_rejected(self, name):
+        doc = {"n": 1, "m": 1, "C": [[1]], "A": [[[1]]], "b": [1], "name": name}
+        with pytest.raises(ProblemFormatError, match="name must be a string"):
+            problem_from_dict(doc)
+
+    def test_overflowing_file_is_a_format_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 1, "m": 1, "C": [["1e400"]], "A": [[[1]]], "b": [1]}')
+        assert main(["reduce", str(path)]) == 1
+        assert "problem format error" in capsys.readouterr().err
+
+    def test_overlong_integer_rejected_on_load(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"n": 1, "m": 1, "C": [[%s]], "A": [[[1]]], "b": [1]}' % ("1" * 5000))
+        with pytest.raises(ProblemFormatError, match=re.escape(str(path))):
+            load_problem(path)
+
     def test_json_infinity_rejected_on_load(self, tmp_path):
         path = tmp_path / "inf.json"
         path.write_text('{"n": 1, "m": 1, "C": [[Infinity]], "A": [[[1]]], "b": [1]}')
@@ -189,6 +231,40 @@ class TestReduce:
         assert rc == 3  # worst outcome over the corpus
         reports = sorted(p.name for p in (tmp_path / "reports").glob("*.report.json"))
         assert len(reports) == 5
+
+    def test_bad_file_does_not_sink_the_batch(self, corpus_dir, tmp_path, capsys):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        for src in corpus_dir.glob("*.json"):
+            (batch / src.name).write_text(src.read_text())
+        (batch / "bad.json").write_text("{not json")
+        out = tmp_path / "reports"
+        rc = main(["reduce", str(batch), "--json", "--out", str(out)])
+        stdout = capsys.readouterr().out
+        assert rc == 1
+        docs, pos, decoder = {}, 0, json.JSONDecoder()
+        while stdout[pos:].strip():
+            doc, end = decoder.raw_decode(stdout[pos:].lstrip())
+            pos = len(stdout) - len(stdout[pos:].lstrip()) + end
+            docs.update(doc)
+        assert sorted(docs) == sorted(p.name for p in batch.glob("*.json"))
+        assert "problem format error" in docs["bad.json"]["error"]
+        assert docs["bounded.json"]["outcome"] == "StronglyOptimal"
+        reports = {p.name: json.loads(p.read_text()) for p in out.glob("*.report.json")}
+        assert len(reports) == 6
+        assert set(reports["bad.report.json"]) == {"error"}
+        assert reports["unbounded.report.json"]["outcome"] == "PrimalUnboundedCert"
+
+    def test_bad_file_in_text_batch(self, corpus_dir, tmp_path, capsys):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        (batch / "bounded.json").write_text((corpus_dir / "bounded.json").read_text())
+        (batch / "bad.json").write_text('{"n": true, "m": 1, "C": [[1]], "A": [[[1]]], "b": [1]}')
+        rc = main(["reduce", str(batch)])
+        stdout = capsys.readouterr().out
+        assert rc == 1
+        assert "instance    : bad.json\nerror       : problem format error:" in stdout
+        assert "instance    : bounded.json\noutcome     : StronglyOptimal" in stdout
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -289,7 +289,7 @@ class TestConstraintOperator:
             for symmetric in (True, False):
                 x = _random_point(rng, prob.structure, symmetric)
                 ref = np.array([bv_inner(list(a), x) for a in kept])
-                assert np.allclose(ipm.apply_A(x), ref, rtol=1e-13, atol=1e-12)
+                assert np.allclose(ipm.A @ ipm._flat(x), ref, rtol=1e-13, atol=1e-12)
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(103)
@@ -298,9 +298,9 @@ class TestConstraintOperator:
             ipm = _Ipm(prob, SolverOptions())
             x = _random_point(rng, prob.structure, symmetric=False)
             y = rng.normal(size=ipm.p)
-            aty = ipm.apply_AT(y)
+            aty = ipm._blocks(ipm.A.T @ y)
             assert prob.structure.conformal(aty)
-            lhs = float(y @ ipm.apply_A(x))
+            lhs = float(y @ (ipm.A @ ipm._flat(x)))
             assert lhs == pytest.approx(bv_inner(aty, x), rel=1e-12, abs=1e-12)
 
     def test_schur_matches_einsum(self):
@@ -310,19 +310,87 @@ class TestConstraintOperator:
             ipm = _Ipm(prob, SolverOptions())
             x = _random_point(rng, prob.structure)
             s = _random_point(rng, prob.structure)
-            scalings = {i: _ConeScaling(ipm.blocks[i], x[i], s[i]) for i in ipm.cone_idx}
             kept = [prob.constraints[j][0] for j in ipm.kept_rows]
             ref = np.zeros((ipm.p, ipm.p))
-            for i in ipm.cone_idx:
+            for i, b in enumerate(prob.structure):
                 a = np.array([row[i] for row in kept])
-                if ipm.blocks[i].kind == "matrix":
-                    W = scalings[i].W
+                if b.kind == "matrix":
+                    W = _ConeScaling(x[i], s[i]).W
                     waw = np.einsum("pq,lqr,rs->lps", W, a, W)
                     ref += np.einsum("kpq,lpq->kl", a, waw)
-                else:
-                    ref += (a * scalings[i].w2) @ a.T
-            S = ipm._schur(scalings)
+                elif b.kind == "diag":
+                    ref += (a * (x[i] / s[i])) @ a.T
+            S = ipm._schur(ipm._scalings(ipm._flat(x), ipm._flat(s)))
             assert np.allclose(S, ref, rtol=1e-12, atol=1e-10 * np.abs(ref).max())
+
+    def test_flat_round_trip(self):
+        rng = np.random.default_rng(111)
+        kinds = {"matrix": 0.0, "diag": 1.0, "free": 2.0}
+        for blocks in (
+            [diag_block(2), matrix_block(3), free_scalar(), diag_block(1), matrix_block(2),
+             free_scalar(), diag_block(3)],
+            [free_scalar(), diag_block(1), matrix_block(2)],
+            [matrix_block(2), free_scalar()],
+        ):
+            st = BlockStructure(blocks)
+            rows = [(_random_point(rng, st, symmetric=False), 1.0) for _ in range(2)]
+            ipm = _Ipm(StandardSdp(st, st.zeros(), rows), SolverOptions())
+            x = _random_point(rng, st, symmetric=False)
+            back = ipm._blocks(ipm._flat(x))
+            assert st.conformal(back)
+            assert all(np.array_equal(u, v) for u, v in zip(back, x))
+            v = rng.normal(size=ipm.A.shape[1])
+            assert np.array_equal(ipm._flat(ipm._blocks(v)), v)
+            # flat order: matrix blocks, then the orthant, then the free scalars
+            tags = ipm._flat([np.full(np.shape(b), kinds[k.kind]) for k, b in zip(st, x)])
+            assert np.all(np.diff(tags) >= 0)
+
+    def test_scaled_step_lengths_match_cholesky(self):
+        def reference(x, dx):
+            L = np.linalg.cholesky(x)
+            Z = np.linalg.solve(L, dx)
+            E = np.linalg.solve(L, Z.T).T
+            emin = float(np.linalg.eigvalsh(0.5 * (E + E.T))[0])
+            return np.inf if emin >= -1e-14 else -1.0 / emin
+
+        def ratio(v, dv):
+            neg = dv < 0
+            return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else np.inf
+
+        rng = np.random.default_rng(113)
+        for trial in range(10):
+            prob = _random_mixed_sdp(rng)
+            ipm = _Ipm(prob, SolverOptions())
+            x = _random_point(rng, prob.structure)
+            s = _random_point(rng, prob.structure)
+            dx = _random_point(rng, prob.structure, symmetric=False)
+            ds = _random_point(rng, prob.structure, symmetric=False)
+            for i, b in enumerate(prob.structure):
+                if b.kind == "matrix":
+                    dx[i] = dx[i] + dx[i].T
+                    ds[i] = ds[i] + ds[i].T
+                    if trial == 0:  # psd directions never leave the cone
+                        dx[i] = dx[i] @ dx[i].T
+                        ds[i] = ds[i] @ ds[i].T
+                elif b.kind == "diag":  # odd trials: only the matrix blocks bind
+                    dx[i] = np.abs(dx[i]) if trial % 2 or trial == 0 else dx[i] - 3.0
+                    ds[i] = np.abs(ds[i]) if trial % 2 or trial == 0 else ds[i] - 3.0
+            ref_p = ref_d = np.inf
+            for i, b in enumerate(prob.structure):
+                if b.kind == "matrix":
+                    ref_p = min(ref_p, reference(x[i], dx[i]))
+                    ref_d = min(ref_d, reference(s[i], ds[i]))
+                elif b.kind == "diag":
+                    ref_p = min(ref_p, ratio(x[i], dx[i]))
+                    ref_d = min(ref_d, ratio(s[i], ds[i]))
+            xf, sf = ipm._flat(x), ipm._flat(s)
+            ap, ad, _ = ipm._step_lengths(ipm._scalings(xf, sf), xf, sf, ipm._flat(dx), ipm._flat(ds))
+            if trial == 0:
+                assert ap == ad == ref_p == ref_d == np.inf
+            else:
+                assert np.isfinite(ref_p) and np.isfinite(ref_d)
+                assert ap == pytest.approx(ref_p, rel=1e-9)
+                assert ad == pytest.approx(ref_d, rel=1e-9)
 
     @pytest.mark.parametrize("consistent", [True, False])
     def test_presolve_matches_gram_schmidt(self, consistent):
