@@ -12,15 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import (
-    BlockStructure,
-    bv_norm_inf,
-    constraint_row,
-    diag_block,
-    psd_block,
-    sym_basis,
-    sym_entries,
-)
+from .blocks import BlockStructure, bv_norm_inf, diag_block, matrix_block, matrix_equality
 from .model import SdpPair, SymMat, frobenius_inner, is_psd, max_eigenvalue
 from .solver import (
     MAX,
@@ -56,7 +48,7 @@ class AuxSolution:
 
 def _aux_structure(n: int, m: int) -> BlockStructure:
     return BlockStructure(
-        [psd_block(n), psd_block(n), diag_block(m), diag_block(m), diag_block(1), diag_block(1)]
+        [matrix_block(n), matrix_block(n), diag_block(m), diag_block(m), diag_block(1), diag_block(1)]
     )
 
 
@@ -75,31 +67,21 @@ def build_primal_aux(pair: SdpPair) -> StandardSdp:
     cons = []
     # <A_i, X> + w - s_i = b_i
     for i in range(m):
-        row = constraint_row(st)
-        row[X_] = A[i].copy() if n >= 2 else np.array([A[i][0, 0]])
+        row = st.zeros()
+        row[X_] = A[i]
         row[S_][i] = -1.0
         row[W_][0] = 1.0
         cons.append((row, float(b[i])))
     # sum_i y_i A_i - w I + Z = C, entrywise over p <= q
-    for p, q, scale in sym_entries(n):
-        row = constraint_row(st)
-        if n >= 2:
-            row[Z_] = sym_basis(n, p, q)
-        else:
-            row[Z_][0] = 1.0
-        for i in range(m):
-            row[Y_][i] = scale * A[i][p, q]
-        if p == q:
-            row[W_][0] = -1.0
-        cons.append((row, float(scale * C[p, q])))
+    cons += matrix_equality(st, {Y_: A, W_: [-np.eye(n)]}, (Z_, 1.0), C)
     # <C, X> - b'y - w + r = 0
-    row = constraint_row(st)
-    row[X_] = C.copy() if n >= 2 else np.array([C[0, 0]])
-    row[Y_] = -b.copy()
+    row = st.zeros()
+    row[X_] = C
+    row[Y_] = -b
     row[W_][0] = -1.0
     row[R_][0] = 1.0
     cons.append((row, 0.0))
-    obj = constraint_row(st)
+    obj = st.zeros()
     obj[W_][0] = 1.0
     return StandardSdp(st, obj, cons, sense=MIN, name=f"{pair.name or 'pair'}-primal-aux")
 
@@ -117,13 +99,12 @@ def build_refined_aux(pair: SdpPair, w_cap: float) -> StandardSdp:
     cons = []
     for a, rhs in base.constraints:
         cons.append((list(a) + [np.zeros(1)], rhs))
-    row = constraint_row(st)
+    row = st.zeros()
     row[4][0] = 1.0
     row[Q_][0] = 1.0
     cons.append((row, float(w_cap)))
-    obj = constraint_row(st)
-    n = pair.n
-    obj[0] = np.eye(n) if n >= 2 else np.ones(1)
+    obj = st.zeros()
+    obj[0] = np.eye(pair.n)
     obj[2] = np.ones(pair.m)
     return StandardSdp(st, obj, cons, sense=MIN, name=f"{pair.name or 'pair'}-refined-aux")
 
@@ -136,45 +117,31 @@ def build_dual_aux(pair: SdpPair) -> StandardSdp:
     b = pair.b_array
     st = _aux_structure(n, m)
     W_, Z2_, ZV_, S2_, R_, Q_ = range(6)
-    cons = []
     # sum_i z_i A_i - r C + Z2 = 0, entrywise
-    for p, q, scale in sym_entries(n):
-        row = constraint_row(st)
-        if n >= 2:
-            row[Z2_] = sym_basis(n, p, q)
-        else:
-            row[Z2_][0] = 1.0
-        for i in range(m):
-            row[ZV_][i] = scale * A[i][p, q]
-        row[R_][0] = -scale * C[p, q]
-        cons.append((row, 0.0))
+    cons = matrix_equality(st, {ZV_: A, R_: [-C]}, (Z2_, 1.0))
     # <A_i, W> - r b_i - s2_i = 0
     for i in range(m):
-        row = constraint_row(st)
-        row[W_] = A[i].copy() if n >= 2 else np.array([A[i][0, 0]])
+        row = st.zeros()
+        row[W_] = A[i]
         row[R_][0] = -float(b[i])
         row[S2_][i] = -1.0
         cons.append((row, 0.0))
     # 1'z + tr(W) + r + q = 1
-    row = constraint_row(st)
-    row[W_] = np.eye(n) if n >= 2 else np.ones(1)
+    row = st.zeros()
+    row[W_] = np.eye(n)
     row[ZV_] = np.ones(m)
     row[R_][0] = 1.0
     row[Q_][0] = 1.0
     cons.append((row, 1.0))
-    obj = constraint_row(st)
-    obj[W_] = -C.copy() if n >= 2 else np.array([-C[0, 0]])
-    obj[ZV_] = b.copy()
+    obj = st.zeros()
+    obj[W_] = -C
+    obj[ZV_] = b
     return StandardSdp(st, obj, cons, sense=MAX, name=f"{pair.name or 'pair'}-dual-aux")
 
 
-def _extract(pair: SdpPair, res: SolveResult):
-    n = pair.n
-    Xraw = res.primal[0]
-    X = Xraw if n >= 2 else np.array([[Xraw[0]]])
-    y = np.array(res.primal[2], dtype=float)
-    w = float(res.primal[4][0])
-    return SymMat.from_array(X, symmetrize=True), y, w
+def _extract(res: SolveResult):
+    X, _, y, _, w = res.primal[:5]
+    return SymMat.from_array(X, symmetrize=True), np.array(y, dtype=float), float(w[0])
 
 
 def solve_aux(pair: SdpPair, opts: Optional[SolverOptions] = None) -> AuxSolution:
@@ -210,15 +177,15 @@ def solve_aux(pair: SdpPair, opts: Optional[SolverOptions] = None) -> AuxSolutio
         and tight.value <= 2.0 * loose.value + 1.0
     )
     if attained:
-        X, y, _ = _extract(pf, tight)
+        X, y, _ = _extract(tight)
         if first_small:
             # the direct solution is preferable when it is just as small
-            Xf, yf, _ = _extract(pf, first)
+            Xf, yf, _ = _extract(first)
             g_first = float(np.trace(Xf.array) + np.sum(yf))
             if g_first <= tight.value + 0.1:
                 X, y = Xf, yf
         return AuxSolution(X=X, y=y, w=w_star, attained_flag=ATTAINED, solve_status=first.status)
-    X, y, w = _extract(pf, first)
+    X, y, w = _extract(first)
     flag = ATTAINED if first_small and not probed else SUSPECTED_UNATTAINED
     return AuxSolution(X=X, y=y, w=w, attained_flag=flag, solve_status=first.status)
 

@@ -15,8 +15,6 @@ MATRIX = "matrix"
 DIAG = "diag"
 FREE = "free"
 
-_SQRT2 = float(np.sqrt(2.0))
-
 
 @dataclass(frozen=True)
 class Block:
@@ -26,8 +24,6 @@ class Block:
     def __post_init__(self):
         if self.kind not in (MATRIX, DIAG, FREE):
             raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.kind == MATRIX and self.size < 2:
-            raise ValueError("matrix blocks need size >= 2; use a diag block instead")
         if self.kind == FREE and self.size != 1:
             raise ValueError("free blocks are scalars")
         if self.size < 1:
@@ -56,11 +52,6 @@ def diag_block(k: int) -> Block:
 
 def free_scalar() -> Block:
     return Block(FREE, 1)
-
-
-def psd_block(k: int) -> Block:
-    """Matrix block for k >= 2, a single nonnegative scalar for k == 1."""
-    return matrix_block(k) if k >= 2 else diag_block(1)
 
 
 @dataclass(frozen=True)
@@ -120,10 +111,6 @@ class BlockStructure:
         return True
 
 
-def bv_copy(v):
-    return [np.array(x, dtype=float) for x in v]
-
-
 def bv_inner(u, v) -> float:
     total = 0.0
     for a, b in zip(u, v):
@@ -135,39 +122,27 @@ def bv_norm_inf(u) -> float:
     return max((float(np.max(np.abs(a))) if a.size else 0.0) for a in u)
 
 
-def svec(structure: BlockStructure, v) -> np.ndarray:
-    """Isometric scalarization: stacks blocks, off-diagonals scaled by sqrt(2).
+def matrix_equality(structure: BlockStructure, terms: dict, slack: tuple, rhs=None) -> list:
+    """(row, rhs) pairs of sum_k sum_j v_kj M_kj + sign * S = R over the entries p <= q.
 
-    Satisfies svec(u) . svec(v) == bv_inner(u, v).
+    ``terms`` maps block k to one n x n matrix M_kj per scalar v_kj of the block,
+    ``slack = (s, sign)`` names the matrix block S, and ``rhs`` is R (None: 0).
+    Off-diagonal rows are doubled, so S enters with ``sign`` at (p, q) and (q, p).
     """
-    parts = []
-    for b, x in zip(structure, v):
-        if b.kind == MATRIX:
-            k = b.size
-            iu = np.triu_indices(k)
-            w = np.where(iu[0] == iu[1], 1.0, _SQRT2)
-            parts.append(np.asarray(x)[iu] * w)
-        else:
-            parts.append(np.asarray(x, dtype=float))
-    return np.concatenate(parts)
-
-
-def sym_basis(n: int, p: int, q: int) -> np.ndarray:
-    """Symmetric basis element with ones at (p, q) and (q, p)."""
-    E = np.zeros((n, n))
-    E[p, q] = 1.0
-    E[q, p] = 1.0
-    return E
-
-
-def sym_entries(n: int):
-    """(p, q, scale) over independent entries; scale doubles off-diagonals so
-    that scale * M[p, q] equals the inner product with sym_basis(n, p, q)."""
-    for p in range(n):
-        for q in range(p, n):
-            yield p, q, (1.0 if p == q else 2.0)
-
-
-def constraint_row(structure: BlockStructure) -> List[np.ndarray]:
-    """Zero coefficient block-vector for one scalar constraint."""
-    return structure.zeros()
+    s, sign = slack
+    n = structure.blocks[s].size
+    entries = [(p, q) for p in range(n) for q in range(p, n)]
+    iu, ju = np.array(entries).T
+    scale = np.where(iu == ju, 1.0, 2.0)
+    # coef[k][r] is the coefficient vector of block k in row r
+    coef = {k: scale[:, None] * np.moveaxis(np.reshape(Ms, (-1, n, n)), 0, 2)[iu, ju]
+            for k, Ms in terms.items()}
+    beta = [0.0] * len(entries) if rhs is None else (scale * np.asarray(rhs)[iu, ju]).tolist()
+    rows = []
+    for r, (p, q) in enumerate(entries):
+        row = structure.zeros()
+        for k, c in coef.items():
+            row[k] = c[r]
+        row[s][p, q] = row[s][q, p] = sign
+        rows.append((row, beta[r]))
+    return rows

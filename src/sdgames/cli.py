@@ -190,6 +190,25 @@ def cmd_gen(args) -> int:
     return 0
 
 
+_CANDIDATE_FIELDS = {"optimal": ("X", "y"), "primal-dir": ("W",), "dual-dir": ("y",)}
+
+
+def _candidate_fields(cand, kind: str) -> dict:
+    """The candidate's fields for ``kind`` as float arrays, each entry finite."""
+    out = {}
+    for key in _CANDIDATE_FIELDS[kind]:
+        try:
+            a = np.atleast_1d(np.array(cand[key], dtype=float))
+        except OverflowError:
+            raise ValueError(f"{key}: entry beyond the float range") from None
+        bad = np.argwhere(~np.isfinite(a))
+        if bad.size:
+            where = "".join(f"[{i}]" for i in bad[0])
+            raise ValueError(f"{key}{where}: non-finite entry {float(a[tuple(bad[0])])!r}")
+        out[key] = a
+    return out
+
+
 def cmd_verify(args) -> int:
     pair, _ = load_problem(Path(args.input))
     try:
@@ -199,21 +218,16 @@ def cmd_verify(args) -> int:
         return 1
     tol = args.tol
     try:
+        f = _candidate_fields(cand, args.kind)
         if args.kind == "optimal":
-            X = SymMat([[float(v) for v in row] for row in cand["X"]])
-            y = DualPoint(tuple(float(v) for v in np.atleast_1d(cand["y"])))
-            ok = verify_strongly_optimal(pair.to_float(), PrimalPoint(X), y, tol)
+            X, y = PrimalPoint(SymMat(f["X"])), DualPoint(tuple(f["y"]))
+            ok = verify_strongly_optimal(pair.to_float(), X, y, tol)
         elif args.kind == "primal-dir":
-            W = SymMat([[float(v) for v in row] for row in cand["W"]])
-            ok = verify_strict_primal_unbounded(pair.to_float(), W, tol)
-        elif args.kind == "dual-dir":
-            y = [float(v) for v in np.atleast_1d(cand["y"])]
-            ok = verify_strict_dual_unbounded(pair.to_float(), y, tol)
+            ok = verify_strict_primal_unbounded(pair.to_float(), SymMat(f["W"]), tol)
         else:
-            print(f"unknown kind {args.kind!r}", file=sys.stderr)
-            return 1
+            ok = verify_strict_dual_unbounded(pair.to_float(), f["y"], tol)
     except (KeyError, ValueError, TypeError) as exc:
-        print(f"candidate shape mismatch: {exc}", file=sys.stderr)
+        print(f"invalid candidate: {exc}", file=sys.stderr)
         return 1
     print("PASS" if ok else "FAIL")
     return 0 if ok else 2

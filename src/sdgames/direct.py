@@ -7,51 +7,31 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import (
-    BlockStructure,
-    constraint_row,
-    diag_block,
-    psd_block,
-    sym_basis,
-    sym_entries,
-)
+from .blocks import BlockStructure, diag_block, matrix_block, matrix_equality
 from .model import SdpPair, SymMat
 from .solver import MAX, MIN, SolverOptions, StandardSdp, solve
 
 
 def primal_sdp(pair: SdpPair) -> StandardSdp:
     """min <C, X> s.t. <A_i, X> - s_i = b_i, X psd, s >= 0."""
-    n, m = pair.n, pair.m
-    st = BlockStructure([psd_block(n), diag_block(m)])
+    st = BlockStructure([matrix_block(pair.n), diag_block(pair.m)])
     cons = []
     for i, Ai in enumerate(pair.A):
-        row = constraint_row(st)
-        row[0] = Ai.array.copy() if n >= 2 else np.array([Ai.array[0, 0]])
+        row = st.zeros()
+        row[0] = Ai.array
         row[1][i] = -1.0
         cons.append((row, float(pair.b_array[i])))
-    obj = constraint_row(st)
-    obj[0] = pair.C.array.copy() if n >= 2 else np.array([pair.C.array[0, 0]])
+    obj = st.zeros()
+    obj[0] = pair.C.array
     return StandardSdp(st, obj, cons, sense=MIN, name=f"{pair.name or 'pair'}-primal")
 
 
 def dual_sdp(pair: SdpPair) -> StandardSdp:
     """max b'y s.t. sum_i y_i A_i + Z = C, y >= 0, Z psd."""
-    n, m = pair.n, pair.m
-    st = BlockStructure([diag_block(m), psd_block(n)])
-    A = [Ai.array for Ai in pair.A]
-    C = pair.C.array
-    cons = []
-    for p, q, scale in sym_entries(n):
-        row = constraint_row(st)
-        for i in range(m):
-            row[0][i] = scale * A[i][p, q]
-        if n >= 2:
-            row[1] = sym_basis(n, p, q)
-        else:
-            row[1][0] = 1.0
-        cons.append((row, float(scale * C[p, q])))
-    obj = constraint_row(st)
-    obj[0] = pair.b_array.copy()
+    st = BlockStructure([diag_block(pair.m), matrix_block(pair.n)])
+    cons = matrix_equality(st, {0: [Ai.array for Ai in pair.A]}, (1, 1.0), pair.C.array)
+    obj = st.zeros()
+    obj[0] = pair.b_array
     return StandardSdp(st, obj, cons, sense=MAX, name=f"{pair.name or 'pair'}-dual")
 
 

@@ -19,15 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import (
-    BlockStructure,
-    constraint_row,
-    diag_block,
-    free_scalar,
-    psd_block,
-    sym_basis,
-    sym_entries,
-)
+from .blocks import BlockStructure, diag_block, free_scalar, matrix_block, matrix_equality
 from .model import SdpPair, SymMat, frobenius_inner, is_psd, max_eigenvalue, min_eigenvalue
 from .solver import MAX, MAX_ITERATIONS, MIN, OPTIMAL, SolverOptions, StandardSdp, solve
 from .auxiliary import SolverFailure
@@ -240,50 +232,38 @@ def game_sdp_player1(pair: SdpPair, M: float) -> StandardSdp:
     C = pair.C.array
     b = pair.b_array
     st = BlockStructure(
-        [psd_block(n), diag_block(m), diag_block(1), diag_block(1), free_scalar(),
-         psd_block(n), diag_block(m), diag_block(1)]
+        [matrix_block(n), diag_block(m), diag_block(1), diag_block(1), free_scalar(),
+         matrix_block(n), diag_block(m), diag_block(1)]
     )
     X_, Y_, T_, U_, V_, SM_, SD_, SS_ = range(8)
-    cons = []
+    I = np.eye(n)
     # t C - sum y_i A_i + (u - v) I - S_mat = 0 entrywise
-    for p, q, scale in sym_entries(n):
-        row = constraint_row(st)
-        row[T_][0] = scale * C[p, q]
-        for i in range(m):
-            row[Y_][i] = -scale * A[i][p, q]
-        if p == q:
-            row[U_][0] = 1.0
-            row[V_][0] = -1.0
-        if n >= 2:
-            row[SM_] = -sym_basis(n, p, q)
-        else:
-            row[SM_][0] = -1.0
-        cons.append((row, 0.0))
+    cons = matrix_equality(st, {T_: [C], Y_: [-Ai for Ai in A], U_: [I], V_: [-I]}, (SM_, -1.0))
     # <A_i, X> - t b_i + u - v - S_diag_i = 0
     for i in range(m):
-        row = constraint_row(st)
-        row[X_] = A[i].copy() if n >= 2 else np.array([A[i][0, 0]])
+        row = st.zeros()
+        row[X_] = A[i]
         row[T_][0] = -float(b[i])
         row[U_][0] = 1.0
         row[V_][0] = -1.0
         row[SD_][i] = -1.0
         cons.append((row, 0.0))
     # b'y - <X, C> - u M - v - S_sc = 0
-    row = constraint_row(st)
-    row[X_] = -C.copy() if n >= 2 else np.array([-C[0, 0]])
-    row[Y_] = b.copy()
+    row = st.zeros()
+    row[X_] = -C
+    row[Y_] = b
     row[U_][0] = -float(M)
     row[V_][0] = -1.0
     row[SS_][0] = -1.0
     cons.append((row, 0.0))
     # tr X + 1'y + t + u = 1
-    row = constraint_row(st)
-    row[X_] = np.eye(n) if n >= 2 else np.ones(1)
+    row = st.zeros()
+    row[X_] = I
     row[Y_] = np.ones(m)
     row[T_][0] = 1.0
     row[U_][0] = 1.0
     cons.append((row, 1.0))
-    obj = constraint_row(st)
+    obj = st.zeros()
     obj[V_][0] = 1.0
     return StandardSdp(st, obj, cons, sense=MAX, name=f"{pair.name or 'pair'}-game-p1")
 
@@ -295,54 +275,43 @@ def game_sdp_player2(pair: SdpPair, M: float) -> StandardSdp:
     C = pair.C.array
     b = pair.b_array
     st = BlockStructure(
-        [psd_block(n), diag_block(m), diag_block(1), free_scalar(),
-         psd_block(n), diag_block(m), diag_block(1), diag_block(1)]
+        [matrix_block(n), diag_block(m), diag_block(1), free_scalar(),
+         matrix_block(n), diag_block(m), diag_block(1), diag_block(1)]
     )
     X_, Y_, T_, V_, SM_, SD_, SS1_, SS2_ = range(8)
-    cons = []
+    I = np.eye(n)
     # v I - sum y_i A_i + t C - S_mat = 0 entrywise
-    for p, q, scale in sym_entries(n):
-        row = constraint_row(st)
-        if p == q:
-            row[V_][0] = 1.0
-        for i in range(m):
-            row[Y_][i] = -scale * A[i][p, q]
-        row[T_][0] = scale * C[p, q]
-        if n >= 2:
-            row[SM_] = -sym_basis(n, p, q)
-        else:
-            row[SM_][0] = -1.0
-        cons.append((row, 0.0))
+    cons = matrix_equality(st, {V_: [I], Y_: [-Ai for Ai in A], T_: [C]}, (SM_, -1.0))
     # v - t b_i + <A_i, X> - S_diag_i = 0
     for i in range(m):
-        row = constraint_row(st)
+        row = st.zeros()
         row[V_][0] = 1.0
         row[T_][0] = -float(b[i])
-        row[X_] = A[i].copy() if n >= 2 else np.array([A[i][0, 0]])
+        row[X_] = A[i]
         row[SD_][i] = -1.0
         cons.append((row, 0.0))
     # v - <C, X> + b'y - S_sc1 = 0
-    row = constraint_row(st)
+    row = st.zeros()
     row[V_][0] = 1.0
-    row[X_] = -C.copy() if n >= 2 else np.array([-C[0, 0]])
-    row[Y_] = b.copy()
+    row[X_] = -C
+    row[Y_] = b
     row[SS1_][0] = -1.0
     cons.append((row, 0.0))
     # v - tr X - 1'y + t M - S_sc2 = 0
-    row = constraint_row(st)
+    row = st.zeros()
     row[V_][0] = 1.0
-    row[X_] = -np.eye(n) if n >= 2 else -np.ones(1)
+    row[X_] = -I
     row[Y_] = -np.ones(m)
     row[T_][0] = float(M)
     row[SS2_][0] = -1.0
     cons.append((row, 0.0))
     # tr X + 1'y + t = 1
-    row = constraint_row(st)
-    row[X_] = np.eye(n) if n >= 2 else np.ones(1)
+    row = st.zeros()
+    row[X_] = I
     row[Y_] = np.ones(m)
     row[T_][0] = 1.0
     cons.append((row, 1.0))
-    obj = constraint_row(st)
+    obj = st.zeros()
     obj[V_][0] = 1.0
     return StandardSdp(st, obj, cons, sense=MIN, name=f"{pair.name or 'pair'}-game-p2")
 
@@ -357,7 +326,6 @@ def solve_game(pair: SdpPair, M: float, opts: Optional[SolverOptions] = None) ->
         raise ValueError("the solution bound must be positive")
     opts = opts or SolverOptions(tol=1e-10, max_iters=300)
     pf = pair.to_float()
-    n = pf.n
     # both player problems are feasible and bounded by construction, so any
     # status besides convergence (or an iteration-capped near-solve) is a failure
     acceptable = (OPTIMAL, MAX_ITERATIONS)
@@ -368,16 +336,8 @@ def solve_game(pair: SdpPair, M: float, opts: Optional[SolverOptions] = None) ->
     if res2.status not in acceptable:
         raise SolverFailure(f"player 2 game SDP failed: {res2.status}")
     v1, v2 = res1.value, res2.value
-
-    def mat_of(raw):
-        return raw if n >= 2 else np.array([[raw[0]]])
-
-    s1 = normalized_strategy1(
-        mat_of(res1.primal[0]), res1.primal[1], res1.primal[2][0], res1.primal[3][0]
-    )
-    s2 = normalized_strategy2(
-        mat_of(res2.primal[0]), res2.primal[1], res2.primal[2][0]
-    )
+    s1 = normalized_strategy1(res1.primal[0], res1.primal[1], res1.primal[2][0], res1.primal[3][0])
+    s2 = normalized_strategy2(res2.primal[0], res2.primal[1], res2.primal[2][0])
     v = 0.5 * (v1 + v2)
     residual = max(
         abs(v1 - v2),

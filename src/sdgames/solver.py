@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .blocks import DIAG, FREE, MATRIX, BlockStructure, bv_norm_inf
+from .blocks import DIAG, FREE, MATRIX, BlockStructure
 
 OPTIMAL = "Optimal"
 PRIMAL_INFEASIBLE = "PrimalInfeasibleDetected"
@@ -92,13 +92,6 @@ class StandardSdp:
     @property
     def rhs(self) -> np.ndarray:
         return np.array([r for _, r in self.constraints])
-
-    def data_scale(self) -> float:
-        vals = [bv_norm_inf(list(self.objective))]
-        for a, rhs in self.constraints:
-            vals.append(bv_norm_inf(list(a)))
-            vals.append(abs(rhs))
-        return max(vals) if vals else 0.0
 
 
 @dataclass(eq=False)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -302,6 +303,37 @@ class TestVerify:
         rc = main(["verify", str(corpus_dir / "bounded.json"), str(cand), "--kind", "primal-dir"])
         assert rc == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value,shown", [(float("nan"), "nan"), (float("inf"), "inf"),
+                                             (float("-inf"), "-inf")])
+    @pytest.mark.parametrize(
+        "kind,instance,make,field",
+        [
+            ("optimal", "bounded", lambda v: {"X": [[1.0, 0.0], [0.0, v]], "y": [1.0]}, "X[1][1]"),
+            ("optimal", "bounded", lambda v: {"X": [[1.0, 0.0], [0.0, 0.0]], "y": [v]}, "y[0]"),
+            ("primal-dir", "unbounded", lambda v: {"W": [[1.0, v], [v, 5.0]]}, "W[0][1]"),
+            ("dual-dir", "both_infeasible", lambda v: {"y": [v]}, "y[0]"),
+        ],
+    )
+    def test_non_finite_entry_rejected(
+        self, corpus_dir, tmp_path, capsys, kind, instance, make, field, value, shown
+    ):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps(make(value)))  # NaN / Infinity literals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["verify", str(corpus_dir / f"{instance}.json"), str(cand), "--kind", kind])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{field}: non-finite entry {shown}" in captured.err
+
+    def test_out_of_range_entry_rejected(self, corpus_dir, tmp_path, capsys):
+        cand = tmp_path / "cand.json"
+        cand.write_text('{"y": [1' + "0" * 400 + "]}")
+        rc = main(["verify", str(corpus_dir / "both_infeasible.json"), str(cand), "--kind", "dual-dir"])
+        assert rc == 1
+        assert "y: entry beyond the float range" in capsys.readouterr().err
 
 
 class TestSolveAndBound:

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from sdgames.blocks import (
+    MATRIX,
     BlockStructure,
     bv_inner,
     diag_block,
     free_scalar,
     matrix_block,
-    svec,
+    matrix_equality,
 )
 from sdgames.solver import (
     DUAL_INFEASIBLE,
@@ -54,6 +55,22 @@ def _random_feasible_block_sdp(rng, n=3, d=2, m=4):
     Cm = sum(y0[k] * rows[k][0][0] for k in range(m)) + S0
     cd = sum(y0[k] * rows[k][0][1] for k in range(m)) + s0d
     return StandardSdp(st, [Cm, cd], rows)
+
+
+def svec(structure: BlockStructure, v) -> np.ndarray:
+    """Isometric scalarization: stacks blocks, off-diagonals scaled by sqrt(2).
+
+    Satisfies svec(u) . svec(v) == bv_inner(u, v).
+    """
+    parts = []
+    for b, x in zip(structure, v):
+        if b.kind == MATRIX:
+            iu = np.triu_indices(b.size)
+            w = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+            parts.append(np.asarray(x)[iu] * w)
+        else:
+            parts.append(np.asarray(x, dtype=float))
+    return np.concatenate(parts)
 
 
 def _dual_formulation(problem: StandardSdp) -> StandardSdp:
@@ -119,9 +136,61 @@ class TestBlockStructure:
         assert st.cone_dim == 3 + 4
         assert svec(st, st.identity()).size == st.scalar_dim
 
-    def test_matrix_block_needs_order_two(self):
+    def test_matrix_block_needs_positive_order(self):
         with pytest.raises(ValueError):
-            matrix_block(1)
+            matrix_block(0)
+
+    @pytest.mark.parametrize(
+        "c,a,rhs",
+        [
+            (1.0, 1.0, 1.0),  # optimal, the matrix block binds
+            (2.0, -1.0, -3.0),  # optimal, the diag block binds
+            (-2.0, 1.0, 2.0),  # unbounded
+            (1.0, -1.0, 1.0),  # infeasible
+        ],
+    )
+    def test_order_one_matrix_block_matches_diag_block(self, c, a, rhs):
+        # min c x + y s.t. a x - y = rhs, x >= 0, y >= 0
+        def lp(first):
+            st = BlockStructure([first, diag_block(1)])
+            shape = (1, 1) if first.kind == MATRIX else (1,)
+            obj = [np.full(shape, c), np.ones(1)]
+            return StandardSdp(st, obj, [([np.full(shape, a), -np.ones(1)], rhs)])
+
+        r_mat = solve(lp(matrix_block(1)))
+        r_diag = solve(lp(diag_block(1)))
+        assert r_mat.status == r_diag.status
+        if r_diag.status == OPTIMAL:
+            assert r_mat.value == pytest.approx(r_diag.value, abs=1e-9)
+            assert r_mat.primal[0].shape == (1, 1)
+
+
+class TestMatrixEquality:
+    @pytest.mark.parametrize("n,sign,with_rhs", [(1, 1.0, True), (2, -1.0, True), (3, 1.0, False),
+                                                 (4, -1.0, True)])
+    def test_rows_state_the_weighted_entries(self, n, sign, with_rhs):
+        rng = np.random.default_rng(n)
+        st = BlockStructure(
+            [matrix_block(n), diag_block(3), free_scalar(), matrix_block(n), diag_block(1)]
+        )
+
+        def sym():
+            G = rng.normal(size=(n, n))
+            return G + G.T
+
+        terms = {1: [sym() for _ in range(3)], 2: [sym()], 4: [np.eye(n)]}
+        R = sym() if with_rhs else np.zeros((n, n))
+        rows = matrix_equality(st, terms, (3, sign), R if with_rhs else None)
+        x = _random_point(rng, st)
+        lhs = sum(v * Mj for k, Ms in terms.items() for v, Mj in zip(x[k], Ms)) + sign * x[3]
+        iu, ju = np.triu_indices(n)
+        assert len(rows) == iu.size
+        for (row, beta), p, q in zip(rows, iu, ju):
+            w = 1.0 if p == q else 2.0
+            assert st.conformal(row)
+            assert np.all(row[0] == 0.0)
+            assert bv_inner(row, x) == pytest.approx(w * lhs[p, q], rel=1e-12, abs=1e-12)
+            assert beta == pytest.approx(w * R[p, q], rel=1e-15)
 
 
 class TestExamples:
