@@ -64,26 +64,23 @@ def build_primal_aux(pair: SdpPair) -> StandardSdp:
     b = pair.b_array
     st = _aux_structure(n, m)
     X_, Z_, Y_, S_, W_, R_ = range(6)
-    cons = []
+    rows = np.zeros((m + 1, st.dim))
+    X, _, Y, S, W, R = st.split(rows)
     # <A_i, X> + w - s_i = b_i
-    for i in range(m):
-        row = st.zeros()
-        row[X_] = A[i]
-        row[S_][i] = -1.0
-        row[W_][0] = 1.0
-        cons.append((row, float(b[i])))
-    # sum_i y_i A_i - w I + Z = C, entrywise over p <= q
-    cons += matrix_equality(st, {Y_: A, W_: [-np.eye(n)]}, (Z_, 1.0), C)
+    X[:m] = A
+    np.fill_diagonal(S, -1.0)
+    W[:m] = 1.0
     # <C, X> - b'y - w + r = 0
-    row = st.zeros()
-    row[X_] = C
-    row[Y_] = -b
-    row[W_][0] = -1.0
-    row[R_][0] = 1.0
-    cons.append((row, 0.0))
-    obj = st.zeros()
-    obj[W_][0] = 1.0
-    return StandardSdp(st, obj, cons, sense=MIN, name=f"{pair.name or 'pair'}-primal-aux")
+    X[m] = C
+    Y[m] = -b
+    W[m] = -1.0
+    R[m] = 1.0
+    # sum_i y_i A_i - w I + Z = C, entrywise over p <= q
+    E, e = matrix_equality(st, {Y_: A, W_: [-np.eye(n)]}, (Z_, 1.0), C)
+    obj = np.zeros(st.dim)
+    st.view(obj, W_)[:] = 1.0
+    return StandardSdp(st, obj, np.vstack([rows[:m], E, rows[m:]]), np.concatenate([b, e, [0.0]]),
+                       sense=MIN, name=f"{pair.name or 'pair'}-primal-aux")
 
 
 def build_refined_aux(pair: SdpPair, w_cap: float) -> StandardSdp:
@@ -95,18 +92,16 @@ def build_refined_aux(pair: SdpPair, w_cap: float) -> StandardSdp:
     """
     base = build_primal_aux(pair)
     st = BlockStructure(list(base.structure) + [diag_block(1)])
-    Q_ = len(st) - 1
-    cons = []
-    for a, rhs in base.constraints:
-        cons.append((list(a) + [np.zeros(1)], rhs))
-    row = st.zeros()
-    row[4][0] = 1.0
-    row[Q_][0] = 1.0
-    cons.append((row, float(w_cap)))
-    obj = st.zeros()
-    obj[0] = np.eye(pair.n)
-    obj[2] = np.ones(pair.m)
-    return StandardSdp(st, obj, cons, sense=MIN, name=f"{pair.name or 'pair'}-refined-aux")
+    # w + q = w_cap, with q the new last block
+    rows = np.zeros((base.num_constraints + 1, st.dim))
+    rows[:-1, :-1] = base.A
+    st.view(rows, 4)[-1] = 1.0
+    st.view(rows, len(st) - 1)[-1] = 1.0
+    obj = np.zeros(st.dim)
+    st.view(obj, 0)[:] = np.eye(pair.n)
+    st.view(obj, 2)[:] = 1.0
+    return StandardSdp(st, obj, rows, np.append(base.b, float(w_cap)),
+                       sense=MIN, name=f"{pair.name or 'pair'}-refined-aux")
 
 
 def build_dual_aux(pair: SdpPair) -> StandardSdp:
@@ -118,25 +113,23 @@ def build_dual_aux(pair: SdpPair) -> StandardSdp:
     st = _aux_structure(n, m)
     W_, Z2_, ZV_, S2_, R_, Q_ = range(6)
     # sum_i z_i A_i - r C + Z2 = 0, entrywise
-    cons = matrix_equality(st, {ZV_: A, R_: [-C]}, (Z2_, 1.0))
+    E, e = matrix_equality(st, {ZV_: A, R_: [-C]}, (Z2_, 1.0))
+    rows = np.zeros((m + 1, st.dim))
+    W, _, ZV, S2, R, Q = st.split(rows)
     # <A_i, W> - r b_i - s2_i = 0
-    for i in range(m):
-        row = st.zeros()
-        row[W_] = A[i]
-        row[R_][0] = -float(b[i])
-        row[S2_][i] = -1.0
-        cons.append((row, 0.0))
+    W[:m] = A
+    R[:m, 0] = -b
+    np.fill_diagonal(S2, -1.0)
     # 1'z + tr(W) + r + q = 1
-    row = st.zeros()
-    row[W_] = np.eye(n)
-    row[ZV_] = np.ones(m)
-    row[R_][0] = 1.0
-    row[Q_][0] = 1.0
-    cons.append((row, 1.0))
-    obj = st.zeros()
-    obj[W_] = -C
-    obj[ZV_] = b
-    return StandardSdp(st, obj, cons, sense=MAX, name=f"{pair.name or 'pair'}-dual-aux")
+    W[m] = np.eye(n)
+    ZV[m] = 1.0
+    R[m] = 1.0
+    Q[m] = 1.0
+    obj = np.zeros(st.dim)
+    st.view(obj, W_)[:] = -C
+    st.view(obj, ZV_)[:] = b
+    return StandardSdp(st, obj, np.vstack([E, rows]), np.concatenate([e, np.zeros(m), [1.0]]),
+                       sense=MAX, name=f"{pair.name or 'pair'}-dual-aux")
 
 
 def _extract(res: SolveResult):

@@ -56,12 +56,30 @@ def free_scalar() -> Block:
 
 @dataclass(frozen=True)
 class BlockStructure:
+    """The blocks of a variable and its column layout.
+
+    A variable is stored as one float vector of length ``dim``: block k owns
+    the columns ``slices[k]``, which hold the raveled entries of an order-n
+    matrix block (n * n columns) or the entries of a diag or free block.  A
+    constraint matrix has one such vector per row.
+    """
+
     blocks: tuple
 
     def __init__(self, blocks: Sequence[Block]):
         object.__setattr__(self, "blocks", tuple(blocks))
         if not self.blocks:
             raise ValueError("structure needs at least one block")
+        shapes = []
+        slices = []
+        d = 0
+        for b in self.blocks:
+            shapes.append((b.size, b.size) if b.kind == MATRIX else (b.size,))
+            slices.append(slice(d, d + int(np.prod(shapes[-1]))))
+            d = slices[-1].stop
+        object.__setattr__(self, "shapes", tuple(shapes))
+        object.__setattr__(self, "slices", tuple(slices))
+        object.__setattr__(self, "dim", d)
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self.blocks)
@@ -77,14 +95,20 @@ class BlockStructure:
     def cone_dim(self) -> int:
         return sum(b.cone_dim for b in self.blocks)
 
-    def zeros(self) -> List[np.ndarray]:
-        out = []
-        for b in self.blocks:
-            if b.kind == MATRIX:
-                out.append(np.zeros((b.size, b.size)))
-            else:
-                out.append(np.zeros(b.size))
-        return out
+    def view(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """Writable view of block k across the leading axes of a (..., dim) array."""
+        return rows[..., self.slices[k]].reshape(rows.shape[:-1] + self.shapes[k])
+
+    def split(self, v: np.ndarray) -> List[np.ndarray]:
+        """Views of every block of a (..., dim) array."""
+        return [self.view(v, k) for k in range(len(self.blocks))]
+
+    def flat(self, blocks: Sequence) -> np.ndarray:
+        """Block list -> one vector of length dim."""
+        blocks = [np.asarray(x, dtype=float) for x in blocks]
+        if [x.shape for x in blocks] != list(self.shapes):
+            raise ValueError("blocks do not conform to the block structure")
+        return np.concatenate([x.ravel() for x in blocks])
 
     def identity(self, scale: float = 1.0) -> List[np.ndarray]:
         """Identity-like point: scale*I on matrix blocks, scale on diag, 0 on free."""
@@ -98,32 +122,13 @@ class BlockStructure:
                 out.append(np.zeros(1))
         return out
 
-    def conformal(self, v: Sequence[np.ndarray]) -> bool:
-        if len(v) != len(self.blocks):
-            return False
-        for b, x in zip(self.blocks, v):
-            x = np.asarray(x)
-            if b.kind == MATRIX:
-                if x.shape != (b.size, b.size):
-                    return False
-            elif x.shape != (b.size,):
-                return False
-        return True
-
-
-def bv_inner(u, v) -> float:
-    total = 0.0
-    for a, b in zip(u, v):
-        total += float(np.vdot(a, b))
-    return total
-
 
 def bv_norm_inf(u) -> float:
     return max((float(np.max(np.abs(a))) if a.size else 0.0) for a in u)
 
 
-def matrix_equality(structure: BlockStructure, terms: dict, slack: tuple, rhs=None) -> list:
-    """(row, rhs) pairs of sum_k sum_j v_kj M_kj + sign * S = R over the entries p <= q.
+def matrix_equality(structure: BlockStructure, terms: dict, slack: tuple, rhs=None) -> tuple:
+    """(rows, rhs) of sum_k sum_j v_kj M_kj + sign * S = R over the entries p <= q.
 
     ``terms`` maps block k to one n x n matrix M_kj per scalar v_kj of the block,
     ``slack = (s, sign)`` names the matrix block S, and ``rhs`` is R (None: 0).
@@ -131,18 +136,13 @@ def matrix_equality(structure: BlockStructure, terms: dict, slack: tuple, rhs=No
     """
     s, sign = slack
     n = structure.blocks[s].size
-    entries = [(p, q) for p in range(n) for q in range(p, n)]
-    iu, ju = np.array(entries).T
+    iu, ju = np.triu_indices(n)
     scale = np.where(iu == ju, 1.0, 2.0)
-    # coef[k][r] is the coefficient vector of block k in row r
-    coef = {k: scale[:, None] * np.moveaxis(np.reshape(Ms, (-1, n, n)), 0, 2)[iu, ju]
-            for k, Ms in terms.items()}
-    beta = [0.0] * len(entries) if rhs is None else (scale * np.asarray(rhs)[iu, ju]).tolist()
-    rows = []
-    for r, (p, q) in enumerate(entries):
-        row = structure.zeros()
-        for k, c in coef.items():
-            row[k] = c[r]
-        row[s][p, q] = row[s][q, p] = sign
-        rows.append((row, beta[r]))
-    return rows
+    rows = np.zeros((iu.size, structure.dim))
+    for k, Ms in terms.items():
+        structure.view(rows, k)[:] = scale[:, None] * np.reshape(Ms, (-1, n, n))[:, iu, ju].T
+    S = structure.view(rows, s)
+    r = np.arange(iu.size)
+    S[r, iu, ju] = S[r, ju, iu] = sign
+    beta = np.zeros(iu.size) if rhs is None else scale * np.asarray(rhs)[iu, ju]
+    return rows, beta

@@ -179,30 +179,22 @@ def khachiyan_instance(n: int, tau: int) -> Tuple[StandardSdp, Fraction]:
         raise ValueError("n and tau must be positive")
     B = float(2**tau)
     st = BlockStructure([free_scalar() for _ in range(n + 1)] + [matrix_block(2) for _ in range(n)])
-    nvar = n + 1
-
-    def row():
-        return [np.zeros(1) for _ in range(nvar)] + [np.zeros((2, 2)) for _ in range(n)]
-
-    cons = []
-    r0 = row()
-    r0[0][0] = 1.0
-    cons.append((r0, 0.5))
+    rows = np.zeros((3 * n + 1, st.dim))
+    rhs = np.zeros(3 * n + 1)
+    x = st.split(rows)
+    # x_0 = 1/2, then per link i: X_i = [[x_i, x_{i-1}], [x_{i-1}, B]]
+    x[0][0] = 1.0
+    rhs[0] = 0.5
     for i in range(1, n + 1):
-        blk = nvar + i - 1
-        r = row()
-        r[blk][0, 0] = 1.0
-        r[i][0] = -1.0
-        cons.append((r, 0.0))
-        r = row()
-        r[blk][0, 1] = 1.0
-        r[blk][1, 0] = 1.0
-        r[i - 1][0] = -2.0
-        cons.append((r, 0.0))
-        r = row()
-        r[blk][1, 1] = 1.0
-        cons.append((r, B))
-    obj = row()
-    obj[n][0] = 1.0
+        r = 3 * i - 2
+        Xi = x[n + i]
+        Xi[r, 0, 0] = 1.0
+        x[i][r] = -1.0
+        Xi[r + 1, 0, 1] = Xi[r + 1, 1, 0] = 1.0
+        x[i - 1][r + 1] = -2.0
+        Xi[r + 2, 1, 1] = 1.0
+        rhs[r + 2] = B
+    obj = np.zeros(st.dim)
+    st.view(obj, n)[:] = 1.0
     optimum = Fraction(1, 2 ** ((tau + 1) * 2**n - tau))
-    return StandardSdp(st, obj, cons, sense=MIN, name=f"khachiyan-n{n}-tau{tau}"), optimum
+    return StandardSdp(st, obj, rows, rhs, sense=MIN, name=f"khachiyan-n{n}-tau{tau}"), optimum

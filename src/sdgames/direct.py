@@ -15,24 +15,21 @@ from .solver import MAX, MIN, SolverOptions, StandardSdp, solve
 def primal_sdp(pair: SdpPair) -> StandardSdp:
     """min <C, X> s.t. <A_i, X> - s_i = b_i, X psd, s >= 0."""
     st = BlockStructure([matrix_block(pair.n), diag_block(pair.m)])
-    cons = []
-    for i, Ai in enumerate(pair.A):
-        row = st.zeros()
-        row[0] = Ai.array
-        row[1][i] = -1.0
-        cons.append((row, float(pair.b_array[i])))
-    obj = st.zeros()
-    obj[0] = pair.C.array
-    return StandardSdp(st, obj, cons, sense=MIN, name=f"{pair.name or 'pair'}-primal")
+    rows = np.zeros((pair.m, st.dim))
+    st.view(rows, 0)[:] = [Ai.array for Ai in pair.A]
+    np.fill_diagonal(st.view(rows, 1), -1.0)
+    obj = np.zeros(st.dim)
+    st.view(obj, 0)[:] = pair.C.array
+    return StandardSdp(st, obj, rows, pair.b_array, sense=MIN, name=f"{pair.name or 'pair'}-primal")
 
 
 def dual_sdp(pair: SdpPair) -> StandardSdp:
     """max b'y s.t. sum_i y_i A_i + Z = C, y >= 0, Z psd."""
     st = BlockStructure([diag_block(pair.m), matrix_block(pair.n)])
-    cons = matrix_equality(st, {0: [Ai.array for Ai in pair.A]}, (1, 1.0), pair.C.array)
-    obj = st.zeros()
-    obj[0] = pair.b_array
-    return StandardSdp(st, obj, cons, sense=MAX, name=f"{pair.name or 'pair'}-dual")
+    rows, rhs = matrix_equality(st, {0: [Ai.array for Ai in pair.A]}, (1, 1.0), pair.C.array)
+    obj = np.zeros(st.dim)
+    st.view(obj, 0)[:] = pair.b_array
+    return StandardSdp(st, obj, rows, rhs, sense=MAX, name=f"{pair.name or 'pair'}-dual")
 
 
 _FACE_TOL = 1e-11

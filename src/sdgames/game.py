@@ -238,34 +238,29 @@ def game_sdp_player1(pair: SdpPair, M: float) -> StandardSdp:
     X_, Y_, T_, U_, V_, SM_, SD_, SS_ = range(8)
     I = np.eye(n)
     # t C - sum y_i A_i + (u - v) I - S_mat = 0 entrywise
-    cons = matrix_equality(st, {T_: [C], Y_: [-Ai for Ai in A], U_: [I], V_: [-I]}, (SM_, -1.0))
+    E, e = matrix_equality(st, {T_: [C], Y_: [-Ai for Ai in A], U_: [I], V_: [-I]}, (SM_, -1.0))
+    rows = np.zeros((m + 2, st.dim))
+    X, Y, T, U, V, _, SD, SS = st.split(rows)
+    V[:-1] = -1.0  # -v in every row but the trace row
     # <A_i, X> - t b_i + u - v - S_diag_i = 0
-    for i in range(m):
-        row = st.zeros()
-        row[X_] = A[i]
-        row[T_][0] = -float(b[i])
-        row[U_][0] = 1.0
-        row[V_][0] = -1.0
-        row[SD_][i] = -1.0
-        cons.append((row, 0.0))
+    X[:m] = A
+    T[:m, 0] = -b
+    U[:m] = 1.0
+    np.fill_diagonal(SD, -1.0)
     # b'y - <X, C> - u M - v - S_sc = 0
-    row = st.zeros()
-    row[X_] = -C
-    row[Y_] = b
-    row[U_][0] = -float(M)
-    row[V_][0] = -1.0
-    row[SS_][0] = -1.0
-    cons.append((row, 0.0))
+    X[m] = -C
+    Y[m] = b
+    U[m] = -float(M)
+    SS[m] = -1.0
     # tr X + 1'y + t + u = 1
-    row = st.zeros()
-    row[X_] = I
-    row[Y_] = np.ones(m)
-    row[T_][0] = 1.0
-    row[U_][0] = 1.0
-    cons.append((row, 1.0))
-    obj = st.zeros()
-    obj[V_][0] = 1.0
-    return StandardSdp(st, obj, cons, sense=MAX, name=f"{pair.name or 'pair'}-game-p1")
+    X[m + 1] = I
+    Y[m + 1] = 1.0
+    T[m + 1] = 1.0
+    U[m + 1] = 1.0
+    obj = np.zeros(st.dim)
+    st.view(obj, V_)[:] = 1.0
+    return StandardSdp(st, obj, np.vstack([E, rows]), np.concatenate([e, np.zeros(m + 1), [1.0]]),
+                       sense=MAX, name=f"{pair.name or 'pair'}-game-p1")
 
 
 def game_sdp_player2(pair: SdpPair, M: float) -> StandardSdp:
@@ -281,39 +276,31 @@ def game_sdp_player2(pair: SdpPair, M: float) -> StandardSdp:
     X_, Y_, T_, V_, SM_, SD_, SS1_, SS2_ = range(8)
     I = np.eye(n)
     # v I - sum y_i A_i + t C - S_mat = 0 entrywise
-    cons = matrix_equality(st, {V_: [I], Y_: [-Ai for Ai in A], T_: [C]}, (SM_, -1.0))
+    E, e = matrix_equality(st, {V_: [I], Y_: [-Ai for Ai in A], T_: [C]}, (SM_, -1.0))
+    rows = np.zeros((m + 3, st.dim))
+    X, Y, T, V, _, SD, SS1, SS2 = st.split(rows)
+    V[:-1] = 1.0  # v in every row but the trace row
     # v - t b_i + <A_i, X> - S_diag_i = 0
-    for i in range(m):
-        row = st.zeros()
-        row[V_][0] = 1.0
-        row[T_][0] = -float(b[i])
-        row[X_] = A[i]
-        row[SD_][i] = -1.0
-        cons.append((row, 0.0))
+    T[:m, 0] = -b
+    X[:m] = A
+    np.fill_diagonal(SD, -1.0)
     # v - <C, X> + b'y - S_sc1 = 0
-    row = st.zeros()
-    row[V_][0] = 1.0
-    row[X_] = -C
-    row[Y_] = b
-    row[SS1_][0] = -1.0
-    cons.append((row, 0.0))
+    X[m] = -C
+    Y[m] = b
+    SS1[m] = -1.0
     # v - tr X - 1'y + t M - S_sc2 = 0
-    row = st.zeros()
-    row[V_][0] = 1.0
-    row[X_] = -I
-    row[Y_] = -np.ones(m)
-    row[T_][0] = float(M)
-    row[SS2_][0] = -1.0
-    cons.append((row, 0.0))
+    X[m + 1] = -I
+    Y[m + 1] = -1.0
+    T[m + 1] = float(M)
+    SS2[m + 1] = -1.0
     # tr X + 1'y + t = 1
-    row = st.zeros()
-    row[X_] = I
-    row[Y_] = np.ones(m)
-    row[T_][0] = 1.0
-    cons.append((row, 1.0))
-    obj = st.zeros()
-    obj[V_][0] = 1.0
-    return StandardSdp(st, obj, cons, sense=MIN, name=f"{pair.name or 'pair'}-game-p2")
+    X[m + 2] = I
+    Y[m + 2] = 1.0
+    T[m + 2] = 1.0
+    obj = np.zeros(st.dim)
+    st.view(obj, V_)[:] = 1.0
+    return StandardSdp(st, obj, np.vstack([E, rows]), np.concatenate([e, np.zeros(m + 2), [1.0]]),
+                       sense=MIN, name=f"{pair.name or 'pair'}-game-p2")
 
 
 def solve_game(pair: SdpPair, M: float, opts: Optional[SolverOptions] = None) -> GameSolution:

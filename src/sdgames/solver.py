@@ -50,48 +50,37 @@ class SolverOptions:
             raise ValueError("step_fraction must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StandardSdp:
-    """Standard-form block SDP: objective, equality constraints, variable cone."""
+    """Standard-form block SDP: min/max <objective, x> s.t. A x = b, x in the cone.
+
+    ``objective`` and every row of the p x dim matrix ``A`` are vectors in the
+    column layout of ``structure`` (see :class:`BlockStructure`).
+    """
 
     structure: BlockStructure
-    objective: tuple
-    constraints: tuple
+    objective: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
     sense: str = MIN
     name: str = ""
 
-    def __init__(self, structure, objective, constraints, sense=MIN, name=""):
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(
-            self, "objective", tuple(np.array(b, dtype=float) for b in objective)
-        )
-        object.__setattr__(
-            self,
-            "constraints",
-            tuple(
-                (tuple(np.array(b, dtype=float) for b in a), float(rhs))
-                for a, rhs in constraints
-            ),
-        )
-        object.__setattr__(self, "sense", sense)
-        object.__setattr__(self, "name", name)
-        if sense not in (MIN, MAX):
+    def __post_init__(self):
+        for key in ("objective", "A", "b"):
+            v = np.array(getattr(self, key), dtype=float)
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{key} has a non-finite entry")
+            object.__setattr__(self, key, v)
+        if self.sense not in (MIN, MAX):
             raise ValueError("sense must be 'min' or 'max'")
-        if not structure.conformal(self.objective):
+        if self.objective.shape != (self.structure.dim,):
             raise ValueError("objective does not conform to the block structure")
-        for a, rhs in self.constraints:
-            if not structure.conformal(a):
-                raise ValueError("a constraint does not conform to the block structure")
-            if not np.isfinite(rhs):
-                raise ValueError("constraint right-hand sides must be finite")
+        if self.b.ndim != 1 or self.A.shape != (self.b.size, self.structure.dim):
+            raise ValueError("A must be a p x dim matrix with p = len(b)")
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
-
-    @property
-    def rhs(self) -> np.ndarray:
-        return np.array([r for _, r in self.constraints])
+        return self.A.shape[0]
 
 
 @dataclass(eq=False)
@@ -175,29 +164,20 @@ class _Ipm:
 
     def __init__(self, problem: StandardSdp, opts: SolverOptions):
         self.opts = opts
-        structure = problem.structure
+        self.structure = structure = problem.structure
         self.sense = problem.sense
         sign = 1.0 if problem.sense == MIN else -1.0
         blocks = list(structure)
-        # row j of A is the concatenation of the raveled blocks of a_j, so a
-        # k x k matrix block owns k*k consecutive columns
-        self.shapes = [z.shape for z in structure.zeros()]
-        self.slices = []
-        d = 0
-        for shape in self.shapes:
-            self.slices.append(slice(d, d + int(np.prod(shape))))
-            d = self.slices[-1].stop
-        self.A = np.array(
-            [np.concatenate([np.ravel(b) for b in a]) for a, _ in problem.constraints]
-        ).reshape(problem.num_constraints, d)
-        self.beta = problem.rhs.copy()
+        d = structure.dim
+        self.A = problem.A
+        self.beta = problem.b.copy()
         self.warnings: List[str] = []
         self.nu = structure.cone_dim
         self._presolve()
         self.p = self.A.shape[0]
         # permute the columns once into the flat order: matrix blocks, orthant, free
         order = sorted(range(len(blocks)), key=lambda i: (MATRIX, DIAG, FREE).index(blocks[i].kind))
-        self.perm = np.concatenate([np.arange(d)[self.slices[i]] for i in order])
+        self.perm = np.concatenate([np.arange(d)[structure.slices[i]] for i in order])
         self.A = self.A[:, self.perm]
         self.mats = []  # (flat slice, order) per matrix block
         self.tr = np.arange(d)  # v[self.tr] transposes every matrix block of v
@@ -208,7 +188,7 @@ class _Ipm:
                 sl = slice(pos, pos + k * k)
                 self.mats.append((sl, k))
                 self.tr[sl] = pos + np.arange(k * k).reshape(k, k).T.ravel()
-            pos += self.slices[i].stop - self.slices[i].start
+            pos += structure.slices[i].stop - structure.slices[i].start
         self.ncone = d - sum(b.kind == FREE for b in blocks)
         self.orth = slice(self.mats[-1][0].stop if self.mats else 0, self.ncone)
         self.free = slice(self.ncone, d)
@@ -216,7 +196,7 @@ class _Ipm:
         # and the Schur complement S is written into it at every iteration
         F = self.A[:, self.free]
         self.Maug = np.block([[np.zeros((self.p, self.p)), F], [F.T, np.zeros((F.shape[1],) * 2)]])
-        self.c = sign * self._flat(problem.objective)
+        self.c = sign * problem.objective[self.perm]
         self.e = self._flat(structure.identity())
         self.beta_scale = 1.0 + (np.max(np.abs(self.beta)) if self.beta.size else 0.0)
         self.c_scale = 1.0 + float(np.max(np.abs(self.c)))
@@ -224,13 +204,13 @@ class _Ipm:
 
     def _flat(self, v) -> np.ndarray:
         """Block list -> flat vector."""
-        return np.concatenate([np.ravel(b) for b in v])[self.perm]
+        return self.structure.flat(v)[self.perm]
 
     def _blocks(self, v: np.ndarray) -> list:
         """Flat vector -> block list."""
         u = np.empty_like(v)
         u[self.perm] = v
-        return [u[sl].reshape(shape) for sl, shape in zip(self.slices, self.shapes)]
+        return self.structure.split(u)
 
     def _presolve(self):
         """Drop linearly dependent constraint rows; flag inconsistent duplicates."""

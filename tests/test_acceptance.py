@@ -265,7 +265,7 @@ def test_criterion_8_solver_baseline():
         s0d = rng.uniform(0.5, 1.5, size=db)
         Cm = sum(y0[k] * rows[k][0][0] for k in range(mm)) + S0
         cd = sum(y0[k] * rows[k][0][1] for k in range(mm)) + s0d
-        prob = StandardSdp(st, [Cm, cd], rows)
+        prob = StandardSdp(st, st.flat([Cm, cd]), [st.flat(a) for a, _ in rows], [r for _, r in rows])
         r = solve(prob, SolverOptions(debug=True))
         denom = 1.0 + abs(r.primal_objective) + abs(r.dual_objective)
         ok &= r.status == OPTIMAL

@@ -15,10 +15,11 @@ from sdgames.auxiliary import (
     verify_strict_dual_unbounded,
     verify_strict_primal_unbounded,
 )
-from sdgames.blocks import bv_inner
 from sdgames.generators import random_slater, random_unbounded
 from sdgames.model import SdpPair, SymMat, max_eigenvalue
 from sdgames.solver import MAX_ITERATIONS, NUMERICAL_FAILURE, OPTIMAL, SolverOptions, solve
+
+from test_solver import bv_inner
 
 
 class TestBuildPrimalAux:
@@ -64,10 +65,11 @@ class TestBuildDualAux:
 
     def test_zero_point_feasible_value_zero(self, bounded_pair):
         prob = build_dual_aux(bounded_pair)
-        zero = prob.structure.zeros()
-        assert bv_inner(list(prob.objective), zero) == 0.0
-        for a, rhs in prob.constraints[:-1]:
-            assert bv_inner(list(a), zero) == pytest.approx(0.0, abs=1e-15)
+        split = prob.structure.split
+        zero = split(np.zeros(prob.structure.dim))
+        assert bv_inner(split(prob.objective), zero) == 0.0
+        for a, rhs in zip(prob.A[:-1], prob.b[:-1]):
+            assert bv_inner(split(a), zero) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestSolveAux:

@@ -244,6 +244,59 @@ class TestGameSdps:
         assert r1.value >= -1e-7
 
 
+def _upper_weighted(S):
+    """Entries p <= q of S in row-major order, the off-diagonal ones doubled."""
+    iu, ju = np.triu_indices(S.shape[0])
+    return np.where(iu == ju, 1.0, 2.0) * S[iu, ju]
+
+
+class TestPlayerSdpRows:
+    """A x - b of each player SDP against its constraints stated through K and L.
+
+    K and L are linear, so a strategy scaled by lam off the unit-trace face
+    gives lam K(s) (lam L(s)) and a trace row of lam - 1.
+    """
+
+    @pytest.mark.parametrize("n,m,seed", [(1, 1, 5), (2, 3, 6), (4, 2, 7)])
+    def test_player1_rows(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        pair, M, lam, v = random_slater(n, m, seed).to_float(), 2.5, 1.7, rng.normal()
+        s1 = rand_s1(rng, n, m)
+        G = rng.normal(size=(n, n))
+        S_mat, S_diag, S_sc = G + G.T, rng.normal(size=m), rng.normal()
+        prob = game_sdp_player1(pair, M)
+        x = [lam * s1.X.array, lam * s1.y, [lam * s1.t], [lam * s1.u], [v], S_mat, S_diag, [S_sc]]
+        K = lam * response_matrix_K(pair, M, s1).array
+        expected = np.concatenate([
+            _upper_weighted(K[:n, :n] - v * np.eye(n) - S_mat),
+            np.diag(K)[n:n + m] - v - S_diag,
+            [K[n + m, n + m] - v - S_sc],
+            [lam - 1.0],
+        ])
+        got = prob.A @ prob.structure.flat(x) - prob.b
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("n,m,seed", [(1, 1, 5), (2, 3, 6), (4, 2, 7)])
+    def test_player2_rows(self, n, m, seed):
+        rng = np.random.default_rng(seed)
+        pair, M, lam, v = random_slater(n, m, seed).to_float(), 2.5, 0.6, rng.normal()
+        s2 = rand_s2(rng, n, m)
+        G = rng.normal(size=(n, n))
+        S_mat, S_diag, S_1, S_2 = G + G.T, rng.normal(size=m), rng.normal(), rng.normal()
+        prob = game_sdp_player2(pair, M)
+        x = [lam * s2.X.array, lam * s2.y, [lam * s2.t], [v], S_mat, S_diag, [S_1], [S_2]]
+        L = lam * response_matrix_L(pair, M, s2).array
+        expected = np.concatenate([
+            _upper_weighted(v * np.eye(n) - L[:n, :n] - S_mat),
+            v - np.diag(L)[n:n + m] - S_diag,
+            [v - L[n + m, n + m] - S_1],
+            [v - L[n + m + 1, n + m + 1] - S_2],
+            [lam - 1.0],
+        ])
+        got = prob.A @ prob.structure.flat(x) - prob.b
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
 class TestSolveGame:
     def test_bounded(self, bounded_pair, game_opts):
         g = solve_game(bounded_pair, 3.0, game_opts)

@@ -9,7 +9,6 @@ import pytest
 from sdgames.blocks import (
     MATRIX,
     BlockStructure,
-    bv_inner,
     diag_block,
     free_scalar,
     matrix_block,
@@ -31,9 +30,14 @@ from lp_oracle import OPTIMAL as LP_OPTIMAL
 from lp_oracle import lp_min_standard
 
 
+def _sdp(st, obj, rows, **kw):
+    """StandardSdp from an objective block list and (block list, rhs) rows."""
+    return StandardSdp(st, st.flat(obj), [st.flat(a) for a, _ in rows], [r for _, r in rows], **kw)
+
+
 def _scalar_lp(c, a, rhs, sense="min"):
     st = BlockStructure([diag_block(1)])
-    return StandardSdp(st, [np.array([c])], [([np.array([a])], rhs)], sense=sense)
+    return _sdp(st, [np.array([c])], [([np.array([a])], rhs)], sense=sense)
 
 
 def _random_feasible_block_sdp(rng, n=3, d=2, m=4):
@@ -54,7 +58,7 @@ def _random_feasible_block_sdp(rng, n=3, d=2, m=4):
     s0d = rng.uniform(0.5, 1.5, size=d)
     Cm = sum(y0[k] * rows[k][0][0] for k in range(m)) + S0
     cd = sum(y0[k] * rows[k][0][1] for k in range(m)) + s0d
-    return StandardSdp(st, [Cm, cd], rows)
+    return _sdp(st, [Cm, cd], rows)
 
 
 def svec(structure: BlockStructure, v) -> np.ndarray:
@@ -73,15 +77,22 @@ def svec(structure: BlockStructure, v) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def bv_inner(u, v) -> float:
+    total = 0.0
+    for a, b in zip(u, v):
+        total += float(np.vdot(a, b))
+    return total
+
+
 def _dual_formulation(problem: StandardSdp) -> StandardSdp:
     """min -beta'y s.t. sum_k y_k a_k + z = c, z in the cone, y free."""
     st_p = problem.structure
-    blocks = [free_scalar() for _ in problem.constraints] + list(st_p)
+    blocks = [free_scalar() for _ in range(problem.num_constraints)] + list(st_p)
     st = BlockStructure(blocks)
-    p = len(problem.constraints)
+    p = problem.num_constraints
     cons = []
-    c_vec = svec(st_p, list(problem.objective))
-    row_vecs = [svec(st_p, list(a)) for a, _ in problem.constraints]
+    c_vec = svec(st_p, st_p.split(problem.objective))
+    row_vecs = [svec(st_p, st_p.split(a)) for a in problem.A]
     dim = c_vec.size
     # one scalar equation per svec coordinate of the slack
     basis = []
@@ -123,10 +134,10 @@ def _dual_formulation(problem: StandardSdp) -> StandardSdp:
                 slack_blocks.append(unit[off : off + b.size].copy())
                 off += b.size
         cons.append((row + slack_blocks, float(c_vec[coord])))
-    obj = [np.zeros(1) for _ in range(p)] + list(BlockStructure(list(st_p)).zeros())
+    obj = [np.zeros(1) for _ in range(p)] + st_p.split(np.zeros(st_p.dim))
     for k in range(p):
-        obj[k][0] = -problem.constraints[k][1]
-    return StandardSdp(st, obj, cons, sense="min")
+        obj[k][0] = -problem.b[k]
+    return _sdp(st, obj, cons, sense="min")
 
 
 class TestBlockStructure:
@@ -155,7 +166,7 @@ class TestBlockStructure:
             st = BlockStructure([first, diag_block(1)])
             shape = (1, 1) if first.kind == MATRIX else (1,)
             obj = [np.full(shape, c), np.ones(1)]
-            return StandardSdp(st, obj, [([np.full(shape, a), -np.ones(1)], rhs)])
+            return _sdp(st, obj, [([np.full(shape, a), -np.ones(1)], rhs)])
 
         r_mat = solve(lp(matrix_block(1)))
         r_diag = solve(lp(diag_block(1)))
@@ -163,6 +174,53 @@ class TestBlockStructure:
         if r_diag.status == OPTIMAL:
             assert r_mat.value == pytest.approx(r_diag.value, abs=1e-9)
             assert r_mat.primal[0].shape == (1, 1)
+
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_view_writes_land_in_the_parent_array(self, lead):
+        st = BlockStructure([diag_block(2), matrix_block(3), free_scalar(), matrix_block(1)])
+        assert [(sl.start, sl.stop) for sl in st.slices] == [(0, 2), (2, 11), (11, 12), (12, 13)]
+        assert st.dim == 13
+        arr = np.zeros(lead + (st.dim,))
+        for k in range(len(st)):
+            view = st.view(arr, k)
+            assert view.shape == lead + st.shapes[k]
+            view[...] = 10.0 * k + np.arange(view.size).reshape(view.shape)
+        for k in range(len(st)):
+            cols = arr[..., st.slices[k]]
+            assert np.array_equal(cols, 10.0 * k + np.arange(cols.size).reshape(cols.shape))
+
+    def test_split_flat_round_trip(self):
+        rng = np.random.default_rng(5)
+        st = BlockStructure([matrix_block(2), diag_block(3), free_scalar(), matrix_block(1)])
+        x = _random_point(rng, st, symmetric=False)
+        assert all(np.array_equal(u, v) for u, v in zip(st.split(st.flat(x)), x))
+        v = rng.normal(size=st.dim)
+        assert np.array_equal(st.flat(st.split(v)), v)
+        with pytest.raises(ValueError):
+            st.flat(x[:-1])
+        with pytest.raises(ValueError):
+            st.flat([np.ravel(x[0])] + x[1:])
+
+
+class TestProblemData:
+    @pytest.mark.parametrize("field", ["objective", "A", "b"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_rejected(self, field, bad):
+        st = BlockStructure([matrix_block(2), diag_block(1)])
+        data = {"objective": np.ones(st.dim), "A": np.eye(2, st.dim), "b": np.ones(2)}
+        data[field].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{field} has a non-finite entry"):
+            StandardSdp(st, data["objective"], data["A"], data["b"])
+
+    def test_shapes_must_conform(self):
+        st = BlockStructure([matrix_block(2), diag_block(1)])
+        with pytest.raises(ValueError, match="objective"):
+            StandardSdp(st, np.ones(st.dim - 1), np.eye(2, st.dim), np.ones(2))
+        with pytest.raises(ValueError, match="p x dim"):
+            StandardSdp(st, np.ones(st.dim), np.eye(2, st.dim + 1), np.ones(2))
+        with pytest.raises(ValueError, match="p x dim"):
+            StandardSdp(st, np.ones(st.dim), np.eye(2, st.dim), np.ones(3))
 
 
 class TestMatrixEquality:
@@ -180,14 +238,15 @@ class TestMatrixEquality:
 
         terms = {1: [sym() for _ in range(3)], 2: [sym()], 4: [np.eye(n)]}
         R = sym() if with_rhs else np.zeros((n, n))
-        rows = matrix_equality(st, terms, (3, sign), R if with_rhs else None)
+        rows, rhs = matrix_equality(st, terms, (3, sign), R if with_rhs else None)
         x = _random_point(rng, st)
         lhs = sum(v * Mj for k, Ms in terms.items() for v, Mj in zip(x[k], Ms)) + sign * x[3]
         iu, ju = np.triu_indices(n)
-        assert len(rows) == iu.size
-        for (row, beta), p, q in zip(rows, iu, ju):
+        assert len(rows) == len(rhs) == iu.size
+        for row, beta, p, q in zip(rows, rhs, iu, ju):
             w = 1.0 if p == q else 2.0
-            assert st.conformal(row)
+            assert row.shape == (st.dim,)
+            row = st.split(row)
             assert np.all(row[0] == 0.0)
             assert bv_inner(row, x) == pytest.approx(w * lhs[p, q], rel=1e-12, abs=1e-12)
             assert beta == pytest.approx(w * R[p, q], rel=1e-15)
@@ -204,7 +263,7 @@ class TestExamples:
         st = BlockStructure([matrix_block(2)])
         E11 = np.zeros((2, 2))
         E11[0, 0] = 1.0
-        prob = StandardSdp(st, [np.eye(2)], [([E11], 1.0)])
+        prob = _sdp(st, [np.eye(2)], [([E11], 1.0)])
         r = solve(prob)
         assert r.status == OPTIMAL
         assert r.value == pytest.approx(1.0, abs=1e-7)
@@ -255,7 +314,7 @@ class TestCertificates:
     def test_unbounded_detection(self):
         # min -x s.t. 0*x = 0, x >= 0 is unbounded below
         st = BlockStructure([diag_block(1)])
-        prob = StandardSdp(st, [np.array([-1.0])], [([np.array([0.0])], 0.0)])
+        prob = _sdp(st, [np.array([-1.0])], [([np.array([0.0])], 0.0)])
         r = solve(prob)
         assert r.status == DUAL_INFEASIBLE
 
@@ -268,7 +327,7 @@ class TestPresolve:
             ([np.array([2.0, 2.0])], 4.0),
             ([np.array([1.0, -1.0])], 0.0),
         ]
-        prob = StandardSdp(st, [np.array([1.0, 1.0])], rows)
+        prob = _sdp(st, [np.array([1.0, 1.0])], rows)
         r = solve(prob)
         assert r.status == OPTIMAL
         assert any("dependent" in w for w in r.warnings)
@@ -280,7 +339,7 @@ class TestPresolve:
             ([np.array([1.0])], 1.0),
             ([np.array([1.0])], 2.0),
         ]
-        prob = StandardSdp(st, [np.array([1.0])], rows)
+        prob = _sdp(st, [np.array([1.0])], rows)
         r = solve(prob)
         assert r.status == PRIMAL_INFEASIBLE
 
@@ -308,7 +367,7 @@ def _random_mixed_sdp(rng, n_indep=6, n_dep=3, consistent=True):
         rows.append((a, rhs if consistent else rhs + 1.0))
     order = rng.permutation(len(rows))
     obj = [np.eye(3), np.ones(2), np.zeros(1), np.eye(2), np.zeros(1)]
-    return StandardSdp(st, obj, [rows[j] for j in order])
+    return _sdp(st, obj, [rows[j] for j in order])
 
 
 def _random_point(rng, st, symmetric=True):
@@ -326,8 +385,8 @@ def _random_point(rng, st, symmetric=True):
 
 def _reference_presolve(problem):
     """One-vector-at-a-time Gram-Schmidt on svec rows."""
-    rows_vec = np.array([svec(problem.structure, a) for a, _ in problem.constraints])
-    beta = problem.rhs
+    rows_vec = np.array([svec(problem.structure, problem.structure.split(a)) for a in problem.A])
+    beta = problem.b
     keep, basis, dropped = [], [], []
     for j in range(rows_vec.shape[0]):
         v = rows_vec[j].copy()
@@ -354,7 +413,7 @@ class TestConstraintOperator:
         for _ in range(5):
             prob = _random_mixed_sdp(rng)
             ipm = _Ipm(prob, SolverOptions())
-            kept = [prob.constraints[j][0] for j in ipm.kept_rows]
+            kept = [prob.structure.split(prob.A[j]) for j in ipm.kept_rows]
             for symmetric in (True, False):
                 x = _random_point(rng, prob.structure, symmetric)
                 ref = np.array([bv_inner(list(a), x) for a in kept])
@@ -368,7 +427,7 @@ class TestConstraintOperator:
             x = _random_point(rng, prob.structure, symmetric=False)
             y = rng.normal(size=ipm.p)
             aty = ipm._blocks(ipm.A.T @ y)
-            assert prob.structure.conformal(aty)
+            assert [a.shape for a in aty] == list(prob.structure.shapes)
             lhs = float(y @ (ipm.A @ ipm._flat(x)))
             assert lhs == pytest.approx(bv_inner(aty, x), rel=1e-12, abs=1e-12)
 
@@ -379,7 +438,7 @@ class TestConstraintOperator:
             ipm = _Ipm(prob, SolverOptions())
             x = _random_point(rng, prob.structure)
             s = _random_point(rng, prob.structure)
-            kept = [prob.constraints[j][0] for j in ipm.kept_rows]
+            kept = [prob.structure.split(prob.A[j]) for j in ipm.kept_rows]
             ref = np.zeros((ipm.p, ipm.p))
             for i, b in enumerate(prob.structure):
                 a = np.array([row[i] for row in kept])
@@ -403,10 +462,10 @@ class TestConstraintOperator:
         ):
             st = BlockStructure(blocks)
             rows = [(_random_point(rng, st, symmetric=False), 1.0) for _ in range(2)]
-            ipm = _Ipm(StandardSdp(st, st.zeros(), rows), SolverOptions())
+            ipm = _Ipm(_sdp(st, st.split(np.zeros(st.dim)), rows), SolverOptions())
             x = _random_point(rng, st, symmetric=False)
             back = ipm._blocks(ipm._flat(x))
-            assert st.conformal(back)
+            assert [a.shape for a in back] == list(st.shapes)
             assert all(np.array_equal(u, v) for u, v in zip(back, x))
             v = rng.normal(size=ipm.A.shape[1])
             assert np.array_equal(ipm._flat(ipm._blocks(v)), v)
@@ -473,7 +532,7 @@ class TestConstraintOperator:
             assert len(dropped) == 3
             assert ipm.inconsistent == inconsistent == (not consistent)
             assert ipm.p == len(keep)
-            assert np.array_equal(ipm.beta, prob.rhs[keep])
+            assert np.array_equal(ipm.beta, prob.b[keep])
 
 
 class TestInvariants:
@@ -489,9 +548,10 @@ class TestInvariants:
         prob = _random_feasible_block_sdp(rng)
         perm = [1, 0]
         st = BlockStructure([list(prob.structure)[i] for i in perm])
-        obj = [prob.objective[i] for i in perm]
-        cons = [([a[i] for i in perm], rhs) for a, rhs in prob.constraints]
-        permuted = StandardSdp(st, obj, cons)
+        split = prob.structure.split
+        obj = [split(prob.objective)[i] for i in perm]
+        cons = [([split(a)[i] for i in perm], rhs) for a, rhs in zip(prob.A, prob.b)]
+        permuted = _sdp(st, obj, cons)
         r1 = solve(prob)
         r2 = solve(permuted)
         assert r1.value == pytest.approx(r2.value, abs=1e-10)
@@ -510,7 +570,7 @@ class TestInvariants:
             lam = rng.normal(size=m)
             c = A.T @ lam + rng.uniform(0.2, 1.0, size=n)
             st = BlockStructure([diag_block(n)])
-            prob = StandardSdp(st, [c], [([A[k]], float(b[k])) for k in range(m)])
+            prob = _sdp(st, [c], [([A[k]], float(b[k])) for k in range(m)])
             r = solve(prob)
             status, val = lp_min_standard(c, A, b)
             assert status == LP_OPTIMAL
@@ -538,7 +598,7 @@ class TestInvariants:
         rng = np.random.default_rng(61)
         prob = _random_feasible_block_sdp(rng)
         r = solve(prob)
-        for (a, rhs) in prob.constraints:
-            assert bv_inner(list(a), r.primal) == pytest.approx(rhs, abs=1e-7 * (1 + abs(rhs)))
+        for (a, rhs) in zip(prob.A, prob.b):
+            assert bv_inner(prob.structure.split(a), r.primal) == pytest.approx(rhs, abs=1e-7 * (1 + abs(rhs)))
         assert np.linalg.eigvalsh(r.primal[0])[0] >= -1e-9
         assert np.min(r.primal[1]) >= -1e-9
