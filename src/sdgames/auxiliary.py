@@ -1,4 +1,4 @@
-"""Auxiliary primal/dual SDPs and strict unbounded-direction checks.
+"""Auxiliary primal/dual SDPs and the auxiliary solve behind the practical bound.
 
 The primal auxiliary program relaxes the combined primal-dual feasibility
 system of a pair with a slack w >= 0 and minimizes w; its optimum is zero and
@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .blocks import BlockStructure, bv_norm_inf, diag_block, matrix_block, matrix_equality
-from .model import SdpPair, SymMat, frobenius_inner, is_psd, max_eigenvalue
+from .model import SdpPair, SymMat
 from .solver import (
     MAX,
     MIN,
@@ -181,31 +181,3 @@ def solve_aux(pair: SdpPair, opts: Optional[SolverOptions] = None) -> AuxSolutio
     X, y, w = _extract(first)
     flag = ATTAINED if first_small and not probed else SUSPECTED_UNATTAINED
     return AuxSolution(X=X, y=y, w=w, attained_flag=flag, solve_status=first.status)
-
-
-def verify_strict_primal_unbounded(pair: SdpPair, W: SymMat, tol: float) -> bool:
-    """W psd with <A_i, W> > 0 for all i and <C, W> < 0, with margin tol*scale."""
-    if W.dim != pair.n:
-        raise ValueError("direction dimension does not match the pair")
-    scale = 1.0 + pair.max_abs_entry()
-    Wf = W.to_float()
-    if not is_psd(Wf, tol):
-        return False
-    if min(frobenius_inner(Ai.to_float(), Wf) for Ai in pair.A) <= tol * scale:
-        return False
-    return frobenius_inner(pair.C.to_float(), Wf) < -tol * scale
-
-
-def verify_strict_dual_unbounded(pair: SdpPair, y, tol: float) -> bool:
-    """y >= 0 with sum_i y_i A_i negative definite and b'y > 0, margin tol*scale."""
-    yv = np.asarray([float(v) for v in y], dtype=float)
-    if yv.shape[0] != pair.m:
-        raise ValueError("direction length does not match the pair")
-    scale = 1.0 + pair.max_abs_entry()
-    y_scale = 1.0 + float(np.max(np.abs(yv)))
-    if float(np.min(yv)) < -tol * y_scale:
-        return False
-    combo = sum(yi * Ai.array for yi, Ai in zip(yv, pair.A))
-    if max_eigenvalue(SymMat.from_array(combo, symmetrize=True)) >= -tol * scale:
-        return False
-    return float(pair.b_array @ yv) > tol * scale

@@ -30,13 +30,6 @@ class Block:
             raise ValueError("block size must be positive")
 
     @property
-    def scalar_dim(self) -> int:
-        """Number of independent scalars in the block."""
-        if self.kind == MATRIX:
-            return self.size * (self.size + 1) // 2
-        return self.size
-
-    @property
     def cone_dim(self) -> int:
         """Barrier degree: size for cone blocks, 0 for free scalars."""
         return 0 if self.kind == FREE else self.size
@@ -86,10 +79,6 @@ class BlockStructure:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    @property
-    def scalar_dim(self) -> int:
-        return sum(b.scalar_dim for b in self.blocks)
 
     @property
     def cone_dim(self) -> int:

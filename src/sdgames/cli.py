@@ -18,11 +18,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .auxiliary import verify_strict_dual_unbounded, verify_strict_primal_unbounded
 from .bounds import certified_bound_M, aux_dimensions, ceil_lg, eta_bar, input_bitsize, practical_bound_M
 from .direct import solve_both
 from .generators import example_corpus, khachiyan_pair, random_slater, random_unbounded
-from .model import EXACT, DualPoint, PrimalPoint, SymMat, verify_strongly_optimal
+from .model import (
+    EXACT,
+    DualPoint,
+    PrimalPoint,
+    SymMat,
+    check_dual_direction,
+    check_primal_direction,
+    verify_strongly_optimal,
+)
 from .probio import ProblemFormatError, load_problem, report_to_dict, save_problem
 from .reduction import (
     DUAL_UNBOUNDED_CERT,
@@ -216,20 +223,23 @@ def cmd_verify(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"candidate parse error: {exc}", file=sys.stderr)
         return 1
-    tol = args.tol
+    pf, tol = pair.to_float(), args.tol
     try:
         f = _candidate_fields(cand, args.kind)
         if args.kind == "optimal":
             X, y = PrimalPoint(SymMat(f["X"])), DualPoint(tuple(f["y"]))
-            ok = verify_strongly_optimal(pair.to_float(), X, y, tol)
-        elif args.kind == "primal-dir":
-            ok = verify_strict_primal_unbounded(pair.to_float(), SymMat(f["W"]), tol)
+            ok, detail = verify_strongly_optimal(pf, X, y, tol), ""
         else:
-            ok = verify_strict_dual_unbounded(pair.to_float(), f["y"], tol)
+            if args.kind == "primal-dir":
+                check = check_primal_direction(pf, SymMat(f["W"]), tol)
+            else:
+                check = check_dual_direction(pf, f["y"], tol)
+            ok = check["ok"]
+            detail = f" (Farkas certificate, {'strict' if check['strict'] else 'not strict'})"
     except (KeyError, ValueError, TypeError) as exc:
         print(f"invalid candidate: {exc}", file=sys.stderr)
         return 1
-    print("PASS" if ok else "FAIL")
+    print(f"PASS{detail}" if ok else "FAIL")
     return 0 if ok else 2
 
 

@@ -1,4 +1,6 @@
-"""Symmetric matrices, SDP pairs in primal/dual normal form, and feasibility predicates.
+"""Symmetric matrices, SDP pairs in primal/dual normal form, and the checks of
+every result the pipeline reports: a strongly optimal pair and the two
+unbounded-direction certificates.
 
 The primal program is  min <C, X>  s.t.  <A_i, X> >= b_i,  X psd;
 its dual is            max b'y     s.t.  sum_i y_i A_i <= C (Loewner),  y >= 0.
@@ -311,3 +313,50 @@ def verify_strongly_optimal(pair: SdpPair, X: PrimalPoint, y: DualPoint, tol: fl
     obj = frobenius_inner(pair.C.to_float(), Xf)
     gap = obj - float(pair.b_array @ yv)
     return gap <= tol * (1.0 + abs(obj))
+
+
+def check_primal_direction(pair: SdpPair, W: SymMat, tol: float) -> dict:
+    """Check W as an unbounded direction of the primal.
+
+    ``ok``: W psd, <A_i, W> >= 0 for all i and <C, W> < 0, a Farkas
+    certificate that the dual is infeasible.  ``strict``: also <A_i, W> > 0.
+    The linear margins are tol * (1 + max |data|).
+    """
+    if W.dim != pair.n:
+        raise ValueError("direction dimension does not match the pair")
+    scale = 1.0 + pair.max_abs_entry()
+    Wf = W.to_float()
+    worst_lin = min(frobenius_inner(Ai.to_float(), Wf) for Ai in pair.A)
+    obj = frobenius_inner(pair.C.to_float(), Wf)
+    farkas = is_psd(Wf, tol) and obj < -tol * scale
+    return {
+        "ok": farkas and worst_lin >= -tol * scale,
+        "strict": farkas and worst_lin > tol * scale,
+        "min_constraint_value": worst_lin,
+        "objective_along_direction": obj,
+    }
+
+
+def check_dual_direction(pair: SdpPair, y, tol: float) -> dict:
+    """Check y as an unbounded direction of the dual.
+
+    ``ok``: y >= 0, sum_i y_i A_i <= 0 (Loewner) and b'y > 0, a Farkas
+    certificate that the primal is infeasible.  ``strict``: also
+    sum_i y_i A_i negative definite.  The margins are tol * (1 + max |y|) for
+    y >= 0 and tol * (1 + max |data|) for the rest.
+    """
+    yv = np.asarray([float(v) for v in y], dtype=float)
+    if yv.shape[0] != pair.m:
+        raise ValueError("direction length does not match the pair")
+    scale = 1.0 + pair.max_abs_entry()
+    y_scale = 1.0 + float(np.max(np.abs(yv)))
+    combo = sum(yi * Ai.array for yi, Ai in zip(yv, pair.A))
+    lam = max_eigenvalue(SymMat.from_array(combo, symmetrize=True))
+    val = float(pair.b_array @ yv)
+    farkas = float(np.min(yv)) >= -tol * y_scale and val > tol * scale
+    return {
+        "ok": farkas and lam <= tol * scale,
+        "strict": farkas and lam < -tol * scale,
+        "max_eig_combo": lam,
+        "objective_along_direction": val,
+    }

@@ -175,12 +175,12 @@ def report_to_dict(outcome: Outcome, timings: Optional[dict] = None) -> dict:
             return {k: clean(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [clean(v) for v in obj]
+        if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
+            return bool(obj)
         if isinstance(obj, (np.floating, float)):
             return _emit_float(obj)
         if isinstance(obj, (np.integer, int)):
             return int(obj)
-        if isinstance(obj, np.bool_):
-            return bool(obj)
         return obj
 
     return {

@@ -3,9 +3,11 @@ classify, recover solutions or certificates, and re-verify everything with
 independent arithmetic.
 
 Classification never guesses: a recovered point or direction is only reported
-after the corresponding feasibility/certificate inequalities pass on their
-own, otherwise the outcome is Inconclusive with diagnostics from both
-branches.
+after it passes the check in :mod:`sdgames.model` that ``sdgames verify`` also
+runs (``verify_strongly_optimal``, ``check_primal_direction``,
+``check_dual_direction``), otherwise the outcome is Inconclusive with
+diagnostics from both branches.  A direction is reported when it is a Farkas
+certificate; whether it is also strict is recorded in the verification.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .model import (
     PrimalPoint,
     SdpPair,
     SymMat,
+    check_dual_direction,
+    check_primal_direction,
     frobenius_inner,
-    is_psd,
-    max_eigenvalue,
     residuals,
     verify_strongly_optimal,
 )
@@ -118,27 +120,6 @@ def aux_value_relation(v: float, M: float) -> float:
     return v * (M + 1.0) / (1.0 - v)
 
 
-def _check_primal_direction(pair: SdpPair, X: SymMat, tol: float) -> dict:
-    """Independent certificate check: X psd, <A_i,X> >= -tol, <C,X> < -tol*scale."""
-    scale = 1.0 + pair.max_abs_entry()
-    Xf = X.to_float()
-    worst_lin = min(frobenius_inner(Ai.to_float(), Xf) for Ai in pair.A)
-    obj = frobenius_inner(pair.C.to_float(), Xf)
-    ok = is_psd(Xf, tol) and worst_lin >= -tol * scale and obj < -tol * scale
-    return {"ok": ok, "min_constraint_value": worst_lin, "objective_along_direction": obj}
-
-
-def _check_dual_direction(pair: SdpPair, y: np.ndarray, tol: float) -> dict:
-    """Independent certificate check: y >= 0, sum y_i A_i <= tol, b'y > tol*scale."""
-    scale = 1.0 + pair.max_abs_entry()
-    y_scale = 1.0 + float(np.max(np.abs(y))) if y.size else 1.0
-    combo = sum(yi * Ai.array for yi, Ai in zip(y, pair.A))
-    lam = max_eigenvalue(SymMat.from_array(combo, symmetrize=True))
-    val = float(pair.b_array @ y)
-    ok = float(np.min(y)) >= -tol * y_scale and lam <= tol * scale and val > tol * scale
-    return {"ok": ok, "max_eig_combo": lam, "objective_along_direction": val}
-
-
 def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outcome:
     """Classify a pair through its modified Dantzig game.
 
@@ -217,9 +198,9 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
         return out
     checks = dict(out.verification) if isinstance(out.verification, dict) else {}
     if frag.primal_direction is not None:
-        checks["primal"] = _check_primal_direction(pf, frag.primal_direction, tol)
+        checks["primal"] = check_primal_direction(pf, frag.primal_direction, tol)
     if frag.dual_direction is not None:
-        checks["dual"] = _check_dual_direction(pf, frag.dual_direction, tol)
+        checks["dual"] = check_dual_direction(pf, frag.dual_direction, tol)
     out.verification = checks
     primal_ok = checks.get("primal", {}).get("ok", False)
     dual_ok = checks.get("dual", {}).get("ok", False)

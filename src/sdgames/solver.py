@@ -479,17 +479,3 @@ class _Ipm:
 def solve(problem: StandardSdp, opts: Optional[SolverOptions] = None) -> SolveResult:
     """Solve a standard-form block SDP; deterministic for fixed inputs and options."""
     return _Ipm(problem, opts or SolverOptions()).run()
-
-
-def solve_with_certificate(
-    problem: StandardSdp, opts: Optional[SolverOptions] = None
-) -> SolveResult:
-    """Like :func:`solve`, but an infeasibility outcome carries its improving ray
-    in the corresponding primal/dual field."""
-    res = solve(problem, opts)
-    if res.certificate is not None:
-        if res.status == DUAL_INFEASIBLE:
-            res.primal = res.certificate
-        elif res.status == PRIMAL_INFEASIBLE:
-            res.dual = np.asarray(res.certificate)
-    return res

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sdgames.auxiliary import solve_aux, verify_strict_primal_unbounded
+from sdgames.auxiliary import solve_aux
 from sdgames.blocks import BlockStructure, diag_block, matrix_block
 from sdgames.bounds import (
     aux_dimensions,
@@ -31,7 +31,13 @@ from sdgames.game import (
     subgame_payoff,
 )
 from sdgames.generators import random_diagonal, random_slater, random_unbounded
-from sdgames.model import DualPoint, PrimalPoint, frobenius_inner, verify_strongly_optimal
+from sdgames.model import (
+    DualPoint,
+    PrimalPoint,
+    check_primal_direction,
+    frobenius_inner,
+    verify_strongly_optimal,
+)
 from sdgames.reduction import (
     DUAL_UNBOUNDED_CERT,
     INCONCLUSIVE,
@@ -82,7 +88,7 @@ def test_criterion_2_unbounded_example(unbounded_pair, game_opts):
     )
     out = run_pipeline(unbounded_pair, PipelineConfig(bound_mode=1.0))
     ok_kind = out.kind == PRIMAL_UNBOUNDED_CERT
-    ok_dir = ok_kind and verify_strict_primal_unbounded(unbounded_pair, out.direction_X, 1e-6)
+    ok_dir = ok_kind and check_primal_direction(unbounded_pair, out.direction_X, 1e-6)["strict"]
     _report(2, "unbounded example: strict primal direction verifies at 1e-6", ok_dir)
 
 

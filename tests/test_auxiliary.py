@@ -12,11 +12,15 @@ from sdgames.auxiliary import (
     build_dual_aux,
     build_primal_aux,
     solve_aux,
-    verify_strict_dual_unbounded,
-    verify_strict_primal_unbounded,
 )
 from sdgames.generators import random_slater, random_unbounded
-from sdgames.model import SdpPair, SymMat, max_eigenvalue
+from sdgames.model import (
+    SdpPair,
+    SymMat,
+    check_dual_direction,
+    check_primal_direction,
+    max_eigenvalue,
+)
 from sdgames.solver import MAX_ITERATIONS, NUMERICAL_FAILURE, OPTIMAL, SolverOptions, solve
 
 from test_solver import bv_inner
@@ -127,31 +131,31 @@ class TestSolveAux:
 class TestStrictPrimalUnbounded:
     def test_unbounded_example_direction(self, unbounded_pair):
         W = SymMat(np.array([[1.0, 1.5], [1.5, 5.0]]) / 9.0)
-        assert verify_strict_primal_unbounded(unbounded_pair, W, 1e-9)
+        assert check_primal_direction(unbounded_pair, W, 1e-9)["strict"]
 
     def test_zero_fails(self, unbounded_pair):
-        assert not verify_strict_primal_unbounded(unbounded_pair, SymMat.zeros(2), 1e-9)
+        assert not check_primal_direction(unbounded_pair, SymMat.zeros(2), 1e-9)["strict"]
 
     def test_bounded_direction_fails(self, bounded_pair):
         W = SymMat([[1.0, 0.0], [0.0, 0.0]])
-        assert not verify_strict_primal_unbounded(bounded_pair, W, 1e-9)
+        assert not check_primal_direction(bounded_pair, W, 1e-9)["strict"]
 
     def test_dimension_mismatch(self, bounded_pair):
         with pytest.raises(ValueError):
-            verify_strict_primal_unbounded(bounded_pair, SymMat.zeros(3), 1e-9)
+            check_primal_direction(bounded_pair, SymMat.zeros(3), 1e-9)["strict"]
 
 
 class TestStrictDualUnbounded:
     def test_semidefinite_combo_fails(self, both_infeasible_pair):
         # sum y_i A_i is negative semidefinite but not definite
-        assert not verify_strict_dual_unbounded(both_infeasible_pair, [2.0 / 3.0], 1e-9)
+        assert not check_dual_direction(both_infeasible_pair, [2.0 / 3.0], 1e-9)["strict"]
 
     def test_negative_definite_combo_passes(self):
         pair = SdpPair(C=SymMat.zeros(2), A=(SymMat([[-1, 0], [0, -1]]),), b=(1,))
-        assert verify_strict_dual_unbounded(pair, [1.0], 1e-9)
+        assert check_dual_direction(pair, [1.0], 1e-9)["strict"]
 
     def test_zero_fails(self, both_infeasible_pair):
-        assert not verify_strict_dual_unbounded(both_infeasible_pair, [0.0], 1e-9)
+        assert not check_dual_direction(both_infeasible_pair, [0.0], 1e-9)["strict"]
 
 
 class TestInvariants:
@@ -178,7 +182,7 @@ class TestInvariants:
 
     def test_strict_direction_implies_attained(self, unbounded_pair):
         W = SymMat(np.array([[1.0, 1.5], [1.5, 5.0]]) / 9.0)
-        assert verify_strict_primal_unbounded(unbounded_pair, W, 1e-9)
+        assert check_primal_direction(unbounded_pair, W, 1e-9)["strict"]
         assert solve_aux(unbounded_pair).attained_flag == ATTAINED
         for seed in range(10):
             pair = random_unbounded(int(2 + seed % 3), int(1 + seed % 2), seed)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sdgames.cli import main
-from sdgames.generators import example_corpus
+from sdgames.generators import example_corpus, random_unbounded
 from sdgames.model import SdpPair, SymMat
 from sdgames.probio import (
     ProblemFormatError,
@@ -141,6 +141,19 @@ class TestReportFormat:
         out = run_pipeline(bounded_pair, PipelineConfig(bound_mode=3.0))
         report = report_to_dict(out, timings={"total_s": 0.125})
         assert json.loads(json.dumps(report)) == report
+
+    def test_check_flags_are_json_booleans(self, corpus_dir, tmp_path, capsys):
+        main(["reduce", str(corpus_dir), "--out", str(tmp_path)])
+        capsys.readouterr()
+        flags = [
+            (p.name, key, check[key])
+            for p in tmp_path.glob("*.report.json")
+            for check in json.loads(p.read_text())["residuals"].values()
+            if isinstance(check, dict)
+            for key in ("ok", "strict")
+        ]
+        assert len(flags) == 6  # unbounded and aux_unattained: primal; both_infeasible: dual
+        assert all(isinstance(v, bool) for _, _, v in flags), flags
 
     def test_certified_exponent_as_decimal_string(self, bounded_pair):
         doc = bound_to_dict(certified_bound_M(bounded_pair))
@@ -289,6 +302,28 @@ class TestVerify:
         rc = main(["verify", str(corpus_dir / "unbounded.json"), str(cand), "--kind", "primal-dir"])
         assert rc == 0
         capsys.readouterr()
+
+    def test_reported_dual_direction_passes(self, corpus_dir, tmp_path, capsys):
+        # reduce reports y' with sum y'A = diag(-y', 0): a Farkas certificate, not strict
+        main(["reduce", str(corpus_dir / "both_infeasible.json"), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        cand = tmp_path / "dir.json"
+        cand.write_text(json.dumps({"y": report["direction_y"]}))
+        rc = main(["verify", str(corpus_dir / "both_infeasible.json"), str(cand), "--kind", "dual-dir"])
+        assert rc == 0
+        assert capsys.readouterr().out == "PASS (Farkas certificate, not strict)\n"
+
+    def test_reported_primal_direction_passes(self, tmp_path, capsys):
+        problem = tmp_path / "pair.json"
+        save_problem(problem, random_unbounded(3, 3, 1))
+        main(["reduce", str(problem), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert report["outcome"] == "PrimalUnboundedCert"
+        cand = tmp_path / "dir.json"
+        cand.write_text(json.dumps({"W": report["direction_X"]}))
+        rc = main(["verify", str(problem), str(cand), "--kind", "primal-dir"])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("PASS (Farkas certificate, ")
 
     def test_bad_candidate_fails(self, corpus_dir, tmp_path, capsys):
         cand = tmp_path / "zero.json"

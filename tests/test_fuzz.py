@@ -1,11 +1,21 @@
-"""Seeded property tests of the problem-file parser on arbitrary JSON-like input."""
+"""Seeded property tests: the problem-file parser on arbitrary JSON-like input,
+and ``sdgames verify`` on every result that the pipeline reports."""
 
 from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdgames.probio import ProblemFormatError, problem_from_dict
+from sdgames.cli import main
+from sdgames.generators import random_diagonal, random_slater, random_unbounded
+from sdgames.probio import ProblemFormatError, problem_from_dict, report_to_dict, save_problem
+from sdgames.reduction import INCONCLUSIVE, run_pipeline
 
 NUMBERS = st.one_of(
     st.integers(min_value=-(10**400), max_value=10**400),
@@ -72,3 +82,44 @@ def test_problem_from_dict_raises_only_format_errors(doc):
     except ProblemFormatError:
         return
     pair.to_float()  # every accepted entry fits a float
+
+
+GENERATORS = {
+    "slater": random_slater,
+    "unbounded": random_unbounded,
+    "diag-slater": random_diagonal,
+    "diag-unbounded": lambda n, m, seed: random_diagonal(n, m, seed, kind="unbounded"),
+}
+
+
+def _candidates(report: dict):
+    """The (kind, candidate) pairs that ``sdgames verify`` checks, read off a report."""
+    if report["X"] is not None:
+        yield "optimal", {"X": report["X"], "y": report["y"]}
+    if report["direction_X"] is not None:
+        yield "primal-dir", {"W": report["direction_X"]}
+    if report["direction_y"] is not None:
+        yield "dual-dir", {"y": report["direction_y"]}
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(
+    st.sampled_from(sorted(GENERATORS)),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 2**16),
+)
+def test_verify_accepts_every_reported_result(family, n, m, seed):
+    pair = GENERATORS[family](n, m, seed)
+    report = json.loads(json.dumps(report_to_dict(run_pipeline(pair))))
+    if report["outcome"] == INCONCLUSIVE:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        problem = Path(tmp) / "pair.json"
+        save_problem(problem, pair)
+        for kind, cand in _candidates(report):
+            path = Path(tmp) / f"{kind}.json"
+            path.write_text(json.dumps(cand))
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                rc = main(["verify", str(problem), str(path), "--kind", kind])
+            assert rc == 0, (report["outcome"], kind, out.getvalue())

@@ -1,4 +1,5 @@
-"""Core data model: symmetric matrices, inner products, psd tests, residuals."""
+"""Core data model: symmetric matrices, inner products, psd tests, residuals and
+the checks of strongly optimal pairs and unbounded directions."""
 
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ from sdgames.model import (
     ResidualReport,
     SdpPair,
     SymMat,
+    check_dual_direction,
+    check_primal_direction,
     frobenius_inner,
     is_psd,
     min_eigenvalue,
@@ -188,6 +191,63 @@ class TestVerifyStronglyOptimal:
             ]
             # once true it stays true as tol grows
             assert all(b or not a for a, b in zip(passed, passed[1:]))
+
+
+def _flags(check):
+    return check["ok"], check["strict"]
+
+
+class TestDirectionChecks:
+    # unbounded: C = [[0, -1], [-1, 0]], A = [[-1, 1], [1, 0]], b = 1
+    def test_strict_primal_direction(self, unbounded_pair):
+        W = SymMat(np.array([[1.0, 1.5], [1.5, 5.0]]) / 9.0)
+        check = check_primal_direction(unbounded_pair, W, 1e-9)
+        assert _flags(check) == (True, True)
+        assert check["min_constraint_value"] == pytest.approx(2.0 / 9.0)
+        assert check["objective_along_direction"] == pytest.approx(-1.0 / 3.0)
+
+    def test_farkas_primal_direction_not_strict(self, unbounded_pair):
+        W = SymMat([[2, 1], [1, 1]])  # <A, W> = 0, <C, W> = -2
+        assert _flags(check_primal_direction(unbounded_pair, W, 1e-9)) == (True, False)
+
+    def test_violated_primal_constraint_fails(self, unbounded_pair):
+        W = SymMat([[3, 1], [1, 1]])  # <A, W> = -1
+        assert _flags(check_primal_direction(unbounded_pair, W, 1e-9)) == (False, False)
+
+    def test_indefinite_primal_direction_fails(self, unbounded_pair):
+        W = SymMat([[-1.0, 1.0], [1.0, 0.0]])  # <A, W> = 3, <C, W> = -2, not psd
+        assert _flags(check_primal_direction(unbounded_pair, W, 1e-9)) == (False, False)
+
+    def test_farkas_dual_direction_not_strict(self, both_infeasible_pair):
+        # y'A = diag(-2/3, 0) is negative semidefinite but singular
+        check = check_dual_direction(both_infeasible_pair, [2.0 / 3.0], 1e-9)
+        assert _flags(check) == (True, False)
+        assert check["max_eig_combo"] == pytest.approx(0.0, abs=1e-12)
+        assert check["objective_along_direction"] == pytest.approx(2.0 / 3.0)
+
+    def test_strict_dual_direction(self):
+        pair = SdpPair(C=SymMat.zeros(2), A=(SymMat([[-1, 0], [0, -1]]),), b=(1,))
+        assert _flags(check_dual_direction(pair, [1.0], 1e-9)) == (True, True)
+
+    def test_negative_multiplier_fails(self):
+        pair = SdpPair(C=SymMat.zeros(2), A=(SymMat([[1, 0], [0, 1]]),), b=(-1,))
+        assert _flags(check_dual_direction(pair, [-1.0], 1e-9)) == (False, False)
+
+    def test_indefinite_combo_fails(self, bounded_pair):
+        assert _flags(check_dual_direction(bounded_pair, [1.0], 1e-9)) == (False, False)
+
+    def test_flags_are_python_bools(self, unbounded_pair, both_infeasible_pair):
+        checks = [
+            check_primal_direction(unbounded_pair, SymMat([[2, 1], [1, 1]]), 1e-9),
+            check_dual_direction(both_infeasible_pair, np.array([2.0 / 3.0]), 1e-9),
+        ]
+        assert all(type(c[k]) is bool for c in checks for k in ("ok", "strict"))
+
+    def test_dimension_mismatch(self, bounded_pair):
+        with pytest.raises(ValueError):
+            check_primal_direction(bounded_pair, SymMat.zeros(3), 1e-9)
+        with pytest.raises(ValueError):
+            check_dual_direction(bounded_pair, [1.0, 1.0], 1e-9)
 
 
 class TestSdpPair:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sdgames.auxiliary import ATTAINED, solve_aux, verify_strict_primal_unbounded
+from sdgames.auxiliary import ATTAINED, solve_aux
 from sdgames.bounds import practical_bound_M
 from sdgames.game import Strategy1, Strategy2, solve_game
 from sdgames.generators import random_diagonal, random_slater, random_unbounded
@@ -14,6 +14,7 @@ from sdgames.model import (
     DualPoint,
     PrimalPoint,
     SymMat,
+    check_primal_direction,
     frobenius_inner,
     verify_strongly_optimal,
 )
@@ -121,7 +122,7 @@ class TestPipelineCorpus:
         out = run_pipeline(unbounded_pair, PipelineConfig(bound_mode=1.0))
         assert out.kind == PRIMAL_UNBOUNDED_CERT
         assert out.game_value == pytest.approx(1.0 / 3.0, abs=1e-5)
-        assert verify_strict_primal_unbounded(unbounded_pair, out.direction_X, 1e-6)
+        assert check_primal_direction(unbounded_pair, out.direction_X, 1e-6)["strict"]
 
     def test_duality_gap_inconclusive(self, duality_gap_pair):
         out = run_pipeline(duality_gap_pair, PipelineConfig(bound_mode=1.0))

