@@ -105,21 +105,29 @@ class SolveResult:
 
 
 def _chol(a: np.ndarray) -> np.ndarray:
-    sym = 0.5 * (a + a.T)
+    """Cholesky factors of the symmetric parts of a (g, k, k) stack."""
+    sym = 0.5 * (a + a.swapaxes(-1, -2))
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
-        # rounding can push an iterate marginally off the cone; nudge once
-        eps = 1e-14 * max(1.0, abs(float(np.trace(sym))))
-        return np.linalg.cholesky(sym + eps * np.eye(sym.shape[0]))
+        pass
+    out = np.empty_like(sym)
+    for i, m in enumerate(sym):
+        try:
+            out[i] = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            # rounding can push an iterate marginally off the cone; nudge once
+            eps = 1e-14 * max(1.0, abs(float(np.trace(m))))
+            out[i] = np.linalg.cholesky(m + eps * np.eye(m.shape[0]))
+    return out
 
 
-def _min_eig_scaled(t: np.ndarray, lam: np.ndarray) -> float:
-    """lambda_min of Lambda^-1/2 T Lambda^-1/2 for a direction T in NT-scaled
-    coordinates, where the iterate itself is Lambda = diag(lam)."""
+def _min_eig_scaled(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """lambda_min of Lambda^-1/2 T Lambda^-1/2 for each direction T of a stack in
+    NT-scaled coordinates, where the iterate itself is Lambda = diag(lam)."""
     isq = 1.0 / np.sqrt(lam)
-    E = isq[:, None] * t * isq[None, :]
-    return float(np.linalg.eigvalsh(0.5 * (E + E.T))[0])
+    E = isq[:, :, None] * t * isq[:, None, :]
+    return np.linalg.eigvalsh(0.5 * (E + E.swapaxes(-1, -2)))[:, 0]
 
 
 def _step_to_boundary(emin: float) -> float:
@@ -128,33 +136,34 @@ def _step_to_boundary(emin: float) -> float:
 
 
 class _ConeScaling:
-    """Nesterov-Todd scaling of one matrix block for one iteration:
-    R with R^-1 X R^-T = R' S R = diag(lam), and W = R R'."""
+    """Nesterov-Todd scaling of a (g, k, k) stack of matrix blocks for one
+    iteration: per block, R with R^-1 X R^-T = R' S R = diag(lam), and W = R R'."""
 
     def __init__(self, x: np.ndarray, s: np.ndarray):
         Lx = _chol(x)
         Ls = _chol(s)
-        U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
+        U, sig, Vt = np.linalg.svd(Ls.swapaxes(-1, -2) @ Lx)
         if np.any(sig <= 0):
             raise np.linalg.LinAlgError("NT scaling broke down")
         isq = 1.0 / np.sqrt(sig)
         self.lam = sig
-        self.R = Lx @ (Vt.T * isq)
-        self.Rinv = (isq[:, None] * U.T) @ Ls.T
-        self.W = self.R @ self.R.T
+        self.R = Lx @ (Vt.swapaxes(-1, -2) * isq[:, None, :])
+        self.Rinv = (isq[:, :, None] * U.swapaxes(-1, -2)) @ Ls.swapaxes(-1, -2)
+        self.W = self.R @ self.R.swapaxes(-1, -2)
 
     def scaled(self, dx: np.ndarray, ds: np.ndarray):
         """The direction (R^-1 dX R^-T, R' dS R) in scaled coordinates."""
-        return self.Rinv @ dx @ self.Rinv.T, self.R.T @ ds @ self.R
+        Rinv, R = self.Rinv, self.R
+        return Rinv @ dx @ Rinv.swapaxes(-1, -2), R.swapaxes(-1, -2) @ ds @ R
 
     def combine_target(self, sigma_mu: float, dxt: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """g-term of the corrector direction, R T(sigma*mu*I - Hcorr) R', from the
         predictor's scaled direction."""
-        H = 0.5 * (dxt @ dst + dst @ dxt)
-        psi = -H
-        np.fill_diagonal(psi, psi.diagonal() + sigma_mu)
-        denom = 0.5 * (self.lam[:, None] + self.lam[None, :])
-        return self.R @ (psi / denom) @ self.R.T
+        psi = -(0.5 * (dxt @ dst + dst @ dxt))
+        i = np.arange(psi.shape[-1])
+        psi[:, i, i] += sigma_mu
+        denom = 0.5 * (self.lam[:, :, None] + self.lam[:, None, :])
+        return self.R @ (psi / denom) @ self.R.swapaxes(-1, -2)
 
 
 class _Ipm:
@@ -179,18 +188,23 @@ class _Ipm:
         order = sorted(range(len(blocks)), key=lambda i: (MATRIX, DIAG, FREE).index(blocks[i].kind))
         self.perm = np.concatenate([np.arange(d)[structure.slices[i]] for i in order])
         self.A = self.A[:, self.perm]
-        self.mats = []  # (flat slice, order) per matrix block
+        # (flat slice, g, k) per maximal run of g consecutive matrix blocks of
+        # order k: the cone kernels make one batched call per run
+        self.stacks = []
         self.tr = np.arange(d)  # v[self.tr] transposes every matrix block of v
         pos = 0
         for i in order:
             if blocks[i].kind == MATRIX:
                 k = blocks[i].size
-                sl = slice(pos, pos + k * k)
-                self.mats.append((sl, k))
-                self.tr[sl] = pos + np.arange(k * k).reshape(k, k).T.ravel()
+                self.tr[pos : pos + k * k] = pos + np.arange(k * k).reshape(k, k).T.ravel()
+                if self.stacks and self.stacks[-1][2] == k:
+                    sl, g, _ = self.stacks[-1]
+                    self.stacks[-1] = (slice(sl.start, pos + k * k), g + 1, k)
+                else:
+                    self.stacks.append((slice(pos, pos + k * k), 1, k))
             pos += structure.slices[i].stop - structure.slices[i].start
         self.ncone = d - sum(b.kind == FREE for b in blocks)
-        self.orth = slice(self.mats[-1][0].stop if self.mats else 0, self.ncone)
+        self.orth = slice(self.stacks[-1][0].stop if self.stacks else 0, self.ncone)
         self.free = slice(self.ncone, d)
         # augmented Newton matrix [[S, F], [F', 0]]; F is the free columns of A
         # and the Schur complement S is written into it at every iteration
@@ -215,22 +229,14 @@ class _Ipm:
     def _presolve(self):
         """Drop linearly dependent constraint rows; flag inconsistent duplicates."""
         A = self.A
-        p = A.shape[0]
-        Q = np.zeros_like(A)  # orthonormal basis of the kept rows, first r rows
-        r = 0
-        keep: List[int] = []
-        dropped: List[int] = []
-        for j in range(p):
-            v = A[j].copy()
-            for _ in range(2):  # reorthogonalize once against rounding
-                v -= Q[:r].T @ (Q[:r] @ v)
-            nv = np.linalg.norm(v)
-            if nv > 1e-10 * (1.0 + np.linalg.norm(A[j])):
-                Q[r] = v / nv
-                r += 1
-                keep.append(j)
-            else:
-                dropped.append(j)
+        p, d = A.shape
+        # |R_jj| of A' = QR is the distance of row j from the span of rows < j;
+        # rows j >= d have distance 0
+        resid = np.zeros(p)
+        resid[: min(p, d)] = np.abs(np.diagonal(np.linalg.qr(A.T, mode="r")))
+        indep = resid > 1e-10 * (1.0 + np.linalg.norm(A, axis=1))
+        keep = np.flatnonzero(indep).tolist()
+        dropped = np.flatnonzero(~indep).tolist()
         self.kept_rows = keep
         self.dropped_rows = dropped
         self.inconsistent = False
@@ -270,16 +276,19 @@ class _Ipm:
             )
 
     def _scalings(self, x, s):
-        """NT scaling of each matrix block, and w2 = x/s on the orthant."""
-        nt = [_ConeScaling(x[sl].reshape(k, k), s[sl].reshape(k, k)) for sl, k in self.mats]
+        """NT scaling of each stack of matrix blocks, and w2 = x/s on the orthant."""
+        nt = [
+            _ConeScaling(x[sl].reshape(g, k, k), s[sl].reshape(g, k, k))
+            for sl, g, k in self.stacks
+        ]
         return nt, x[self.orth] / s[self.orth]
 
     def _apply_w(self, scalings, u):
         """W U W on each matrix block, w2 * u on the orthant, 0 on the free scalars."""
         nt, w2 = scalings
         out = np.zeros_like(u)
-        for (sl, k), sc in zip(self.mats, nt):
-            out[sl] = (sc.W @ u[sl].reshape(k, k) @ sc.W).ravel()
+        for (sl, g, k), sc in zip(self.stacks, nt):
+            out[sl] = (sc.W @ u[sl].reshape(g, k, k) @ sc.W).ravel()
         out[self.orth] = w2 * u[self.orth]
         return out
 
@@ -288,10 +297,12 @@ class _Ipm:
         p = self.p
         A_o = self.A[:, self.orth]
         S = (A_o * w2) @ A_o.T
-        for (sl, k), sc in zip(self.mats, nt):
-            Ai = self.A[:, sl]
-            waw = (sc.W @ Ai.reshape(p, k, k) @ sc.W).reshape(p, -1)
-            S += Ai @ waw.T
+        for (sl, g, k), sc in zip(self.stacks, nt):
+            Ai = self.A[:, sl].reshape(p, g, k, k)
+            waw = sc.W @ Ai @ sc.W
+            # one GEMM per block keeps the sum over blocks in a fixed order
+            for b in range(g):
+                S += Ai[:, b].reshape(p, -1) @ waw[:, b].reshape(p, -1).T
         return S
 
     def _solve_augmented(self, Maug, rhs):
@@ -320,16 +331,17 @@ class _Ipm:
 
     def _step_lengths(self, scalings, x, s, dx, ds):
         """Largest steps that keep x + ap*dx and s + ad*ds in the cone, and the
-        direction of each matrix block in NT-scaled coordinates."""
+        direction of each stack of matrix blocks in NT-scaled coordinates."""
         nt, _ = scalings
         o = self.orth
         ep = float(np.min(dx[o] / x[o], initial=0.0))
         ed = float(np.min(ds[o] / s[o], initial=0.0))
         pairs = []
-        for (sl, k), sc in zip(self.mats, nt):
-            dxt, dst = sc.scaled(dx[sl].reshape(k, k), ds[sl].reshape(k, k))
-            ep = min(ep, _min_eig_scaled(dxt, sc.lam))
-            ed = min(ed, _min_eig_scaled(dst, sc.lam))
+        for (sl, g, k), sc in zip(self.stacks, nt):
+            dxt, dst = sc.scaled(dx[sl].reshape(g, k, k), ds[sl].reshape(g, k, k))
+            emin = _min_eig_scaled(np.concatenate([dxt, dst]), np.concatenate([sc.lam, sc.lam]))
+            ep = min(ep, *emin[:g].tolist())
+            ed = min(ed, *emin[g:].tolist())
             pairs.append((dxt, dst))
         return _step_to_boundary(ep), _step_to_boundary(ed), pairs
 
@@ -409,7 +421,7 @@ class _Ipm:
                 # corrector
                 o = self.orth
                 g[o] += (sigma * mu - dxa[o] * dsa[o]) / s[o]
-                for (sl, _), sc, (dxt, dst) in zip(self.mats, scalings[0], pairs):
+                for (sl, _, _), sc, (dxt, dst) in zip(self.stacks, scalings[0], pairs):
                     g[sl] += sc.combine_target(sigma * mu, dxt, dst).ravel()
                 dx, dy, ds = self._direction(scalings, Maug, r_p, r_d, g)
                 ap, ad, _ = self._step_lengths(scalings, x, s, dx, ds)

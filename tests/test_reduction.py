@@ -3,9 +3,15 @@ properties on random instance families."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sdgames
 from sdgames.auxiliary import ATTAINED, solve_aux
 from sdgames.bounds import practical_bound_M
 from sdgames.game import Strategy1, Strategy2, solve_game
@@ -149,6 +155,25 @@ def test_dense_slater_regressions_strongly_optimal(n, seed):
     assert verify_strongly_optimal(
         pair.to_float(), PrimalPoint(out.X_opt), DualPoint(tuple(out.y_opt)), 1e-6
     )
+
+
+def test_runtime_does_not_import_scipy():
+    """The runtime needs numpy only; importing scipy.linalg alone would take
+    longer than importing all of sdgames."""
+    code = (
+        "import sys\n"
+        "import sdgames\n"
+        "from sdgames.generators import example_corpus\n"
+        "pair, _ = example_corpus()[0]\n"
+        "assert sdgames.run_pipeline(pair).kind == 'StronglyOptimal'\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    src = str(Path(sdgames.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestEquivalenceProperties:

@@ -22,6 +22,8 @@ from sdgames.solver import (
     StandardSdp,
     _ConeScaling,
     _Ipm,
+    _chol,
+    _step_to_boundary,
     solve,
 )
 
@@ -455,7 +457,7 @@ class TestConstraintOperator:
             for i, b in enumerate(prob.structure):
                 a = np.array([row[i] for row in kept])
                 if b.kind == "matrix":
-                    W = _ConeScaling(x[i], s[i]).W
+                    W = _ConeScaling(x[i][None], s[i][None]).W[0]
                     waw = np.einsum("pq,lqr,rs->lps", W, a, W)
                     ref += np.einsum("kpq,lpq->kl", a, waw)
                 elif b.kind == "diag":
@@ -535,16 +537,219 @@ class TestConstraintOperator:
     @pytest.mark.parametrize("consistent", [True, False])
     def test_presolve_matches_gram_schmidt(self, consistent):
         rng = np.random.default_rng(109)
-        for _ in range(5):
-            prob = _random_mixed_sdp(rng, consistent=consistent)
+        for prob, n_dropped, inconsistent_expected in _presolve_cases(rng, consistent):
             ipm = _Ipm(prob, SolverOptions())
             keep, dropped, inconsistent = _reference_presolve(prob)
             assert ipm.kept_rows == keep
             assert ipm.dropped_rows == dropped
-            assert len(dropped) == 3
-            assert ipm.inconsistent == inconsistent == (not consistent)
+            assert len(dropped) == n_dropped
+            assert ipm.inconsistent == inconsistent == inconsistent_expected
             assert ipm.p == len(keep)
             assert np.array_equal(ipm.beta, prob.b[keep])
+
+
+def _presolve_cases(rng, consistent):
+    """(problem, number of dependent rows, whether they are inconsistent)."""
+    for _ in range(5):
+        yield _random_mixed_sdp(rng, consistent=consistent), 3, not consistent
+    shift = 0.0 if consistent else 1.0
+    # more rows than columns: a 2x2 block spans 3 of its 4 columns, so of 6 rows
+    # on d = 5 columns, row 4 depends on rows 0-3 and row 5 lies past d
+    st = BlockStructure([matrix_block(2), diag_block(1)])
+    indep = [(_random_point(rng, st), float(rng.normal())) for _ in range(4)]
+    dep = []
+    for c in rng.normal(size=(2, 4)):
+        a = [sum(ck * r[0][i] for ck, r in zip(c, indep)) for i in range(2)]
+        dep.append((a, float(sum(ck * r[1] for ck, r in zip(c, indep))) + shift))
+    prob = _sdp(st, [np.eye(2), np.ones(1)], indep + dep)
+    assert prob.A.shape[0] > prob.A.shape[1]
+    yield prob, 2, not consistent
+    # a zero row, then a duplicate of an independent row, before independent rows
+    st = BlockStructure([matrix_block(3), diag_block(2), free_scalar()])
+    indep = [(_random_point(rng, st, symmetric=True), float(rng.normal())) for _ in range(4)]
+    zero = (st.split(np.zeros(st.dim)), shift)
+    dup = (indep[0][0], indep[0][1] + shift)
+    obj = [np.eye(3), np.ones(2), np.zeros(1)]
+    yield _sdp(st, obj, [zero, indep[0], dup] + indep[1:]), 2, not consistent
+    # no rows at all
+    yield StandardSdp(st, st.flat(obj), np.zeros((0, st.dim)), np.zeros(0)), 0, False
+
+
+def _ref_chol(a):
+    sym = 0.5 * (a + a.T)
+    try:
+        return np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        eps = 1e-14 * max(1.0, abs(float(np.trace(sym))))
+        return np.linalg.cholesky(sym + eps * np.eye(sym.shape[0]))
+
+
+class _RefScaling:
+    """NT scaling of one k x k matrix block: the reference for the stacked kernels."""
+
+    def __init__(self, x, s):
+        Lx = _ref_chol(x)
+        Ls = _ref_chol(s)
+        U, sig, Vt = np.linalg.svd(Ls.T @ Lx)
+        isq = 1.0 / np.sqrt(sig)
+        self.lam = sig
+        self.R = Lx @ (Vt.T * isq)
+        self.Rinv = (isq[:, None] * U.T) @ Ls.T
+        self.W = self.R @ self.R.T
+
+    def scaled(self, dx, ds):
+        return self.Rinv @ dx @ self.Rinv.T, self.R.T @ ds @ self.R
+
+    def combine_target(self, sigma_mu, dxt, dst):
+        psi = -(0.5 * (dxt @ dst + dst @ dxt))
+        np.fill_diagonal(psi, psi.diagonal() + sigma_mu)
+        denom = 0.5 * (self.lam[:, None] + self.lam[None, :])
+        return self.R @ (psi / denom) @ self.R.T
+
+
+def _ref_min_eig_scaled(t, lam):
+    isq = 1.0 / np.sqrt(lam)
+    E = isq[:, None] * t * isq[None, :]
+    return float(np.linalg.eigvalsh(0.5 * (E + E.T))[0])
+
+
+class _RefKernels:
+    """The cone kernels of one solve, one matrix block at a time."""
+
+    def __init__(self, ipm):
+        st = ipm.structure
+        self.ipm = ipm
+        tags = ipm._flat([np.full(shape, float(i)) for i, shape in enumerate(st.shapes)])
+        self.mats = []  # (flat slice, order) per matrix block, in flat order
+        for i, b in enumerate(st):
+            if b.kind == MATRIX:
+                idx = np.flatnonzero(tags == i)
+                self.mats.append((slice(idx[0], idx[-1] + 1), b.size))
+        self.mats.sort(key=lambda m: m[0].start)
+
+    def scalings(self, x, s):
+        nt = [_RefScaling(x[sl].reshape(k, k), s[sl].reshape(k, k)) for sl, k in self.mats]
+        return nt, x[self.ipm.orth] / s[self.ipm.orth]
+
+    def apply_w(self, scalings, u):
+        nt, w2 = scalings
+        out = np.zeros_like(u)
+        for (sl, k), sc in zip(self.mats, nt):
+            out[sl] = (sc.W @ u[sl].reshape(k, k) @ sc.W).ravel()
+        out[self.ipm.orth] = w2 * u[self.ipm.orth]
+        return out
+
+    def schur(self, scalings):
+        nt, w2 = scalings
+        A, p = self.ipm.A, self.ipm.p
+        A_o = A[:, self.ipm.orth]
+        S = (A_o * w2) @ A_o.T
+        for (sl, k), sc in zip(self.mats, nt):
+            Ai = A[:, sl]
+            waw = (sc.W @ Ai.reshape(p, k, k) @ sc.W).reshape(p, -1)
+            S += Ai @ waw.T
+        return S
+
+    def step_lengths(self, scalings, x, s, dx, ds):
+        nt, _ = scalings
+        o = self.ipm.orth
+        ep = float(np.min(dx[o] / x[o], initial=0.0))
+        ed = float(np.min(ds[o] / s[o], initial=0.0))
+        pairs = []
+        for (sl, k), sc in zip(self.mats, nt):
+            dxt, dst = sc.scaled(dx[sl].reshape(k, k), ds[sl].reshape(k, k))
+            ep = min(ep, _ref_min_eig_scaled(dxt, sc.lam))
+            ed = min(ed, _ref_min_eig_scaled(dst, sc.lam))
+            pairs.append((dxt, dst))
+        return _step_to_boundary(ep), _step_to_boundary(ed), pairs
+
+
+def _unstack(stacked):
+    """Per-block arrays, in flat order, from a list of (g, k, k) stacks."""
+    return [m for stack in stacked for m in stack]
+
+
+def _symmetric_direction(rng, st):
+    d = _random_point(rng, st, symmetric=False)
+    return [a + a.T if b.kind == MATRIX else a for a, b in zip(d, st)]
+
+
+class TestStackedKernels:
+    """The stacked cone kernels against the per-block reference, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "blocks, stacks",
+        [
+            # one run of equal orders
+            ([matrix_block(3), matrix_block(3), matrix_block(3), diag_block(2)], [(3, 3)]),
+            # equal orders that diag and free blocks separate in the structure are
+            # adjacent in the flat order
+            (
+                [matrix_block(2), diag_block(2), matrix_block(2), free_scalar(), matrix_block(2)],
+                [(3, 2)],
+            ),
+            # mixed orders: only consecutive equal orders share a stack
+            (
+                [matrix_block(2), matrix_block(3), matrix_block(3), matrix_block(2), diag_block(1)],
+                [(1, 2), (2, 3), (1, 2)],
+            ),
+            # 1x1 matrix blocks
+            ([matrix_block(1), diag_block(1), matrix_block(1), matrix_block(2)], [(2, 1), (1, 2)]),
+        ],
+    )
+    def test_kernels_match_per_block_reference(self, blocks, stacks):
+        rng = np.random.default_rng(127)
+        st = BlockStructure(blocks)
+        rows = [(_symmetric_direction(rng, st), float(rng.normal())) for _ in range(5)]
+        ipm = _Ipm(_sdp(st, _random_point(rng, st), rows), SolverOptions())
+        assert [(g, k) for _, g, k in ipm.stacks] == stacks
+        ref = _RefKernels(ipm)
+        for _ in range(3):
+            x = ipm._flat(_random_point(rng, st))
+            s = ipm._flat(_random_point(rng, st))
+            dx = ipm._flat(_symmetric_direction(rng, st))
+            ds = ipm._flat(_symmetric_direction(rng, st))
+            u = rng.normal(size=x.size)
+            got, want = ipm._scalings(x, s), ref.scalings(x, s)
+            assert np.array_equal(got[1], want[1])
+            for attr in ("lam", "R", "Rinv", "W"):
+                per_block = _unstack([getattr(sc, attr) for sc in got[0]])
+                assert len(per_block) == len(want[0])
+                assert all(np.array_equal(a, getattr(b, attr)) for a, b in zip(per_block, want[0]))
+            assert np.array_equal(ipm._apply_w(got, u), ref.apply_w(want, u))
+            assert np.array_equal(ipm._schur(got), ref.schur(want))
+            ap, ad, pairs = ipm._step_lengths(got, x, s, dx, ds)
+            ref_ap, ref_ad, ref_pairs = ref.step_lengths(want, x, s, dx, ds)
+            assert (ap, ad) == (ref_ap, ref_ad)
+            for side in (0, 1):
+                per_block = _unstack([pair[side] for pair in pairs])
+                assert all(np.array_equal(a, b[side]) for a, b in zip(per_block, ref_pairs))
+            targets = _unstack(
+                [sc.combine_target(0.3, dxt, dst) for sc, (dxt, dst) in zip(got[0], pairs)]
+            )
+            ref_targets = [
+                sc.combine_target(0.3, dxt, dst) for sc, (dxt, dst) in zip(want[0], ref_pairs)
+            ]
+            assert all(np.array_equal(a, b) for a, b in zip(targets, ref_targets))
+
+    def test_marginally_indefinite_block_is_nudged_alone(self):
+        rng = np.random.default_rng(131)
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        bad = Q @ np.diag([2.0, 1.0, -1e-15]) @ Q.T
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(0.5 * (bad + bad.T))
+        good = [G @ G.T + np.eye(3) for G in rng.normal(size=(2, 3, 3))]
+        x = np.stack([good[0], bad, good[1]])
+        L = _chol(x)
+        assert np.array_equal(L[1], _ref_chol(bad))
+        for i in (0, 2):
+            assert np.array_equal(L[i], np.linalg.cholesky(0.5 * (x[i] + x[i].T)))
+        s = np.stack([G @ G.T + np.eye(3) for G in rng.normal(size=(3, 3, 3))])
+        sc = _ConeScaling(x, s)
+        for i in range(3):
+            ref = _RefScaling(x[i], s[i])
+            for attr in ("lam", "R", "Rinv", "W"):
+                assert np.array_equal(getattr(sc, attr)[i], getattr(ref, attr))
 
 
 class TestInvariants:
