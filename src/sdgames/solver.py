@@ -135,6 +135,27 @@ def _step_to_boundary(emin: float) -> float:
     return -1.0 / emin if emin < -1e-14 else np.inf
 
 
+def _gram_schmidt_rows(A: np.ndarray, tol: np.ndarray):
+    """Indices of the rows of A kept and dropped by Gram-Schmidt: row j is kept
+    when its distance from the span of the kept rows before it exceeds tol[j]."""
+    Q = np.zeros_like(A)  # orthonormal basis of the kept rows, first r rows
+    r = 0
+    keep: List[int] = []
+    dropped: List[int] = []
+    for j in range(A.shape[0]):
+        v = A[j].copy()
+        for _ in range(2):  # reorthogonalize once against rounding
+            v -= Q[:r].T @ (Q[:r] @ v)
+        nv = np.linalg.norm(v)
+        if nv > tol[j]:
+            Q[r] = v / nv
+            r += 1
+            keep.append(j)
+        else:
+            dropped.append(j)
+    return keep, dropped
+
+
 class _ConeScaling:
     """Nesterov-Todd scaling of a (g, k, k) stack of matrix blocks for one
     iteration: per block, R with R^-1 X R^-T = R' S R = diag(lam), and W = R R'."""
@@ -230,13 +251,14 @@ class _Ipm:
         """Drop linearly dependent constraint rows; flag inconsistent duplicates."""
         A = self.A
         p, d = A.shape
-        # |R_jj| of A' = QR is the distance of row j from the span of rows < j;
-        # rows j >= d have distance 0
-        resid = np.zeros(p)
-        resid[: min(p, d)] = np.abs(np.diagonal(np.linalg.qr(A.T, mode="r")))
-        indep = resid > 1e-10 * (1.0 + np.linalg.norm(A, axis=1))
-        keep = np.flatnonzero(indep).tolist()
-        dropped = np.flatnonzero(~indep).tolist()
+        tol = 1e-10 * (1.0 + np.linalg.norm(A, axis=1))
+        # while rows < j are independent, |R_jj| of A' = QR is the distance of
+        # row j from their span, so one QR settles a matrix of full row rank.
+        # After a dependent row, R_jj no longer measures that distance.
+        if p <= d and np.all(np.abs(np.diagonal(np.linalg.qr(A.T, mode="r"))) > tol):
+            keep, dropped = list(range(p)), []
+        else:
+            keep, dropped = _gram_schmidt_rows(A, tol)
         self.kept_rows = keep
         self.dropped_rows = dropped
         self.inconsistent = False

@@ -573,6 +573,17 @@ def _presolve_cases(rng, consistent):
     yield _sdp(st, obj, [zero, indep[0], dup] + indep[1:]), 2, not consistent
     # no rows at all
     yield StandardSdp(st, st.flat(obj), np.zeros((0, st.dim)), np.zeros(0)), 0, False
+    # sparse rows after a dependent row: an independent row may lie in the
+    # direction a QR of A' adds for the dependent one
+    st = BlockStructure([diag_block(2)])
+    rows = [
+        ([np.array(a)], rhs)
+        for a, rhs in [([1.0, 1.0], 2.0), ([2.0, 2.0], 4.0 + shift), ([1.0, -1.0], 0.0)]
+    ]
+    yield _sdp(st, [np.ones(2)], rows), 1, not consistent
+    st = BlockStructure([diag_block(3)])
+    rows = [([np.eye(3)[i]], rhs) for i, rhs in [(0, 1.0), (0, 1.0 + shift), (1, 1.0)]]
+    yield _sdp(st, [np.ones(3)], rows), 1, not consistent
 
 
 def _ref_chol(a):
