@@ -10,7 +10,6 @@ Exit codes for reduce: 0 strongly optimal, 2 unboundedness certificate,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 import time
@@ -97,42 +96,32 @@ def _error_text(exc: Exception) -> str:
     return f"error: {exc}"
 
 
-def _batch_result(fut):
-    """The (outcome, report) of one batch file, or the error it failed with."""
-    try:
-        return fut.result()
-    except _FILE_ERRORS as exc:
-        return exc
-
-
 def cmd_reduce(args) -> int:
     path = Path(args.input)
     paths = sorted(path.glob("*.json")) if path.is_dir() else [path]
     if not paths:
         print(f"no problem files under {path}", file=sys.stderr)
         return 1
-    code = 0
-    failed = False
-    if len(paths) > 1:
-        # one failed file is reported in its place and does not stop the batch
-        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
-            futs = {p: pool.submit(_reduce_one, p, args) for p in paths}
-        pairs = [(p, _batch_result(futs[p])) for p in paths]
-    else:
-        pairs = [(paths[0], _reduce_one(paths[0], args))]
-    for p, result in pairs:
-        if isinstance(result, Exception):
-            failed = True
-            report = {"error": _error_text(result)}
+    batch = len(paths) > 1
+    code, failed = 0, False
+    # one file at a time: threads would only queue for the interpreter lock
+    for p in paths:
+        try:
+            outcome, report = _reduce_one(p, args)
+        except _FILE_ERRORS as exc:
+            if not batch:
+                raise
+            # one failed file is reported in its place and does not stop the batch
+            failed, report = True, {"error": _error_text(exc)}
         else:
-            outcome, report = result
             code = max(code, _EXIT_BY_KIND[outcome.kind])
         if args.json:
-            print(json.dumps({p.name: report} if len(paths) > 1 else report, indent=2))
+            print(json.dumps({p.name: report} if batch else report, indent=2))
         else:
             _print_report_text(p.name, report)
-            if len(paths) > 1:
+            if batch:
                 print()
+        sys.stdout.flush()
         if args.out:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -216,6 +205,27 @@ def _candidate_fields(cand, kind: str) -> dict:
     return out
 
 
+# the verify kind of each reported outcome, and its candidate fields in the report
+_REPORT_CANDIDATES = {
+    STRONGLY_OPTIMAL: ("optimal", {"X": "X", "y": "y"}),
+    PRIMAL_UNBOUNDED_CERT: ("primal-dir", {"W": "direction_X"}),
+    DUAL_UNBOUNDED_CERT: ("dual-dir", {"y": "direction_y"}),
+}
+
+
+def _report_candidate(report) -> tuple:
+    """The verify kind and the candidate that a ``reduce`` report holds."""
+    if not isinstance(report, dict):
+        raise ValueError("a report is a JSON object")
+    if "error" in report:
+        raise ValueError(f"the report holds an error, not a result: {report['error']}")
+    outcome = report.get("outcome")
+    if outcome not in _REPORT_CANDIDATES:
+        raise ValueError(f"a report with outcome {outcome!r} holds no result to verify")
+    kind, fields = _REPORT_CANDIDATES[outcome]
+    return kind, {key: report[field] for key, field in fields.items()}
+
+
 def cmd_verify(args) -> int:
     pair, _ = load_problem(Path(args.input))
     try:
@@ -223,14 +233,16 @@ def cmd_verify(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"candidate parse error: {exc}", file=sys.stderr)
         return 1
-    pf, tol = pair.to_float(), args.tol
+    pf, tol, kind = pair.to_float(), args.tol, args.kind
     try:
-        f = _candidate_fields(cand, args.kind)
-        if args.kind == "optimal":
+        if kind is None:
+            kind, cand = _report_candidate(cand)
+        f = _candidate_fields(cand, kind)
+        if kind == "optimal":
             X, y = PrimalPoint(SymMat(f["X"])), DualPoint(tuple(f["y"]))
             ok, detail = verify_strongly_optimal(pf, X, y, tol), ""
         else:
-            if args.kind == "primal-dir":
+            if kind == "primal-dir":
                 check = check_primal_direction(pf, SymMat(f["W"]), tol)
             else:
                 check = check_dual_direction(pf, f["y"], tol)
@@ -289,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a candidate solution or direction")
     p.add_argument("input")
-    p.add_argument("candidate")
-    p.add_argument("--kind", choices=["optimal", "primal-dir", "dual-dir"], required=True)
+    p.add_argument("candidate", help="candidate file, or a reduce report when --kind is omitted")
+    p.add_argument("--kind", choices=["optimal", "primal-dir", "dual-dir"],
+                   help="omitted: the report's outcome gives the kind")
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_verify)
 

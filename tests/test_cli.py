@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import sdgames.cli as cli
 from sdgames.cli import main
 from sdgames.generators import example_corpus, random_unbounded
 from sdgames.model import SdpPair, SymMat
@@ -281,10 +283,52 @@ class TestReduce:
         assert "instance    : bounded.json\noutcome     : StronglyOptimal" in stdout
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
+        # a single file's error reaches main: one stderr line, no report
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["reduce", str(bad)]) == 1
+        for extra in ([], ["--json"]):
+            assert main(["reduce", str(bad), *extra]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("problem format error:")
+
+    def test_bad_last_file_keeps_earlier_reports(self, corpus_dir, tmp_path, capsys):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        for stem in ("bounded", "unbounded"):
+            (batch / f"{stem}.json").write_text((corpus_dir / f"{stem}.json").read_text())
+        (batch / "zz_bad.json").write_text("{not json")
+        out = tmp_path / "reports"
+        assert main(["reduce", str(batch), "--out", str(out)]) == 1
         capsys.readouterr()
+        reports = {p.name: json.loads(p.read_text()) for p in out.glob("*.report.json")}
+        assert reports["bounded.report.json"]["outcome"] == "StronglyOptimal"
+        assert reports["unbounded.report.json"]["outcome"] == "PrimalUnboundedCert"
+        assert reports["zz_bad.report.json"]["error"].startswith("problem format error:")
+
+    def test_batch_runs_in_order_in_the_calling_thread(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        for stem in ("unbounded", "bounded", "both_infeasible"):
+            (batch / f"{stem}.json").write_text((corpus_dir / f"{stem}.json").read_text())
+        out = tmp_path / "reports"
+        calls = []
+        reduce_one = cli._reduce_one
+
+        def recording(path, args):
+            written = sorted(p.name for p in out.glob("*.report.json"))
+            calls.append((threading.get_ident(), path.name, written))
+            return reduce_one(path, args)
+
+        monkeypatch.setattr(cli, "_reduce_one", recording)
+        assert main(["reduce", str(batch), "--out", str(out)]) == 2
+        capsys.readouterr()
+        names = ["both_infeasible.json", "bounded.json", "unbounded.json"]
+        assert [name for _, name, _ in calls] == names
+        assert all(ident == threading.get_ident() for ident, _, _ in calls)
+        # each file's report is on disk before the next file starts
+        for i, (_, _, written) in enumerate(calls):
+            assert written == [f"{name[:-5]}.report.json" for name in names[:i]]
 
 
 class TestVerify:
@@ -324,6 +368,51 @@ class TestVerify:
         rc = main(["verify", str(problem), str(cand), "--kind", "primal-dir"])
         assert rc == 0
         assert capsys.readouterr().out.startswith("PASS (Farkas certificate, ")
+
+    @pytest.mark.parametrize(
+        "stem", ["bounded", "unbounded", "both_infeasible", "duality_gap", "aux_unattained"]
+    )
+    def test_report_form_reads_the_kind_from_the_outcome(self, corpus_dir, tmp_path, capsys, stem):
+        main(["reduce", str(corpus_dir / f"{stem}.json"), "--out", str(tmp_path)])
+        capsys.readouterr()
+        rc = main(["verify", str(corpus_dir / f"{stem}.json"), str(tmp_path / f"{stem}.report.json")])
+        captured = capsys.readouterr()
+        expected = {
+            "bounded": "PASS\n",
+            "unbounded": "PASS (Farkas certificate, strict)\n",
+            "both_infeasible": "PASS (Farkas certificate, not strict)\n",
+        }
+        if stem in expected:
+            assert (rc, captured.out) == (0, expected[stem])
+        else:  # Inconclusive
+            assert (rc, captured.out) == (1, "")
+            assert captured.err.startswith("invalid candidate: a report with outcome 'Inconclusive'")
+
+    def test_report_form_checks_at_tol(self, corpus_dir, tmp_path, capsys):
+        main(["reduce", str(corpus_dir / "bounded.json"), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        report["y"] = [report["y"][0] + 1e-3]  # 1e-3 off the optimal y
+        path = tmp_path / "bounded.report.json"
+        path.write_text(json.dumps(report))
+        problem = str(corpus_dir / "bounded.json")
+        assert main(["verify", problem, str(path)]) == 2
+        assert capsys.readouterr().out == "FAIL\n"
+        assert main(["verify", problem, str(path), "--tol", "1e-2"]) == 0
+        assert capsys.readouterr().out == "PASS\n"
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [({"error": "problem format error: x"}, "the report holds an error"),
+         ([1.0], "a report is a JSON object")],
+    )
+    def test_report_form_rejects_a_report_without_result(self, corpus_dir, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.report.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["verify", str(corpus_dir / "bounded.json"), str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"invalid candidate: {message}")
 
     def test_bad_candidate_fails(self, corpus_dir, tmp_path, capsys):
         cand = tmp_path / "zero.json"
