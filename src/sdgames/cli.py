@@ -51,6 +51,22 @@ _EXIT_BY_KIND = {
 }
 
 
+def _finite_positive(text: str) -> float:
+    """argparse type: a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number")
+    return value
+
+
+def _bound_arg(text: str):
+    """argparse type of --M: 'auto' or a finite positive number."""
+    return text if text == "auto" else _finite_positive(text)
+
+
 def _print_report_text(name: str, report: dict) -> None:
     print(f"instance    : {name}")
     if "error" in report:
@@ -75,7 +91,7 @@ def _print_report_text(name: str, report: dict) -> None:
 def _reduce_one(path: Path, args) -> tuple:
     pair, metadata = load_problem(path)
     t0 = time.perf_counter()
-    bound_mode = "practical" if args.M in (None, "auto") else float(args.M)
+    bound_mode = "practical" if args.M == "auto" else args.M
     cfg = PipelineConfig(
         solver_opts=SolverOptions(tol=args.tol, max_iters=400),
         bound_mode=bound_mode,
@@ -278,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="run the game reduction pipeline")
     p.add_argument("input", help="problem file or directory of problem files")
-    p.add_argument("--M", default="auto", help="solution bound: 'auto' or a number")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--M", type=_bound_arg, default="auto",
+                   help="solution bound: 'auto' or a finite positive number")
+    p.add_argument("--tol", type=_finite_positive, default=1e-10)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None, help="directory for report files")
     p.set_defaults(func=cmd_reduce)
@@ -304,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidate", help="candidate file, or a reduce report when --kind is omitted")
     p.add_argument("--kind", choices=["optimal", "primal-dir", "dual-dir"],
                    help="omitted: the report's outcome gives the kind")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_finite_positive, default=1e-6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="solve the primal and dual directly")
     p.add_argument("input")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_positive, default=1e-9)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
     return ap

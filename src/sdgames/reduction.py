@@ -48,13 +48,13 @@ class PipelineConfig:
     def __post_init__(self):
         if self.value_zero_threshold is not None and self.value_zero_threshold <= 0:
             raise ValueError("threshold must be positive")
-        if self.verify_tol <= 0:
-            raise ValueError("verification tolerance must be positive")
+        if not 0 < self.verify_tol < np.inf:
+            raise ValueError("verification tolerance must be finite and positive")
         if isinstance(self.bound_mode, str):
             if self.bound_mode != "practical":
                 raise ValueError("bound_mode is 'practical' or a fixed numeric value")
-        elif not float(self.bound_mode) > 0:
-            raise ValueError("a fixed solution bound must be positive")
+        elif not 0 < float(self.bound_mode) < np.inf:
+            raise ValueError("a fixed solution bound must be finite and positive")
 
 
 @dataclass(eq=False)

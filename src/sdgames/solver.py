@@ -42,8 +42,8 @@ class SolverOptions:
     debug: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not 0.0 < self.step_fraction < 1.0:
@@ -105,14 +105,13 @@ class SolveResult:
 
 
 def _chol(a: np.ndarray) -> np.ndarray:
-    """Cholesky factors of the symmetric parts of a (g, k, k) stack."""
-    sym = 0.5 * (a + a.swapaxes(-1, -2))
+    """Cholesky factors of a (n, k, k) stack of exactly symmetric matrices."""
     try:
-        return np.linalg.cholesky(sym)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         pass
-    out = np.empty_like(sym)
-    for i, m in enumerate(sym):
+    out = np.empty_like(a)
+    for i, m in enumerate(a):
         try:
             out[i] = np.linalg.cholesky(m)
         except np.linalg.LinAlgError:
@@ -120,14 +119,6 @@ def _chol(a: np.ndarray) -> np.ndarray:
             eps = 1e-14 * max(1.0, abs(float(np.trace(m))))
             out[i] = np.linalg.cholesky(m + eps * np.eye(m.shape[0]))
     return out
-
-
-def _min_eig_scaled(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """lambda_min of Lambda^-1/2 T Lambda^-1/2 for each direction T of a stack in
-    NT-scaled coordinates, where the iterate itself is Lambda = diag(lam)."""
-    isq = 1.0 / np.sqrt(lam)
-    E = isq[:, :, None] * t * isq[:, None, :]
-    return np.linalg.eigvalsh(0.5 * (E + E.swapaxes(-1, -2)))[:, 0]
 
 
 def _step_to_boundary(emin: float) -> float:
@@ -161,30 +152,37 @@ class _ConeScaling:
     iteration: per block, R with R^-1 X R^-T = R' S R = diag(lam), and W = R R'."""
 
     def __init__(self, x: np.ndarray, s: np.ndarray):
-        Lx = _chol(x)
-        Ls = _chol(s)
+        L = _chol(np.concatenate([x, s]))
+        Lx, Ls = L[: len(x)], L[len(x) :]
         U, sig, Vt = np.linalg.svd(Ls.swapaxes(-1, -2) @ Lx)
-        if np.any(sig <= 0):
+        if sig.min() <= 0:
             raise np.linalg.LinAlgError("NT scaling broke down")
         isq = 1.0 / np.sqrt(sig)
         self.lam = sig
         self.R = Lx @ (Vt.swapaxes(-1, -2) * isq[:, None, :])
         self.Rinv = (isq[:, :, None] * U.swapaxes(-1, -2)) @ Ls.swapaxes(-1, -2)
         self.W = self.R @ self.R.swapaxes(-1, -2)
+        # P = [R^-1; R'] maps the direction [dX; dS] of both sides at once
+        self.P = np.concatenate([self.Rinv, self.R.swapaxes(-1, -2)])
+        self.isq2 = np.concatenate([isq, isq])  # Lambda^-1/2, once per side
+        self.denom = 0.5 * (sig[:, :, None] + sig[:, None, :])
 
-    def scaled(self, dx: np.ndarray, ds: np.ndarray):
-        """The direction (R^-1 dX R^-T, R' dS R) in scaled coordinates."""
-        Rinv, R = self.Rinv, self.R
-        return Rinv @ dx @ Rinv.swapaxes(-1, -2), R.swapaxes(-1, -2) @ ds @ R
+    def scaled_min_eigs(self, d: np.ndarray):
+        """The direction d = [dX; dS] of a (2g, k, k) stack in scaled coordinates,
+        T = P d P' = [R^-1 dX R^-T; R' dS R], and lambda_min of
+        Lambda^-1/2 T Lambda^-1/2 for each of its 2g blocks."""
+        t = self.P @ d @ self.P.swapaxes(-1, -2)
+        E = self.isq2[:, :, None] * t * self.isq2[:, None, :]
+        return t, np.linalg.eigvalsh(0.5 * (E + E.swapaxes(-1, -2)))[:, 0]
 
-    def combine_target(self, sigma_mu: float, dxt: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    def combine_target(self, sigma_mu: float, t: np.ndarray) -> np.ndarray:
         """g-term of the corrector direction, R T(sigma*mu*I - Hcorr) R', from the
-        predictor's scaled direction."""
-        psi = -(0.5 * (dxt @ dst + dst @ dxt))
-        i = np.arange(psi.shape[-1])
-        psi[:, i, i] += sigma_mu
-        denom = 0.5 * (self.lam[:, :, None] + self.lam[:, None, :])
-        return self.R @ (psi / denom) @ self.R.swapaxes(-1, -2)
+        predictor's scaled direction t = [dX~; dS~]."""
+        g, k = self.lam.shape
+        dxt, dst = t[:g], t[g:]
+        psi = -0.5 * (dxt @ dst + dst @ dxt)
+        psi.reshape(g, k * k)[:, :: k + 1] += sigma_mu  # the diagonals
+        return self.R @ (psi / self.denom) @ self.R.swapaxes(-1, -2)
 
 
 class _Ipm:
@@ -230,7 +228,12 @@ class _Ipm:
         # augmented Newton matrix [[S, F], [F', 0]]; F is the free columns of A
         # and the Schur complement S is written into it at every iteration
         F = self.A[:, self.free]
-        self.Maug = np.block([[np.zeros((self.p, self.p)), F], [F.T, np.zeros((F.shape[1],) * 2)]])
+        self.Maug = np.zeros((self.p + F.shape[1],) * 2)
+        self.Maug[: self.p, self.p :], self.Maug[self.p :, : self.p] = F, F.T
+        # views of A on the orthant and per stack: a contiguous copy would send
+        # the Schur GEMMs down another BLAS path and change the results
+        self.A_o = self.A[:, self.orth]
+        self.A_stacks = [self.A[:, sl].reshape(self.p, g, k, k) for sl, g, k in self.stacks]
         self.c = sign * problem.objective[self.perm]
         self.e = self._flat(structure.identity())
         self.beta_scale = 1.0 + (np.max(np.abs(self.beta)) if self.beta.size else 0.0)
@@ -286,8 +289,8 @@ class _Ipm:
         return self.beta - self.A @ x, self.c - self.A.T @ y - s
 
     def _infeasibilities(self, r_p, r_d):
-        pinf = (np.max(np.abs(r_p)) if r_p.size else 0.0) / self.beta_scale
-        return float(pinf), float(np.max(np.abs(r_d))) / self.c_scale
+        pinf = (abs(r_p).max() if r_p.size else 0.0) / self.beta_scale
+        return float(pinf), float(abs(r_d).max()) / self.c_scale
 
     def _debug_weak_duality(self, pobj, dobj, x, y, r_p, r_d):
         corr = abs(float(y @ r_p)) + abs(float(r_d @ x))
@@ -308,7 +311,7 @@ class _Ipm:
     def _apply_w(self, scalings, u):
         """W U W on each matrix block, w2 * u on the orthant, 0 on the free scalars."""
         nt, w2 = scalings
-        out = np.zeros_like(u)
+        out = np.zeros(u.shape)
         for (sl, g, k), sc in zip(self.stacks, nt):
             out[sl] = (sc.W @ u[sl].reshape(g, k, k) @ sc.W).ravel()
         out[self.orth] = w2 * u[self.orth]
@@ -317,17 +320,16 @@ class _Ipm:
     def _schur(self, scalings):
         nt, w2 = scalings
         p = self.p
-        A_o = self.A[:, self.orth]
-        S = (A_o * w2) @ A_o.T
-        for (sl, g, k), sc in zip(self.stacks, nt):
-            Ai = self.A[:, sl].reshape(p, g, k, k)
+        S = (self.A_o * w2) @ self.A_o.T
+        for Ai, sc in zip(self.A_stacks, nt):
             waw = sc.W @ Ai @ sc.W
             # one GEMM per block keeps the sum over blocks in a fixed order
-            for b in range(g):
+            for b in range(Ai.shape[1]):
                 S += Ai[:, b].reshape(p, -1) @ waw[:, b].reshape(p, -1).T
         return S
 
-    def _solve_augmented(self, Maug, rhs):
+    def _solve_augmented(self, rhs):
+        Maug = self.Maug
         try:
             sol = np.linalg.solve(Maug, rhs)
             r = rhs - Maug @ sol
@@ -336,13 +338,12 @@ class _Ipm:
             sol, *_ = np.linalg.lstsq(Maug, rhs, rcond=None)
         return sol
 
-    def _direction(self, scalings, Maug, r_p, r_d, g):
-        """Newton direction given the g-term g, which is 0 on the free scalars."""
+    def _direction(self, scalings, r_p, r_d, wrd, g):
+        """Newton direction given the g-term g, which is 0 on the free scalars,
+        and wrd = W r_d W."""
         p = self.p
-        rhs = np.concatenate(
-            [r_p - self.A @ (g - self._apply_w(scalings, r_d)), r_d[self.free]]
-        )
-        sol = self._solve_augmented(Maug, rhs)
+        rhs = np.concatenate([r_p - self.A @ (g - wrd), r_d[self.free]])
+        sol = self._solve_augmented(rhs)
         dy = sol[:p]
         ds = r_d - self.A.T @ dy
         ds[self.free] = 0.0
@@ -353,33 +354,32 @@ class _Ipm:
 
     def _step_lengths(self, scalings, x, s, dx, ds):
         """Largest steps that keep x + ap*dx and s + ad*ds in the cone, and the
-        direction of each stack of matrix blocks in NT-scaled coordinates."""
+        direction [dX; dS] of each stack of matrix blocks in NT-scaled coordinates."""
         nt, _ = scalings
         o = self.orth
-        ep = float(np.min(dx[o] / x[o], initial=0.0))
-        ed = float(np.min(ds[o] / s[o], initial=0.0))
-        pairs = []
+        ep = float((dx[o] / x[o]).min(initial=0.0))
+        ed = float((ds[o] / s[o]).min(initial=0.0))
+        scaled = []
         for (sl, g, k), sc in zip(self.stacks, nt):
-            dxt, dst = sc.scaled(dx[sl].reshape(g, k, k), ds[sl].reshape(g, k, k))
-            emin = _min_eig_scaled(np.concatenate([dxt, dst]), np.concatenate([sc.lam, sc.lam]))
-            ep = min(ep, *emin[:g].tolist())
-            ed = min(ed, *emin[g:].tolist())
-            pairs.append((dxt, dst))
-        return _step_to_boundary(ep), _step_to_boundary(ed), pairs
+            t, emin = sc.scaled_min_eigs(np.concatenate([dx[sl], ds[sl]]).reshape(2 * g, k, k))
+            ep = min(ep, emin[:g].min())
+            ed = min(ed, emin[g:].min())
+            scaled.append(t)
+        return _step_to_boundary(ep), _step_to_boundary(ed), scaled
 
     def _check_infeasibility(self, x, y, s):
         """Best-effort Farkas-ray detection once iterates diverge."""
-        xnorm = float(np.max(np.abs(x)))
+        xnorm = float(abs(x).max())
         if xnorm > 1e6 * self.scale:
             q = x / xnorm
-            feas = np.max(np.abs(self.A @ q)) if self.p else 0.0
+            feas = abs(self.A @ q).max() if self.p else 0.0
             if self.c @ q < -1e-6 and feas <= 1e-6:
                 return DUAL_INFEASIBLE, q
-        ynorm = float(np.max(np.abs(y))) if y.size else 0.0
-        zn = max(ynorm, float(np.max(np.abs(s))))
+        ynorm = float(abs(y).max()) if y.size else 0.0
+        zn = max(ynorm, float(abs(s).max()))
         if zn > 1e6 * self.scale:
             yhat = y / zn
-            resid = float(np.max(np.abs(self.A.T @ yhat + s / zn)))
+            resid = float(abs(self.A.T @ yhat + s / zn).max())
             if float(self.beta @ yhat) > 1e-6 and resid <= 1e-6:
                 return PRIMAL_INFEASIBLE, yhat
         if max(xnorm, zn) > self.opts.divergence_threshold * self.scale:
@@ -427,14 +427,14 @@ class _Ipm:
                 break
             try:
                 scalings = self._scalings(x, s)
-                Maug = self.Maug
-                Maug[: self.p, : self.p] = self._schur(scalings)
+                self.Maug[: self.p, : self.p] = self._schur(scalings)
+                wrd = self._apply_w(scalings, r_d)
                 mu = compl / max(self.nu, 1)
                 # predictor
                 g = -x
                 g[self.free] = 0.0
-                dxa, dya, dsa = self._direction(scalings, Maug, r_p, r_d, g)
-                apa, ada, pairs = self._step_lengths(scalings, x, s, dxa, dsa)
+                dxa, dya, dsa = self._direction(scalings, r_p, r_d, wrd, g)
+                apa, ada, scaled = self._step_lengths(scalings, x, s, dxa, dsa)
                 apa, ada = min(1.0, apa), min(1.0, ada)
                 xa = x[:nc] + apa * dxa[:nc]
                 sa = s[:nc] + ada * dsa[:nc]
@@ -443,9 +443,9 @@ class _Ipm:
                 # corrector
                 o = self.orth
                 g[o] += (sigma * mu - dxa[o] * dsa[o]) / s[o]
-                for (sl, _, _), sc, (dxt, dst) in zip(self.stacks, scalings[0], pairs):
-                    g[sl] += sc.combine_target(sigma * mu, dxt, dst).ravel()
-                dx, dy, ds = self._direction(scalings, Maug, r_p, r_d, g)
+                for (sl, _, _), sc, t in zip(self.stacks, scalings[0], scaled):
+                    g[sl] += sc.combine_target(sigma * mu, t).ravel()
+                dx, dy, ds = self._direction(scalings, r_p, r_d, wrd, g)
                 ap, ad, _ = self._step_lengths(scalings, x, s, dx, ds)
             except (np.linalg.LinAlgError, FloatingPointError):
                 if best[0] < 1e-6:
@@ -461,12 +461,11 @@ class _Ipm:
                 self.warnings.append("step sizes collapsed; stopping early")
                 status = MAX_ITERATIONS
                 break
-            x = x + ap * dx
-            x = 0.5 * (x + x[self.tr])
+            x = x + ap * dx  # exactly symmetric, as dx is
             s = s + ad * ds
             s = 0.5 * (s + s[self.tr])
             y = y + ad * dy
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            if not (np.isfinite(x).all() and np.isfinite(y).all()):
                 status = NUMERICAL_FAILURE
                 break
         if status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and best[0] < np.inf:

@@ -506,6 +506,27 @@ class TestSolveAndBound:
         assert f"etabar1     : {eta_bar(1, 1, 1)}" in out
         assert f"certified lg M: {eta_bar(1, 1, 1) + 2}" in out
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e400", "one"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("reduce", "--tol"), ("reduce", "--M"), ("verify", "--tol"), ("solve", "--tol")],
+    )
+    def test_tol_and_bound_are_finite_positive_numbers(
+        self, corpus_dir, monkeypatch, capsys, command, flag, value
+    ):
+        def no_load(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "load_problem", no_load)
+        problem = str(corpus_dir / "bounded.json")
+        inputs = {"reduce": [str(corpus_dir)], "verify": [problem, problem], "solve": [problem]}
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs[command], flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: '{value}' is not a finite positive number" in err
+
     def test_reduce_and_solve_agree_on_slater_instances(self, tmp_path, capsys):
         for seed in (3, 4):
             d = tmp_path / f"s{seed}"

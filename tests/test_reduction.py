@@ -116,6 +116,18 @@ class TestAuxValueRelation:
             aux_value_relation(1.0, 1.0)
 
 
+class TestPipelineConfig:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_verify_tol_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            PipelineConfig(verify_tol=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_numeric_bound_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            PipelineConfig(bound_mode=bad)
+
+
 class TestPipelineCorpus:
     def test_bounded(self, bounded_pair):
         out = run_pipeline(bounded_pair, PipelineConfig(bound_mode=3.0))

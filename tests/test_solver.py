@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sdgames.auxiliary import solve_aux
 from sdgames.blocks import (
     MATRIX,
     BlockStructure,
@@ -14,6 +15,8 @@ from sdgames.blocks import (
     matrix_block,
     matrix_equality,
 )
+from sdgames.game import solve_game
+from sdgames.generators import random_slater
 from sdgames.solver import (
     DUAL_INFEASIBLE,
     OPTIMAL,
@@ -27,6 +30,7 @@ from sdgames.solver import (
     solve,
 )
 
+import solve_digest
 from lp_oracle import OPTIMAL as LP_OPTIMAL
 from lp_oracle import lp_min_standard
 
@@ -235,6 +239,13 @@ class TestProblemData:
             StandardSdp(st, np.ones(st.dim), np.eye(2, st.dim + 1), np.ones(2))
         with pytest.raises(ValueError, match="p x dim"):
             StandardSdp(st, np.ones(st.dim), np.eye(2, st.dim), np.ones(3))
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf, -np.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            SolverOptions(tol=tol)
 
 
 class TestMatrixEquality:
@@ -721,6 +732,10 @@ class TestStackedKernels:
             dx = ipm._flat(_symmetric_direction(rng, st))
             ds = ipm._flat(_symmetric_direction(rng, st))
             u = rng.normal(size=x.size)
+            for sl, g, k in ipm.stacks:
+                # one Cholesky call over the x and s blocks of a stack
+                both = np.concatenate([x[sl], s[sl]]).reshape(2 * g, k, k)
+                assert all(np.array_equal(a, _ref_chol(b)) for a, b in zip(_chol(both), both))
             got, want = ipm._scalings(x, s), ref.scalings(x, s)
             assert np.array_equal(got[1], want[1])
             for attr in ("lam", "R", "Rinv", "W"):
@@ -729,15 +744,15 @@ class TestStackedKernels:
                 assert all(np.array_equal(a, getattr(b, attr)) for a, b in zip(per_block, want[0]))
             assert np.array_equal(ipm._apply_w(got, u), ref.apply_w(want, u))
             assert np.array_equal(ipm._schur(got), ref.schur(want))
-            ap, ad, pairs = ipm._step_lengths(got, x, s, dx, ds)
+            ap, ad, scaled = ipm._step_lengths(got, x, s, dx, ds)
             ref_ap, ref_ad, ref_pairs = ref.step_lengths(want, x, s, dx, ds)
             assert (ap, ad) == (ref_ap, ref_ad)
+            # one stacked product P [dX; dS] P' per stack gives both scaled sides
             for side in (0, 1):
-                per_block = _unstack([pair[side] for pair in pairs])
+                halves = [t[side * g : (side + 1) * g] for t, (_, g, _) in zip(scaled, ipm.stacks)]
+                per_block = _unstack(halves)
                 assert all(np.array_equal(a, b[side]) for a, b in zip(per_block, ref_pairs))
-            targets = _unstack(
-                [sc.combine_target(0.3, dxt, dst) for sc, (dxt, dst) in zip(got[0], pairs)]
-            )
+            targets = _unstack([sc.combine_target(0.3, t) for sc, t in zip(got[0], scaled)])
             ref_targets = [
                 sc.combine_target(0.3, dxt, dst) for sc, (dxt, dst) in zip(want[0], ref_pairs)
             ]
@@ -747,15 +762,18 @@ class TestStackedKernels:
         rng = np.random.default_rng(131)
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         bad = Q @ np.diag([2.0, 1.0, -1e-15]) @ Q.T
+        bad = 0.5 * (bad + bad.T)  # iterates are exactly symmetric
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(0.5 * (bad + bad.T))
+            np.linalg.cholesky(bad)
         good = [G @ G.T + np.eye(3) for G in rng.normal(size=(2, 3, 3))]
         x = np.stack([good[0], bad, good[1]])
-        L = _chol(x)
-        assert np.array_equal(L[1], _ref_chol(bad))
-        for i in (0, 2):
-            assert np.array_equal(L[i], np.linalg.cholesky(0.5 * (x[i] + x[i].T)))
         s = np.stack([G @ G.T + np.eye(3) for G in rng.normal(size=(3, 3, 3))])
+        # the merged call over the 2g blocks of x and s nudges the bad block alone
+        both = np.concatenate([x, s])
+        L = _chol(both)
+        assert np.array_equal(L[1], _ref_chol(bad))
+        for i in (0, 2, 3, 4, 5):
+            assert np.array_equal(L[i], np.linalg.cholesky(both[i]))
         sc = _ConeScaling(x, s)
         for i in range(3):
             ref = _RefScaling(x[i], s[i])
@@ -764,6 +782,38 @@ class TestStackedKernels:
 
 
 class TestInvariants:
+    def test_iterates_stay_exactly_symmetric(self, bounded_pair, game_opts, monkeypatch):
+        # the Cholesky factors and the x update rely on x and s being exactly
+        # symmetric on every matrix block, without a symmetrization of their own
+        scalings = _Ipm._scalings
+        calls = []
+
+        def checked(ipm, x, s):
+            for v in (x, s):
+                assert np.array_equal(v, v[ipm.tr])
+            calls.append(ipm)
+            return scalings(ipm, x, s)
+
+        monkeypatch.setattr(_Ipm, "_scalings", checked)
+        solve_aux(bounded_pair)
+        solve_game(random_slater(4, 4, 1), 10.0, game_opts)
+        # rows whose matrix parts are not symmetric: s is symmetrized after each step
+        rng = np.random.default_rng(7)
+        prob = _random_feasible_block_sdp(rng)
+        n = prob.structure.blocks[0].size
+        K = rng.normal(size=(prob.num_constraints, n, n))
+        A = prob.A.copy()
+        A[:, : n * n] += (K - K.swapaxes(1, 2)).reshape(len(A), -1)  # <K - K', X> = 0
+        solve(StandardSdp(prob.structure, prob.objective, A, prob.b))
+        assert len(calls) > 50 and all(ipm.stacks for ipm in calls)
+
+    def test_solve_digest_repeats_exactly(self):
+        # the parity digest of tests/solve_digest.py is worth comparing between
+        # trees only if one tree repeats it bit for bit
+        first = solve_digest.digest(solve_digest.corpus_instances())
+        assert set(first) == {"primal-aux", "refined-aux", "game-p1", "game-p2"}
+        assert solve_digest.digest(solve_digest.corpus_instances()) == first
+
     def test_weak_duality_in_debug_mode(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
