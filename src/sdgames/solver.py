@@ -55,7 +55,11 @@ class StandardSdp:
     """Standard-form block SDP: min/max <objective, x> s.t. A x = b, x in the cone.
 
     ``objective`` and every row of the p x dim matrix ``A`` are vectors in the
-    column layout of ``structure`` (see :class:`BlockStructure`).
+    column layout of ``structure`` (see :class:`BlockStructure`).  Each matrix
+    block of the objective and of every row is replaced by its symmetric part
+    0.5 (a + a'), which leaves <a, X> unchanged for symmetric X and a symmetric
+    block bit for bit; otherwise the dual residual c - A'y - s would keep an
+    antisymmetric part that no symmetric s cancels.
     """
 
     structure: BlockStructure
@@ -67,16 +71,21 @@ class StandardSdp:
 
     def __post_init__(self):
         for key in ("objective", "A", "b"):
-            v = np.array(getattr(self, key), dtype=float)
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{key} has a non-finite entry")
-            object.__setattr__(self, key, v)
+            object.__setattr__(self, key, np.array(getattr(self, key), dtype=float))
         if self.sense not in (MIN, MAX):
             raise ValueError("sense must be 'min' or 'max'")
         if self.objective.shape != (self.structure.dim,):
             raise ValueError("objective does not conform to the block structure")
         if self.b.ndim != 1 or self.A.shape != (self.b.size, self.structure.dim):
             raise ValueError("A must be a p x dim matrix with p = len(b)")
+        for k, block in enumerate(self.structure):
+            if block.kind == MATRIX:
+                for v in (self.objective, self.A):
+                    a = self.structure.view(v, k)
+                    a[...] = 0.5 * (a + a.swapaxes(-1, -2))
+        for key in ("objective", "A", "b"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"{key} has a non-finite entry")
 
     @property
     def num_constraints(self) -> int:

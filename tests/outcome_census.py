@@ -1,0 +1,145 @@
+"""Outcome census: the expected against the reported outcome kind over a fixed ladder.
+
+Runs ``run_pipeline`` with the practical bound on every instance and prints,
+per instance, the expected and the reported kind, the M used, and per solver
+role (``primal-aux``, ``refined-aux``, ``game-p1``, ``game-p2``) the solves,
+their total iterations and how many ended other than Optimal, as
+``solves/iterations/non_optimal``, then the wall time.  A summary follows:
+the kinds lost (expected but not reported) and gained (reported but not
+expected), and the total iterations per role::
+
+    python tests/outcome_census.py          # n = m in {2, 3, 4, 6, 8, 12}
+    python tests/outcome_census.py --fast   # n = m in {2, 3, 4}
+
+Instances: the five-instance example corpus, ``khachiyan_pair(n, 2)`` for
+n in {1, 2, 3}, and ``random_slater``, ``random_unbounded`` and
+``random_diagonal`` (both kinds) at seeds 1-3.  A pair built around strictly
+feasible points is expected StronglyOptimal; one built around a strict
+unbounded direction, PrimalUnboundedCert; the corpus carries its own
+expectations.  A tree that changes results (fewer solves, another linear
+solve) compares the kind and M columns and the iteration totals with its
+parent's.  BLAS runs on one thread, as in ``tests/solve_digest.py``.  Not
+collected by pytest; ``tests/test_reduction.py`` checks the kinds of the fast
+ladder.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":
+    # before numpy loads; a test that imports this module changes nothing
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import time  # noqa: E402
+from collections import Counter  # noqa: E402
+from functools import partial  # noqa: E402
+
+from sdgames.generators import (  # noqa: E402
+    example_corpus,
+    khachiyan_pair,
+    random_diagonal,
+    random_slater,
+    random_unbounded,
+)
+from sdgames.reduction import (  # noqa: E402
+    PRIMAL_UNBOUNDED_CERT,
+    STRONGLY_OPTIMAL,
+    run_pipeline,
+)
+from sdgames.solver import OPTIMAL  # noqa: E402
+
+from solve_digest import recording, role  # noqa: E402
+
+SEEDS = (1, 2, 3)
+SIZES = (2, 3, 4, 6, 8, 12)
+FAST_SIZES = (2, 3, 4)
+ROLES = ("primal-aux", "refined-aux", "game-p1", "game-p2")
+GENERATORS = (
+    (random_slater, STRONGLY_OPTIMAL),
+    (random_unbounded, PRIMAL_UNBOUNDED_CERT),
+    (partial(random_diagonal, kind="slater"), STRONGLY_OPTIMAL),
+    (partial(random_diagonal, kind="unbounded"), PRIMAL_UNBOUNDED_CERT),
+)
+
+
+def instances(sizes=SIZES) -> list:
+    """(pair, expected kind) for the corpus, small Khachiyan pairs and the random ladder."""
+    out = [(pair, meta["expected_outcome"]) for pair, meta in example_corpus()]
+    out += [(khachiyan_pair(n, 2), STRONGLY_OPTIMAL) for n in (1, 2, 3)]
+    for gen, expected in GENERATORS:
+        out += [(gen(n, n, seed), expected) for n in sizes for seed in SEEDS]
+    return out
+
+
+def census(cases) -> list:
+    """One row per (pair, expected): name, expected, kind, M, per-role counts, wall_s."""
+    rows = []
+    current = [None, None]  # the instance's role table and its pair
+
+    def on_solve(problem, res):
+        counts = current[0].setdefault(role(problem, current[1]), [0, 0, 0])
+        counts[0] += 1
+        counts[1] += res.iterations
+        counts[2] += res.status != OPTIMAL
+
+    with recording(on_solve):
+        for pair, expected in cases:
+            roles: dict = {}
+            current[:] = [roles, pair]
+            t0 = time.perf_counter()
+            out = run_pipeline(pair)
+            wall = time.perf_counter() - t0
+            rows.append({
+                "name": pair.name,
+                "expected": expected,
+                "kind": out.kind,
+                "M": out.M_used.value,
+                "roles": roles,
+                "wall_s": wall,
+            })
+    return rows
+
+
+def summary(rows) -> dict:
+    """Kinds lost and gained (as counters) and total iterations per role."""
+    missed = [r for r in rows if r["kind"] != r["expected"]]
+    return {
+        "lost": Counter(r["expected"] for r in missed),
+        "gained": Counter(r["kind"] for r in missed),
+        "missed": [r["name"] for r in missed],
+        "iterations": {k: sum(r["roles"].get(k, [0, 0, 0])[1] for r in rows) for k in ROLES},
+    }
+
+
+def _counts(c) -> str:
+    return "/".join(map(str, c)) if c else "-"
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    rows = census(instances(FAST_SIZES if "--fast" in argv else SIZES))
+    print(f"{'instance':26s} {'expected':20s} {'reported':20s} {'M':>6s} "
+          + " ".join(f"{k:>11s}" for k in ROLES) + f" {'wall_s':>7s}")
+    for r in rows:
+        print(f"{r['name']:26s} {r['expected']:20s} {r['kind']:20s} {r['M']:6g} "
+              + " ".join(f"{_counts(r['roles'].get(k)):>11s}" for k in ROLES)
+              + f" {r['wall_s']:7.3f}")
+    s = summary(rows)
+    print(f"\n{len(rows)} instances, {len(rows) - len(s['missed'])} with the expected kind")
+    print("kinds lost:   " + (", ".join(f"{k} {v}" for k, v in sorted(s["lost"].items())) or "none"))
+    print("kinds gained: " + (", ".join(f"{k} {v}" for k, v in sorted(s["gained"].items())) or "none"))
+    if s["missed"]:
+        print("not as expected: " + ", ".join(s["missed"]))
+    its = s["iterations"]
+    print("total iterations: " + ", ".join(f"{k} {v}" for k, v in its.items())
+          + f", all {sum(its.values())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -74,18 +74,21 @@ def _solve_bytes(res) -> bytes:
     return "\n".join(parts).encode() + b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
 
 
+def role(problem, pair) -> str:
+    """The SDP's name without its pair's name, for example ``game-p1``."""
+    prefix = (pair.name or "pair") + "-"
+    return problem.name[len(prefix):] if problem.name.startswith(prefix) else problem.name
+
+
 @contextmanager
-def _recording(records: dict, pair_name: list):
-    """Wrap ``solve`` in every sdgames module that calls it, recording each result."""
+def recording(on_solve):
+    """Wrap ``solve`` in every sdgames module that calls it; ``on_solve(problem,
+    result)`` sees each solve as it returns."""
     original = solver.solve
 
     def recorded(problem, opts=None):
         res = original(problem, opts)
-        prefix = pair_name[0] + "-"
-        role = problem.name[len(prefix):] if problem.name.startswith(prefix) else problem.name
-        count, iters, h = records.setdefault(role, [0, 0, hashlib.sha256()])
-        records[role][:2] = [count + 1, iters + res.iterations]
-        h.update(_solve_bytes(res))
+        on_solve(problem, res)
         return res
 
     modules = [m for m in vars(sdgames).values() if getattr(m, "solve", None) is original]
@@ -101,12 +104,19 @@ def _recording(records: dict, pair_name: list):
 def digest(instances) -> dict:
     """role -> (solves, iterations, SHA-256 hex digest) over the given instances."""
     records: dict = {}
-    pair_name = [""]
-    with _recording(records, pair_name):
+    current = [None]
+
+    def on_solve(problem, res):
+        rec = records.setdefault(role(problem, current[0]), [0, 0, hashlib.sha256()])
+        rec[0] += 1
+        rec[1] += res.iterations
+        rec[2].update(_solve_bytes(res))
+
+    with recording(on_solve):
         for pair, config in instances:
-            pair_name[0] = pair.name or "pair"
+            current[0] = pair
             run_pipeline(pair, config)
-    return {role: (n, it, h.hexdigest()) for role, (n, it, h) in sorted(records.items())}
+    return {r: (n, it, h.hexdigest()) for r, (n, it, h) in sorted(records.items())}
 
 
 def main(argv=None) -> int:

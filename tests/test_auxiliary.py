@@ -11,9 +11,10 @@ from sdgames.auxiliary import (
     SUSPECTED_UNATTAINED,
     build_dual_aux,
     build_primal_aux,
+    build_refined_aux,
     solve_aux,
 )
-from sdgames.generators import random_slater, random_unbounded
+from sdgames.generators import khachiyan_pair, random_slater, random_unbounded
 from sdgames.model import (
     SdpPair,
     SymMat,
@@ -118,14 +119,108 @@ class TestSolveAux:
                 res.status = probe_status
             return res
 
-        monkeypatch.setattr(auxiliary, "solve", solve_with_failing_probe)
-        aux = solve_aux(bounded_pair)
+        aux, names = _recorded_solve_aux(monkeypatch, bounded_pair, solve_with_failing_probe)
         opts = SolverOptions(tol=1e-9, max_iters=300)
         first = solve(build_primal_aux(bounded_pair.to_float()), opts)
         assert first.status == OPTIMAL
         assert aux.attained_flag == ATTAINED
         assert np.array_equal(aux.X.array, 0.5 * (first.primal[0] + first.primal[0].T))
         assert np.array_equal(aux.y, first.primal[2])
+        # an unconverged tight probe settles the outcome: the loose one never runs
+        assert names == ["bounded-primal-aux", "bounded-refined-aux"]
+
+    def test_stopped_main_solve_with_small_residuals_is_trusted(self, bounded_pair, monkeypatch):
+        def solve_stopped_short(problem, opts=None):
+            res = solve(problem, opts)
+            res.status = MAX_ITERATIONS if problem.name.endswith("-primal-aux") else NUMERICAL_FAILURE
+            return res
+
+        opts = SolverOptions(tol=1e-9, max_iters=300)
+        first = solve(build_primal_aux(bounded_pair.to_float()), opts)
+        assert abs(first.value) <= 1e-7 and max(first.primal_infeas, first.dual_infeas) <= 1e-8
+        aux, names = _recorded_solve_aux(monkeypatch, bounded_pair, solve_stopped_short)
+        assert names == ["bounded-primal-aux", "bounded-refined-aux"]
+        assert aux.attained_flag == ATTAINED and aux.solve_status == MAX_ITERATIONS
+        assert np.array_equal(aux.y, first.primal[2])
+
+    @pytest.mark.parametrize(
+        "field, value", [("primal_infeas", 1e-6), ("dual_infeas", 1e-6), ("value", 1e-3)]
+    )
+    def test_stopped_main_solve_needs_small_residuals(self, bounded_pair, monkeypatch, field, value):
+        def solve_stopped_short(problem, opts=None):
+            res = solve(problem, opts)
+            if problem.name.endswith("-primal-aux"):
+                res.status = MAX_ITERATIONS
+                setattr(res, field, value)
+            else:
+                res.status = NUMERICAL_FAILURE
+            return res
+
+        monkeypatch.setattr(auxiliary, "solve", solve_stopped_short)
+        assert solve_aux(bounded_pair).attained_flag == SUSPECTED_UNATTAINED
+
+
+def _recorded_solve_aux(monkeypatch, pair, inner=solve):
+    """solve_aux(pair) with every SDP solved by ``inner``, and the names of
+    those SDPs in call order."""
+    names = []
+
+    def recorded(problem, opts=None):
+        names.append(problem.name)
+        return inner(problem, opts)
+
+    monkeypatch.setattr(auxiliary, "solve", recorded)
+    return solve_aux(pair), names
+
+
+def _both_probes(pair):
+    """The tight and the loose refined-aux probe solve_aux would make, with their caps."""
+    pf = pair.to_float()
+    w_star = solve(build_primal_aux(pf), SolverOptions(tol=1e-9, max_iters=300)).value
+    delta = 1e-4 * (1.0 + abs(w_star))
+    probe_opts = SolverOptions(tol=1e-7, max_iters=300)
+    caps = (w_star + delta / 10.0, w_star + delta)
+    tight, loose = (solve(build_refined_aux(pf, cap), probe_opts) for cap in caps)
+    return tight, loose, caps
+
+
+class TestProbeBound:
+    def test_tight_dual_bounds_the_loose_probe(self, corpus):
+        # the probes differ only in the cap entry of b, so the tight probe's dual
+        # is feasible for the loose one: weak duality bounds the loose value below
+        pairs = [pair for pair, _ in corpus.values()]
+        pairs += [
+            gen(n, n, s) for gen in (random_slater, random_unbounded) for n in (2, 3, 4, 6) for s in (1, 2, 3)
+        ]
+        checked = 0
+        for pair in pairs:
+            tight, loose, (tight_cap, loose_cap) = _both_probes(pair)
+            if tight.status != OPTIMAL or loose.status != OPTIMAL:
+                continue
+            b_loose = build_refined_aux(pair.to_float(), loose_cap).b
+            lower = float(b_loose @ tight.dual)
+            assert lower <= loose.value + 1e-7 * (1.0 + abs(loose.value)), pair.name
+            assert lower == pytest.approx(
+                tight.dual_objective + (loose_cap - tight_cap) * tight.dual[-1], abs=1e-12
+            )
+            checked += 1
+        assert checked >= len(pairs) - 2  # the two corpus pairs without an attained optimum
+
+    def test_loose_probe_skipped_when_the_bound_settles_growth(self, bounded_pair, monkeypatch):
+        aux, names = _recorded_solve_aux(monkeypatch, bounded_pair)
+        assert names == ["bounded-primal-aux", "bounded-refined-aux"]
+        assert aux.attained_flag == ATTAINED
+
+    def test_loose_probe_runs_when_the_bound_leaves_growth_open(self, monkeypatch):
+        pair = khachiyan_pair(3, 2)
+        tight, loose, (tight_cap, loose_cap) = _both_probes(pair)
+        lower = tight.dual_objective + (loose_cap - tight_cap) * tight.dual[-1]
+        assert tight.value > 2.0 * lower + 1.0
+        assert tight.value <= 2.0 * loose.value + 1.0
+        aux, names = _recorded_solve_aux(monkeypatch, pair)
+        prefix = pair.name + "-"
+        assert names == [prefix + "primal-aux"] + [prefix + "refined-aux"] * 2
+        assert aux.attained_flag == ATTAINED
 
 
 class TestStrictPrimalUnbounded:

@@ -36,6 +36,7 @@ from sdgames.reduction import (
     run_pipeline,
 )
 
+import outcome_census
 from lp_oracle import OPTIMAL as LP_OPTIMAL
 from lp_oracle import UNBOUNDED as LP_UNBOUNDED
 from lp_oracle import lp_min_inequality
@@ -167,6 +168,17 @@ def test_dense_slater_regressions_strongly_optimal(n, seed):
     assert verify_strongly_optimal(
         pair.to_float(), PrimalPoint(out.X_opt), DualPoint(tuple(out.y_opt)), 1e-6
     )
+
+
+def test_outcome_census_fast_ladder_reports_expected_kinds():
+    # the fast ladder of tests/outcome_census.py: corpus, small Khachiyan pairs
+    # and every random family at n <= 4; each pair runs all four solver roles
+    rows = outcome_census.census(outcome_census.instances(outcome_census.FAST_SIZES))
+    assert len(rows) == 5 + 3 + 4 * len(outcome_census.FAST_SIZES) * len(outcome_census.SEEDS)
+    assert [(r["name"], r["kind"]) for r in rows if r["kind"] != r["expected"]] == []
+    assert all(set(r["roles"]) == set(outcome_census.ROLES) for r in rows)
+    summary = outcome_census.summary(rows)
+    assert not summary["lost"] and not summary["gained"]
 
 
 def test_runtime_does_not_import_scipy():

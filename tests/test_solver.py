@@ -240,6 +240,42 @@ class TestProblemData:
         with pytest.raises(ValueError, match="p x dim"):
             StandardSdp(st, np.ones(st.dim), np.eye(2, st.dim), np.ones(3))
 
+    def test_matrix_parts_replaced_by_their_symmetric_part(self):
+        rng = np.random.default_rng(3)
+        st = BlockStructure([matrix_block(3), diag_block(2), matrix_block(2)])
+        c, A = rng.normal(size=st.dim), rng.normal(size=(4, st.dim))
+        given = (c.copy(), A.copy())
+        prob = StandardSdp(st, c, A, np.ones(4))
+        assert np.array_equal(c, given[0]) and np.array_equal(A, given[1])
+        for v, raw in ((prob.objective, c), (prob.A, A)):
+            for k in (0, 2):
+                M, R = st.view(v, k), st.view(raw, k)
+                assert np.array_equal(M, 0.5 * (R + R.swapaxes(-1, -2)))
+                assert np.array_equal(M, M.swapaxes(-1, -2))
+            assert np.array_equal(st.view(v, 1), st.view(raw, 1))
+        # a symmetric block is kept bit for bit, signed zeros included
+        A = prob.A.copy()
+        st.view(A, 0)[0] = -0.0
+        again = StandardSdp(st, prob.objective, A, prob.b)
+        assert again.A.tobytes() == A.tobytes()
+        assert again.objective.tobytes() == prob.objective.tobytes()
+
+    @pytest.mark.parametrize("field", ["A", "objective"])
+    def test_antisymmetric_part_solves_like_the_symmetric_part(self, field):
+        # <K - K', X> = 0 for symmetric X; kept in a row or the objective, K - K'
+        # would leave the dual residual c - A'y - s an antisymmetric part that no
+        # symmetric s cancels
+        rng = np.random.default_rng(7)
+        prob = _random_feasible_block_sdp(rng)
+        n = prob.structure.blocks[0].size
+        data = {"objective": prob.objective.copy(), "A": prob.A.copy()}
+        v = data[field]
+        K = rng.normal(size=v.shape[:-1] + (n, n))
+        v[..., : n * n] += (K - K.swapaxes(-1, -2)).reshape(v.shape[:-1] + (-1,))
+        r = solve(StandardSdp(prob.structure, data["objective"], data["A"], prob.b))
+        assert r.status == OPTIMAL
+        assert r.value == pytest.approx(solve(prob).value, abs=1e-7)
+
 
 class TestSolverOptions:
     @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf, -np.inf])
@@ -797,7 +833,8 @@ class TestInvariants:
         monkeypatch.setattr(_Ipm, "_scalings", checked)
         solve_aux(bounded_pair)
         solve_game(random_slater(4, 4, 1), 10.0, game_opts)
-        # rows whose matrix parts are not symmetric: s is symmetrized after each step
+        # rows given with non-symmetric matrix parts, of which StandardSdp keeps
+        # the symmetric part; s is still symmetrized after each step
         rng = np.random.default_rng(7)
         prob = _random_feasible_block_sdp(rng)
         n = prob.structure.blocks[0].size
