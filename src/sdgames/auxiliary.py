@@ -60,7 +60,7 @@ def build_primal_aux(pair: SdpPair) -> StandardSdp:
     """
     n, m = pair.n, pair.m
     C = pair.C.array
-    A = [Ai.array for Ai in pair.A]
+    A = pair.A_stack
     b = pair.b_array
     st = _aux_structure(n, m)
     X_, Z_, Y_, S_, W_, R_ = range(6)
@@ -108,7 +108,7 @@ def build_dual_aux(pair: SdpPair) -> StandardSdp:
     """Standard-form encoding of the dual auxiliary SDP (a maximization)."""
     n, m = pair.n, pair.m
     C = pair.C.array
-    A = [Ai.array for Ai in pair.A]
+    A = pair.A_stack
     b = pair.b_array
     st = _aux_structure(n, m)
     W_, Z2_, ZV_, S2_, R_, Q_ = range(6)

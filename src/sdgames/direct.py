@@ -16,7 +16,7 @@ def primal_sdp(pair: SdpPair) -> StandardSdp:
     """min <C, X> s.t. <A_i, X> - s_i = b_i, X psd, s >= 0."""
     st = BlockStructure([matrix_block(pair.n), diag_block(pair.m)])
     rows = np.zeros((pair.m, st.dim))
-    st.view(rows, 0)[:] = [Ai.array for Ai in pair.A]
+    st.view(rows, 0)[:] = pair.A_stack
     np.fill_diagonal(st.view(rows, 1), -1.0)
     obj = np.zeros(st.dim)
     st.view(obj, 0)[:] = pair.C.array
@@ -26,7 +26,7 @@ def primal_sdp(pair: SdpPair) -> StandardSdp:
 def dual_sdp(pair: SdpPair) -> StandardSdp:
     """max b'y s.t. sum_i y_i A_i + Z = C, y >= 0, Z psd."""
     st = BlockStructure([diag_block(pair.m), matrix_block(pair.n)])
-    rows, rhs = matrix_equality(st, {0: [Ai.array for Ai in pair.A]}, (1, 1.0), pair.C.array)
+    rows, rhs = matrix_equality(st, {0: pair.A_stack}, (1, 1.0), pair.C.array)
     obj = np.zeros(st.dim)
     st.view(obj, 0)[:] = pair.b_array
     return StandardSdp(st, obj, rows, rhs, sense=MAX, name=f"{pair.name or 'pair'}-dual")
@@ -50,47 +50,40 @@ def detect_primal_face(pair: SdpPair):
     """
     scale = 1.0 + pair.max_abs_entry()
     tol = _FACE_TOL * scale
-    A = [Ai.array.copy() for Ai in pair.A]
-    C = pair.C.array.copy()
-    b = list(pair.b_array)
+    A = pair.A_stack
+    C = pair.C.array
+    b = pair.b_array
     Q = np.eye(pair.n)
-    active = list(range(len(A)))
+    active = np.arange(pair.m)
     reduced = False
-    changed = True
-    while changed and Q.shape[1] > 0:
-        changed = False
-        for pos, i in enumerate(active):
-            lam, V = np.linalg.eigh(0.5 * (A[i] + A[i].T))
-            if lam[-1] > tol:
-                continue
-            if b[i] > tol:
-                return None, None, True
-            if b[i] < -tol:
-                continue  # slack inequality, not an implied equality
-            kernel = V[:, np.abs(lam) <= tol]
-            if kernel.shape[1] == A[i].shape[0]:
-                # A_i ~ 0 and b_i ~ 0: trivial constraint
-                del active[pos]
-            else:
-                K = kernel
-                A = [K.T @ Aj @ K for Aj in A]
-                C = K.T @ C @ K
-                Q = Q @ K
-                del active[pos]
-            reduced = True
-            changed = True
+    while active.size and Q.shape[1] > 0:
+        sub = A[active]
+        lam, V = np.linalg.eigh(0.5 * (sub + sub.swapaxes(1, 2)))
+        # negative semidefinite A_i with b_i >= 0: an implied equality
+        hit = np.flatnonzero((lam[:, -1] <= tol) & (b[active] >= -tol))
+        if not hit.size:
             break
+        pos = hit[0]
+        if b[active[pos]] > tol:
+            return None, None, True
+        kernel = V[pos][:, np.abs(lam[pos]) <= tol]
+        if kernel.shape[1] < Q.shape[1]:
+            A = kernel.T @ A @ kernel
+            C = kernel.T @ C @ kernel
+            Q = Q @ kernel
+        # else A_i ~ 0 and b_i ~ 0: a trivial constraint
+        active = np.delete(active, pos)
+        reduced = True
     if not reduced:
         return None, None, False
     if Q.shape[1] == 0:
-        return Q, None, any(b[i] > tol for i in active)
-    k = Q.shape[1]
-    if active:
-        subA = tuple(SymMat.from_array(A[i], symmetrize=True) for i in active)
-        subb = tuple(float(b[i]) for i in active)
+        return Q, None, bool(np.any(b[active] > tol))
+    if active.size:
+        subA = tuple(SymMat.from_array(Ai, symmetrize=True) for Ai in A[active])
+        subb = tuple(float(v) for v in b[active])
     else:
         # all constraints were implied equalities; keep one vacuous row
-        subA = (SymMat.zeros(k).to_float(),)
+        subA = (SymMat.zeros(Q.shape[1]).to_float(),)
         subb = (-1.0,)
     sub = SdpPair(
         C=SymMat.from_array(C, symmetrize=True),

@@ -14,7 +14,7 @@ responses are extreme eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -29,70 +29,70 @@ _PSD_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
-class Strategy1:
-    """First player's block strategy (X, y, t, u), a density matrix."""
+class _BlockStrategy:
+    """A block strategy diag(X, diag(y), scalars...), a density matrix.
+
+    The scalar blocks are the fields after ``y``: (t,) or (t, u).
+    """
 
     X: SymMat
     y: np.ndarray
     t: float
-    u: float
+
+    def _scalars(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self)[2:])
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "u", float(self.u))
+        for f in fields(self)[2:]:
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
         total = self.trace_sum()
         if abs(total - 1.0) > _TRACE_TOL:
             raise ValueError(f"strategy must have unit trace, got {total!r}")
         tol = _PSD_TOL * (1.0 + max(1.0, self.X.max_abs_entry()))
-        if (self.y.size and float(np.min(self.y)) < -tol) or self.t < -tol or self.u < -tol:
+        if (self.y.size and float(np.min(self.y)) < -tol) or min(self._scalars()) < -tol:
             raise ValueError("strategy blocks must be nonnegative")
         if not is_psd(self.X.to_float(), _PSD_TOL):
             raise ValueError("strategy matrix block must be psd")
 
     def trace_sum(self) -> float:
-        return float(np.trace(self.X.array) + np.sum(self.y) + self.t + self.u)
+        return float(sum(self._scalars(), np.trace(self.X.array) + np.sum(self.y)))
 
     def as_block_matrix(self) -> SymMat:
-        n, m = self.X.dim, self.y.size
-        B = np.zeros((n + m + 2, n + m + 2))
+        n = self.X.dim
+        d = np.concatenate([self.y, self._scalars()])
+        B = np.zeros((n + d.size, n + d.size))
         B[:n, :n] = self.X.array
-        B[n : n + m, n : n + m] = np.diag(self.y)
-        B[n + m, n + m] = self.t
-        B[n + m + 1, n + m + 1] = self.u
+        B[n:, n:] = np.diag(d)
         return SymMat.from_array(B)
+
+    @classmethod
+    def _normalized(cls, X, y, *scalars):
+        """Clip eigenvalues of X in [-1e-9 (1 + max |X|), 0) and negative y and
+        scalars to zero, then rescale to unit trace."""
+        Xa = np.asarray(X, dtype=float)
+        scale = 1.0 + float(np.max(np.abs(Xa)))
+        w, V = np.linalg.eigh(0.5 * (Xa + Xa.T))
+        w = np.where((w < 0) & (w >= -1e-9 * scale), 0.0, w)
+        Xa = (V * w) @ V.T
+        y = np.maximum(np.asarray(y, dtype=float), 0.0)
+        scalars = [max(float(v), 0.0) for v in scalars]
+        total = float(sum(scalars, np.trace(Xa) + np.sum(y)))
+        if total <= 0:
+            raise ValueError("cannot normalize a zero strategy")
+        return cls(SymMat.from_array(Xa / total, symmetrize=True), y / total, *(v / total for v in scalars))
 
 
 @dataclass(frozen=True, eq=False)
-class Strategy2:
+class Strategy1(_BlockStrategy):
+    """First player's block strategy (X, y, t, u), a density matrix."""
+
+    u: float
+
+
+@dataclass(frozen=True, eq=False)
+class Strategy2(_BlockStrategy):
     """Second player's block strategy (X, y, t), a density matrix."""
-
-    X: SymMat
-    y: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        object.__setattr__(self, "t", float(self.t))
-        total = self.trace_sum()
-        if abs(total - 1.0) > _TRACE_TOL:
-            raise ValueError(f"strategy must have unit trace, got {total!r}")
-        tol = _PSD_TOL * (1.0 + max(1.0, self.X.max_abs_entry()))
-        if (self.y.size and float(np.min(self.y)) < -tol) or self.t < -tol:
-            raise ValueError("strategy blocks must be nonnegative")
-        if not is_psd(self.X.to_float(), _PSD_TOL):
-            raise ValueError("strategy matrix block must be psd")
-
-    def trace_sum(self) -> float:
-        return float(np.trace(self.X.array) + np.sum(self.y) + self.t)
-
-    def as_block_matrix(self) -> SymMat:
-        n, m = self.X.dim, self.y.size
-        B = np.zeros((n + m + 1, n + m + 1))
-        B[:n, :n] = self.X.array
-        B[n : n + m, n : n + m] = np.diag(self.y)
-        B[n + m, n + m] = self.t
-        return SymMat.from_array(B)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,37 +109,13 @@ class GameSolution:
             raise ValueError("the modified game value cannot be negative")
 
 
-def _clip_psd(X: np.ndarray, scale: float) -> np.ndarray:
-    """Project eigenvalues in [-1e-9*scale, 0) to zero."""
-    X = 0.5 * (X + X.T)
-    w, V = np.linalg.eigh(X)
-    w = np.where((w < 0) & (w >= -1e-9 * scale), 0.0, w)
-    return (V * w) @ V.T
-
-
 def normalized_strategy1(X, y, t: float, u: float) -> Strategy1:
     """Clip tiny negative eigenvalues and rescale to unit trace."""
-    Xa = np.asarray(X, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(Xa)))
-    Xa = _clip_psd(Xa, scale)
-    y = np.maximum(np.asarray(y, dtype=float), 0.0)
-    t, u = max(float(t), 0.0), max(float(u), 0.0)
-    total = float(np.trace(Xa) + np.sum(y) + t + u)
-    if total <= 0:
-        raise ValueError("cannot normalize a zero strategy")
-    return Strategy1(SymMat.from_array(Xa / total, symmetrize=True), y / total, t / total, u / total)
+    return Strategy1._normalized(X, y, t, u)
 
 
 def normalized_strategy2(X, y, t: float) -> Strategy2:
-    Xa = np.asarray(X, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(Xa)))
-    Xa = _clip_psd(Xa, scale)
-    y = np.maximum(np.asarray(y, dtype=float), 0.0)
-    t = max(float(t), 0.0)
-    total = float(np.trace(Xa) + np.sum(y) + t)
-    if total <= 0:
-        raise ValueError("cannot normalize a zero strategy")
-    return Strategy2(SymMat.from_array(Xa / total, symmetrize=True), y / total, t / total)
+    return Strategy2._normalized(X, y, t)
 
 
 def payoff(pair: SdpPair, M: float, s1: Strategy1, s2: Strategy2) -> float:
@@ -152,12 +128,9 @@ def payoff(pair: SdpPair, M: float, s1: Strategy1, s2: Strategy2) -> float:
         raise ValueError("the solution bound must be positive")
     b = pair.b_array
     C = pair.C.to_float()
-    X1, X2 = s1.X.to_float(), s2.X.to_float()
-    total = 0.0
-    for i, Ai in enumerate(pair.A):
-        total += s1.y[i] * (s2.t * b[i] - frobenius_inner(Ai.to_float(), X2))
-    combo = sum(s2.y[i] * Ai.array for i, Ai in enumerate(pair.A)) - s2.t * C.array
-    total += float(np.tensordot(X1.array, combo, axes=2))
+    X2 = s2.X.to_float()
+    total = float(s1.y @ (s2.t * b - pair.apply_A(X2)))
+    total += float(np.tensordot(s1.X.array, pair.apply_AT(s2.y) - s2.t * C.array, axes=2))
     total += s1.t * (frobenius_inner(C, X2) - float(b @ s2.y))
     total += s1.u * (float(np.trace(X2.array)) + float(np.sum(s2.y)) - s2.t * M)
     return total
@@ -169,16 +142,15 @@ def response_matrix_K(pair: SdpPair, M: float, s1: Strategy1) -> SymMat:
     Blocks: t C - sum_i y_i A_i + u I (n x n); diagonal <X, A_i> - t b_i + u
     (m entries); scalar b'y - <X, C> - u M.
     """
-    n, m = pair.n, pair.m
+    n = pair.n
     b = pair.b_array
-    K = np.zeros((n + m + 1, n + m + 1))
-    mat = s1.t * pair.C.array - sum(s1.y[i] * Ai.array for i, Ai in enumerate(pair.A))
-    mat += s1.u * np.eye(n)
-    K[:n, :n] = mat
     Xf = s1.X.to_float()
-    for i, Ai in enumerate(pair.A):
-        K[n + i, n + i] = frobenius_inner(Xf, Ai.to_float()) - s1.t * b[i] + s1.u
-    K[n + m, n + m] = float(b @ s1.y) - frobenius_inner(Xf, pair.C.to_float()) - s1.u * M
+    K = np.zeros((n + pair.m + 1, n + pair.m + 1))
+    K[:n, :n] = s1.t * pair.C.array - pair.apply_AT(s1.y) + s1.u * np.eye(n)
+    K[n:, n:] = np.diag(np.append(
+        pair.apply_A(Xf) - s1.t * b + s1.u,
+        float(b @ s1.y) - frobenius_inner(Xf, pair.C.to_float()) - s1.u * M,
+    ))
     return SymMat.from_array(K, symmetrize=True)
 
 
@@ -188,15 +160,16 @@ def response_matrix_L(pair: SdpPair, M: float, s2: Strategy2) -> SymMat:
     Blocks: sum_i y_i A_i - t C (n x n); diagonal t b_i - <A_i, X> (m);
     scalar <C, X> - b'y; scalar tr(X) + 1'y - t M.
     """
-    n, m = pair.n, pair.m
+    n = pair.n
     b = pair.b_array
-    L = np.zeros((n + m + 2, n + m + 2))
-    L[:n, :n] = sum(s2.y[i] * Ai.array for i, Ai in enumerate(pair.A)) - s2.t * pair.C.array
     Xf = s2.X.to_float()
-    for i, Ai in enumerate(pair.A):
-        L[n + i, n + i] = s2.t * b[i] - frobenius_inner(Ai.to_float(), Xf)
-    L[n + m, n + m] = frobenius_inner(pair.C.to_float(), Xf) - float(b @ s2.y)
-    L[n + m + 1, n + m + 1] = float(np.trace(Xf.array)) + float(np.sum(s2.y)) - s2.t * M
+    L = np.zeros((n + pair.m + 2, n + pair.m + 2))
+    L[:n, :n] = pair.apply_AT(s2.y) - s2.t * pair.C.array
+    L[n:, n:] = np.diag(np.concatenate([
+        s2.t * b - pair.apply_A(Xf),
+        [frobenius_inner(pair.C.to_float(), Xf) - float(b @ s2.y),
+         float(np.trace(Xf.array)) + float(np.sum(s2.y)) - s2.t * M],
+    ]))
     return SymMat.from_array(L, symmetrize=True)
 
 
@@ -211,24 +184,15 @@ def best_response_value_p1(pair: SdpPair, M: float, s2: Strategy2) -> float:
 
 
 def subgame_payoff(pair: SdpPair, z1: Strategy2, z2: Strategy2) -> float:
-    """Payoff of the symmetric subgame on the first n+m+1 blocks (u dropped)."""
-    if z1.X.dim != pair.n or z2.X.dim != pair.n:
-        raise ValueError("strategy dimensions do not match the pair")
-    b = pair.b_array
-    C = pair.C.to_float()
-    total = 0.0
-    for i, Ai in enumerate(pair.A):
-        total += z1.y[i] * (z2.t * b[i] - frobenius_inner(Ai.to_float(), z2.X.to_float()))
-    combo = sum(z2.y[i] * Ai.array for i, Ai in enumerate(pair.A)) - z2.t * C.array
-    total += float(np.tensordot(z1.X.array, combo, axes=2))
-    total += z1.t * (frobenius_inner(C, z2.X.to_float()) - float(b @ z2.y))
-    return total
+    """Payoff of the symmetric subgame on the first n+m+1 blocks: player 1
+    plays z1 with u = 0, so M drops out."""
+    return payoff(pair, 1.0, Strategy1(z1.X, z1.y, z1.t, 0.0), z2)
 
 
 def game_sdp_player1(pair: SdpPair, M: float) -> StandardSdp:
     """max v s.t. K(X, y, t, u) - v I psd, (X, y, t, u) a unit-trace block strategy."""
     n, m = pair.n, pair.m
-    A = [Ai.array for Ai in pair.A]
+    A = pair.A_stack
     C = pair.C.array
     b = pair.b_array
     st = BlockStructure(
@@ -238,7 +202,7 @@ def game_sdp_player1(pair: SdpPair, M: float) -> StandardSdp:
     X_, Y_, T_, U_, V_, SM_, SD_, SS_ = range(8)
     I = np.eye(n)
     # t C - sum y_i A_i + (u - v) I - S_mat = 0 entrywise
-    E, e = matrix_equality(st, {T_: [C], Y_: [-Ai for Ai in A], U_: [I], V_: [-I]}, (SM_, -1.0))
+    E, e = matrix_equality(st, {T_: [C], Y_: -A, U_: [I], V_: [-I]}, (SM_, -1.0))
     rows = np.zeros((m + 2, st.dim))
     X, Y, T, U, V, _, SD, SS = st.split(rows)
     V[:-1] = -1.0  # -v in every row but the trace row
@@ -266,7 +230,7 @@ def game_sdp_player1(pair: SdpPair, M: float) -> StandardSdp:
 def game_sdp_player2(pair: SdpPair, M: float) -> StandardSdp:
     """min v s.t. v I - L(X, y, t) psd, (X, y, t) a unit-trace block strategy."""
     n, m = pair.n, pair.m
-    A = [Ai.array for Ai in pair.A]
+    A = pair.A_stack
     C = pair.C.array
     b = pair.b_array
     st = BlockStructure(
@@ -276,7 +240,7 @@ def game_sdp_player2(pair: SdpPair, M: float) -> StandardSdp:
     X_, Y_, T_, V_, SM_, SD_, SS1_, SS2_ = range(8)
     I = np.eye(n)
     # v I - sum y_i A_i + t C - S_mat = 0 entrywise
-    E, e = matrix_equality(st, {V_: [I], Y_: [-Ai for Ai in A], T_: [C]}, (SM_, -1.0))
+    E, e = matrix_equality(st, {V_: [I], Y_: -A, T_: [C]}, (SM_, -1.0))
     rows = np.zeros((m + 3, st.dim))
     X, Y, T, V, _, SD, SS1, SS2 = st.split(rows)
     V[:-1] = 1.0  # v in every row but the trace row

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 import numpy as np
 
 EXACT = "exact"
@@ -41,38 +42,33 @@ class SymMat:
                 raise ValueError(f"expected a square matrix, got shape {arr.shape}")
             if arr.shape[0] < 1:
                 raise ValueError("dimension must be at least 1")
-            if not np.array_equal(arr, arr.T):
-                raise ValueError("matrix is not symmetric")
-            arr.flags.writeable = False
-            self.dim = int(arr.shape[0])
-            self._arr = arr
-            self._rows = None
-            self.mode = FLOAT
-            return
-        rows = [list(r) for r in entries]
-        n = len(rows)
-        if n < 1 or any(len(r) != n for r in rows):
-            raise ValueError("expected a square matrix")
-        exact = all(_is_exact_scalar(v) for r in rows for v in r)
-        if exact:
-            rows = [[Fraction(v) for v in r] for r in rows]
-            for i in range(n):
-                for j in range(i):
-                    if rows[i][j] != rows[j][i]:
-                        raise ValueError("matrix is not symmetric")
-            self.dim = n
-            self._rows = tuple(tuple(r) for r in rows)
-            self._arr = None
-            self.mode = EXACT
         else:
+            rows = [list(r) for r in entries]
+            n = len(rows)
+            if n < 1 or any(len(r) != n for r in rows):
+                raise ValueError("expected a square matrix")
+            if all(_is_exact_scalar(v) for r in rows for v in r):
+                rows = [[Fraction(v) for v in r] for r in rows]
+                for i in range(n):
+                    for j in range(i):
+                        if rows[i][j] != rows[j][i]:
+                            raise ValueError("matrix is not symmetric")
+                self.dim = n
+                self._rows = tuple(tuple(r) for r in rows)
+                self._arr = None
+                self.mode = EXACT
+                return
             arr = np.array([[float(v) for v in r] for r in rows], dtype=float)
-            if not np.array_equal(arr, arr.T):
-                raise ValueError("matrix is not symmetric")
-            arr.flags.writeable = False
-            self.dim = n
-            self._arr = arr
-            self._rows = None
-            self.mode = FLOAT
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"non-finite entry at ({bad[0, 0]}, {bad[0, 1]})")
+        if not np.array_equal(arr, arr.T):
+            raise ValueError("matrix is not symmetric")
+        arr.flags.writeable = False
+        self.dim = int(arr.shape[0])
+        self._arr = arr
+        self._rows = None
+        self.mode = FLOAT
 
     @classmethod
     def from_array(cls, arr: np.ndarray, symmetrize: bool = False) -> "SymMat":
@@ -126,7 +122,9 @@ class SymMat:
         return np.array_equal(self.array, other.array)
 
     def __hash__(self):
-        return hash((self.dim, self.mode))
+        # equality crosses modes (exact == float when the floats agree), so
+        # only the dimension may enter the hash
+        return hash(self.dim)
 
     def __repr__(self) -> str:
         return f"SymMat(dim={self.dim}, mode={self.mode})"
@@ -134,7 +132,12 @@ class SymMat:
 
 @dataclass(frozen=True)
 class SdpPair:
-    """Problem data (C, A_1..A_m, b) defining the primal/dual normal-form pair."""
+    """Problem data (C, A_1..A_m, b) defining the primal/dual normal-form pair.
+
+    The constraint operator X -> (<A_i, X>)_i and its adjoint
+    y -> sum_i y_i A_i live here (:meth:`apply_A`, :meth:`apply_AT`), in float
+    arithmetic over one stacked copy of the A_i (:attr:`A_stack`).
+    """
 
     C: SymMat
     A: tuple
@@ -163,6 +166,9 @@ class SdpPair:
                 object.__setattr__(self, "C", self.C.to_float())
                 object.__setattr__(self, "A", tuple(Ai.to_float() for Ai in A))
             object.__setattr__(self, "b", tuple(float(v) for v in b))
+            bad = np.flatnonzero(~np.isfinite(self.b))
+            if bad.size:
+                raise ValueError(f"b[{bad[0]}] is not finite")
 
     @property
     def n(self) -> int:
@@ -180,6 +186,21 @@ class SdpPair:
     def b_array(self) -> np.ndarray:
         return np.array([float(v) for v in self.b], dtype=float)
 
+    @cached_property
+    def A_stack(self) -> np.ndarray:
+        """The A_i as one read-only float (m, n, n) array."""
+        A = np.stack([Ai.array for Ai in self.A])
+        A.flags.writeable = False
+        return A
+
+    def apply_A(self, X: SymMat) -> np.ndarray:
+        """The vector (<A_i, X>)_i."""
+        return np.tensordot(self.A_stack, X.array, axes=2)
+
+    def apply_AT(self, y) -> np.ndarray:
+        """The matrix sum_i y_i A_i."""
+        return np.tensordot(np.asarray(y, dtype=float), self.A_stack, axes=1)
+
     def to_float(self) -> "SdpPair":
         if self.mode == FLOAT:
             return self
@@ -191,9 +212,8 @@ class SdpPair:
         )
 
     def max_abs_entry(self) -> float:
-        vals = [self.C.max_abs_entry()] + [Ai.max_abs_entry() for Ai in self.A]
-        vals.append(max((abs(float(v)) for v in self.b), default=0.0))
-        return max(vals)
+        return max(self.C.max_abs_entry(), float(np.max(np.abs(self.A_stack))),
+                   float(np.max(np.abs(self.b_array))))
 
 
 @dataclass(frozen=True)
@@ -238,17 +258,11 @@ def frobenius_inner(A: SymMat, B: SymMat):
 
 def min_eigenvalue(A: SymMat) -> float:
     """Smallest eigenvalue via a dense symmetric eigensolver."""
-    arr = A.array
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix has non-finite entries")
-    return float(np.linalg.eigvalsh(arr)[0])
+    return float(np.linalg.eigvalsh(A.array)[0])
 
 
 def max_eigenvalue(A: SymMat) -> float:
-    arr = A.array
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix has non-finite entries")
-    return float(np.linalg.eigvalsh(arr)[-1])
+    return float(np.linalg.eigvalsh(A.array)[-1])
 
 
 def is_psd(A: SymMat, tol: float) -> bool:
@@ -260,13 +274,9 @@ def is_psd(A: SymMat, tol: float) -> bool:
 
 def dual_slack_matrix(pair: SdpPair, y) -> SymMat:
     """C - sum_i y_i A_i as a float symmetric matrix."""
-    yv = np.asarray([float(v) for v in y], dtype=float)
-    if yv.shape[0] != pair.m:
+    if len(y) != pair.m:
         raise ValueError("multiplier vector has wrong length")
-    S = pair.C.array.copy()
-    for yi, Ai in zip(yv, pair.A):
-        S -= yi * Ai.array
-    return SymMat.from_array(S, symmetrize=True)
+    return SymMat.from_array(pair.C.array - pair.apply_AT(y), symmetrize=True)
 
 
 def residuals(pair: SdpPair, X: PrimalPoint, y: DualPoint) -> ResidualReport:
@@ -278,19 +288,13 @@ def residuals(pair: SdpPair, X: PrimalPoint, y: DualPoint) -> ResidualReport:
     """
     if X.X.dim != pair.n or len(y.y) != pair.m:
         raise ValueError("dimension mismatch with the problem pair")
-    Xf = X.X.to_float() if X.X.mode == EXACT else X.X
+    Xf = X.X.to_float()
     yv = y.array
-    slacks = [min_eigenvalue(Xf), min_eigenvalue(dual_slack_matrix(pair, yv))]
-    if pair.m:
-        slacks.append(float(np.min(yv)))
-    lin = 0.0
-    for bi, Ai in zip(pair.b_array, pair.A):
-        lin = max(lin, bi - frobenius_inner(Ai.to_float(), Xf))
-    gap = frobenius_inner(pair.C.to_float(), Xf) - float(pair.b_array @ yv)
+    slack = min(min_eigenvalue(Xf), min_eigenvalue(dual_slack_matrix(pair, yv)), float(np.min(yv)))
     return ResidualReport(
-        min_eig_slack=min(slacks),
-        worst_linear_violation=max(0.0, lin),
-        gap=gap,
+        min_eig_slack=slack,
+        worst_linear_violation=float(np.max(pair.b_array - pair.apply_A(Xf), initial=0.0)),
+        gap=frobenius_inner(pair.C.to_float(), Xf) - float(pair.b_array @ yv),
     )
 
 
@@ -298,20 +302,19 @@ def verify_strongly_optimal(pair: SdpPair, X: PrimalPoint, y: DualPoint, tol: fl
     """Weak-duality check: primal feasible, dual feasible and gap <= 0, all within tol."""
     if X.X.dim != pair.n or len(y.y) != pair.m:
         raise ValueError("dimension mismatch with the problem pair")
-    Xf = X.X.to_float() if X.X.mode == EXACT else X.X
+    Xf = X.X.to_float()
     yv = y.array
+    b = pair.b_array
     if not is_psd(Xf, tol):
         return False
-    y_scale = 1.0 + (float(np.max(np.abs(yv))) if pair.m else 0.0)
-    if pair.m and float(np.min(yv)) < -tol * y_scale:
+    if float(np.min(yv)) < -tol * (1.0 + float(np.max(np.abs(yv)))):
         return False
-    for bi, Ai in zip(pair.b_array, pair.A):
-        if bi - frobenius_inner(Ai.to_float(), Xf) > tol * (1.0 + abs(bi)):
-            return False
+    if np.any(b - pair.apply_A(Xf) > tol * (1.0 + np.abs(b))):
+        return False
     if not is_psd(dual_slack_matrix(pair, yv), tol):
         return False
     obj = frobenius_inner(pair.C.to_float(), Xf)
-    gap = obj - float(pair.b_array @ yv)
+    gap = obj - float(b @ yv)
     return gap <= tol * (1.0 + abs(obj))
 
 
@@ -326,7 +329,7 @@ def check_primal_direction(pair: SdpPair, W: SymMat, tol: float) -> dict:
         raise ValueError("direction dimension does not match the pair")
     scale = 1.0 + pair.max_abs_entry()
     Wf = W.to_float()
-    worst_lin = min(frobenius_inner(Ai.to_float(), Wf) for Ai in pair.A)
+    worst_lin = float(np.min(pair.apply_A(Wf)))
     obj = frobenius_inner(pair.C.to_float(), Wf)
     farkas = is_psd(Wf, tol) and obj < -tol * scale
     return {
@@ -350,8 +353,7 @@ def check_dual_direction(pair: SdpPair, y, tol: float) -> dict:
         raise ValueError("direction length does not match the pair")
     scale = 1.0 + pair.max_abs_entry()
     y_scale = 1.0 + float(np.max(np.abs(yv)))
-    combo = sum(yi * Ai.array for yi, Ai in zip(yv, pair.A))
-    lam = max_eigenvalue(SymMat.from_array(combo, symmetrize=True))
+    lam = max_eigenvalue(SymMat.from_array(pair.apply_AT(yv), symmetrize=True))
     val = float(pair.b_array @ yv)
     farkas = float(np.min(yv)) >= -tol * y_scale and val > tol * scale
     return {

@@ -27,6 +27,9 @@ NUMERICAL_FAILURE = "NumericalFailure"
 MIN = "min"
 MAX = "max"
 
+_STEP_FRACTION = 0.98  # fraction of the step to the cone boundary taken
+_DIVERGENCE_THRESHOLD = 1e8  # iterate norm, relative to the data scale, that stops a solve
+
 
 class DebugInvariantViolation(AssertionError):
     """Raised in debug mode when an iterate violates corrected weak duality."""
@@ -36,9 +39,7 @@ class DebugInvariantViolation(AssertionError):
 class SolverOptions:
     tol: float = 1e-8
     max_iters: int = 200
-    step_fraction: float = 0.98
     initial_centrality: float = 1.0
-    divergence_threshold: float = 1e8
     debug: bool = False
 
     def __post_init__(self):
@@ -46,8 +47,6 @@ class SolverOptions:
             raise ValueError("tol must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ValueError("step_fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +106,6 @@ class SolveResult:
     dual_infeas: float
     warnings: List[str] = field(default_factory=list)
     certificate: Optional[object] = None
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == OPTIMAL
 
 
 def _chol(a: np.ndarray) -> np.ndarray:
@@ -391,7 +386,7 @@ class _Ipm:
             resid = float(abs(self.A.T @ yhat + s / zn).max())
             if float(self.beta @ yhat) > 1e-6 and resid <= 1e-6:
                 return PRIMAL_INFEASIBLE, yhat
-        if max(xnorm, zn) > self.opts.divergence_threshold * self.scale:
+        if max(xnorm, zn) > _DIVERGENCE_THRESHOLD * self.scale:
             return MAX_ITERATIONS, None
         return None, None
 
@@ -463,9 +458,8 @@ class _Ipm:
                 else:
                     status = NUMERICAL_FAILURE
                 break
-            eta = opts.step_fraction
-            ap = min(1.0, eta * ap)
-            ad = min(1.0, eta * ad)
+            ap = min(1.0, _STEP_FRACTION * ap)
+            ad = min(1.0, _STEP_FRACTION * ad)
             if ap < 1e-14 and ad < 1e-14:
                 self.warnings.append("step sizes collapsed; stopping early")
                 status = MAX_ITERATIONS

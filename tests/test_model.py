@@ -264,3 +264,109 @@ class TestSdpPair:
     def test_exact_round_values(self, bounded_pair):
         assert bounded_pair.mode == "exact"
         assert bounded_pair.b == (Fraction(1),)
+
+
+def _exact_pair(rng, n, m):
+    """An exact-mode pair with small random rational entries."""
+
+    def mat():
+        M = [[Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4))) for _ in range(n)] for _ in range(n)]
+        return SymMat([[M[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+
+    return SdpPair(C=mat(), A=tuple(mat() for _ in range(m)), b=tuple(range(m)))
+
+
+def _float_pair(rng, n, m):
+    def mat():
+        return SymMat.from_array(rng.normal(size=(n, n)), symmetrize=True)
+
+    return SdpPair(C=mat(), A=tuple(mat() for _ in range(m)), b=tuple(rng.normal(size=m)))
+
+
+class TestConstraintOperator:
+    """SdpPair.apply_A / apply_AT against a per-constraint reference."""
+
+    @pytest.fixture(params=["exact", "float"])
+    def pairs(self, request):
+        rng = np.random.default_rng(11)
+        make = _exact_pair if request.param == "exact" else _float_pair
+        pairs = [make(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6))) for _ in range(10)]
+        assert all(p.mode == request.param for p in pairs)
+        return pairs
+
+    def test_stack_shape_and_entries(self, pairs):
+        for pair in pairs:
+            assert pair.A_stack.shape == (pair.m, pair.n, pair.n)
+            assert pair.A_stack.dtype == np.float64
+            for Ai, Si in zip(pair.A, pair.A_stack):
+                assert np.array_equal(Ai.array, Si)
+
+    def test_apply_A_matches_per_row_inner_products(self, pairs):
+        rng = np.random.default_rng(12)
+        for pair in pairs:
+            X = SymMat.from_array(rng.normal(size=(pair.n, pair.n)), symmetrize=True)
+            ref = [frobenius_inner(Ai.to_float(), X) for Ai in pair.A]
+            np.testing.assert_allclose(pair.apply_A(X), ref, rtol=1e-13, atol=1e-13)
+
+    def test_apply_A_of_exact_matrix_matches_exact_inner_products(self, pairs):
+        X = SymMat([[Fraction(1, 3) * (i + j) for j in range(5)] for i in range(5)])
+        for pair in pairs:
+            Xn = SymMat([[X.entry(i, j) for j in range(pair.n)] for i in range(pair.n)])
+            ref = [float(frobenius_inner(Ai, Xn)) for Ai in pair.A]
+            np.testing.assert_allclose(pair.apply_A(Xn), ref, rtol=1e-13, atol=1e-13)
+
+    def test_apply_AT_matches_explicit_sum(self, pairs):
+        rng = np.random.default_rng(13)
+        for pair in pairs:
+            y = rng.normal(size=pair.m)
+            ref = np.zeros((pair.n, pair.n))
+            for yi, Ai in zip(y, pair.A):
+                ref += yi * Ai.array
+            np.testing.assert_allclose(pair.apply_AT(y), ref, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(pair.apply_AT(tuple(Fraction(v) for v in y)), ref, rtol=1e-13, atol=1e-13)
+
+    def test_adjoint_identity(self, pairs):
+        rng = np.random.default_rng(14)
+        for pair in pairs:
+            X = SymMat.from_array(rng.normal(size=(pair.n, pair.n)), symmetrize=True)
+            y = rng.normal(size=pair.m)
+            lhs = float(np.tensordot(pair.apply_AT(y), X.array, axes=2))
+            rhs = float(y @ pair.apply_A(X))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    def test_stack_is_read_only_and_cached(self, pairs):
+        for pair in pairs:
+            with pytest.raises(ValueError):
+                pair.A_stack[0, 0, 0] = 1.0
+            assert pair.A_stack is pair.A_stack
+
+
+class TestHashEqualityContract:
+    def test_equal_symmats_across_modes_hash_equal(self):
+        a, b = SymMat([[1]]), SymMat(np.array([[1.0]]))
+        assert a.mode != b.mode
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_equal_pairs_across_modes_hash_equal(self, bounded_pair):
+        pf = bounded_pair.to_float()
+        assert bounded_pair.mode != pf.mode
+        assert bounded_pair == pf
+        assert hash(bounded_pair) == hash(pf)
+        assert len({bounded_pair, pf}) == 1
+
+
+class TestNonFiniteData:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_symmat_names_the_entry(self, bad):
+        rows = [[1.0, 0.0], [0.0, bad]]
+        with pytest.raises(ValueError, match=r"non-finite entry at \(1, 1\)"):
+            SymMat(rows)
+        with pytest.raises(ValueError, match=r"non-finite entry at \(1, 1\)"):
+            SymMat(np.array(rows))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_pair_names_the_entry_of_b(self, bad):
+        with pytest.raises(ValueError, match=r"b\[1\] is not finite"):
+            SdpPair(C=SymMat.identity(2), A=(SymMat.identity(2),) * 2, b=(1.0, bad))
