@@ -7,9 +7,10 @@ plays diag(X, diag(y), t) of order n+m+1.  The payoff to player 1 is
     sum_i y1_i (t2 b_i - <A_i, X2>) + <X1, sum_i y2_i A_i - t2 C>
     + t1 (<C, X2> - b'y2) + u (tr(X2) + 1'y2 - t2 M).
 
-The payoff tensor is never materialized; the response operators K (linear in
-player 2's strategy) and L (linear in player 1's) carry the game, and best
-responses are extreme eigenvalues.
+That payoff is written down once, as the matrix P of :func:`payoff_matrix`:
+payoff(s1, s2) = flat(s1)' P flat(s2).  The response operators
+K(s1) = P' flat(s1) and L(s2) = P flat(s2) and both player SDPs are read off
+P; best responses are extreme eigenvalues.
 """
 
 from __future__ import annotations
@@ -58,13 +59,12 @@ class _BlockStrategy:
     def trace_sum(self) -> float:
         return float(sum(self._scalars(), np.trace(self.X.array) + np.sum(self.y)))
 
+    def _flat(self) -> np.ndarray:
+        """flat(s) = (X raveled, y, scalars), the vector P acts on."""
+        return np.concatenate([self.X.array.ravel(), self.y, self._scalars()])
+
     def as_block_matrix(self) -> SymMat:
-        n = self.X.dim
-        d = np.concatenate([self.y, self._scalars()])
-        B = np.zeros((n + d.size, n + d.size))
-        B[:n, :n] = self.X.array
-        B[n:, n:] = np.diag(d)
-        return SymMat.from_array(B)
+        return _block_matrix(self._flat(), self.X.dim)
 
     @classmethod
     def _normalized(cls, X, y, *scalars):
@@ -136,41 +136,56 @@ def payoff(pair: SdpPair, M: float, s1: Strategy1, s2: Strategy2) -> float:
     return total
 
 
+def payoff_matrix(pair: SdpPair, M: float) -> np.ndarray:
+    """The matrix P with payoff(s1, s2) = flat(s1)' P flat(s2).
+
+    flat(s) = (X raveled, y, t[, u]), so P is (n^2+m+2) x (n^2+m+1).  With
+    A the m x n^2 matrix of the raveled A_i, its rows X1, y1, t1, u against
+    its columns X2, y2, t2 are
+
+        [  0      A'   -vec C ]
+        [ -A      0     b     ]
+        [ vec C' -b'    0     ]
+        [ vec I'  1'   -M     ]
+
+    The first n^2+m+1 rows, the symmetric subgame, are antisymmetric.
+    """
+    n, m = pair.n, pair.m
+    d = n * n
+    A = pair.A_stack.reshape(m, d)
+    c = pair.C.array.ravel()
+    Q = np.zeros((d + m + 1, d + m + 1))
+    Q[:d, d:-1] = A.T
+    Q[:d, -1] = -c
+    Q[d:-1, -1] = pair.b_array
+    return np.vstack([Q - Q.T, np.concatenate([np.eye(n).ravel(), np.ones(m), [-float(M)]])])
+
+
+def _block_matrix(v: np.ndarray, n: int) -> SymMat:
+    """diag(V, diag(w)) for v = (V raveled, w), V of order n."""
+    B = np.diag(np.concatenate([np.zeros(n), v[n * n:]]))
+    B[:n, :n] = v[:n * n].reshape(n, n)
+    return SymMat.from_array(B, symmetrize=True)
+
+
 def response_matrix_K(pair: SdpPair, M: float, s1: Strategy1) -> SymMat:
-    """Block matrix with payoff(s1, s2) = <K(s1), block(s2)> for every s2.
+    """Block matrix with payoff(s1, s2) = <K(s1), block(s2)> for every s2,
+    the layout of P' flat(s1).
 
     Blocks: t C - sum_i y_i A_i + u I (n x n); diagonal <X, A_i> - t b_i + u
     (m entries); scalar b'y - <X, C> - u M.
     """
-    n = pair.n
-    b = pair.b_array
-    Xf = s1.X.to_float()
-    K = np.zeros((n + pair.m + 1, n + pair.m + 1))
-    K[:n, :n] = s1.t * pair.C.array - pair.apply_AT(s1.y) + s1.u * np.eye(n)
-    K[n:, n:] = np.diag(np.append(
-        pair.apply_A(Xf) - s1.t * b + s1.u,
-        float(b @ s1.y) - frobenius_inner(Xf, pair.C.to_float()) - s1.u * M,
-    ))
-    return SymMat.from_array(K, symmetrize=True)
+    return _block_matrix(payoff_matrix(pair, M).T @ s1._flat(), pair.n)
 
 
 def response_matrix_L(pair: SdpPair, M: float, s2: Strategy2) -> SymMat:
-    """Block matrix with payoff(s1, s2) = <block(s1), L(s2)> for every s1.
+    """Block matrix with payoff(s1, s2) = <block(s1), L(s2)> for every s1,
+    the layout of P flat(s2).
 
     Blocks: sum_i y_i A_i - t C (n x n); diagonal t b_i - <A_i, X> (m);
     scalar <C, X> - b'y; scalar tr(X) + 1'y - t M.
     """
-    n = pair.n
-    b = pair.b_array
-    Xf = s2.X.to_float()
-    L = np.zeros((n + pair.m + 2, n + pair.m + 2))
-    L[:n, :n] = pair.apply_AT(s2.y) - s2.t * pair.C.array
-    L[n:, n:] = np.diag(np.concatenate([
-        s2.t * b - pair.apply_A(Xf),
-        [frobenius_inner(pair.C.to_float(), Xf) - float(b @ s2.y),
-         float(np.trace(Xf.array)) + float(np.sum(s2.y)) - s2.t * M],
-    ]))
-    return SymMat.from_array(L, symmetrize=True)
+    return _block_matrix(payoff_matrix(pair, M) @ s2._flat(), pair.n)
 
 
 def best_response_value_p2(pair: SdpPair, M: float, s1: Strategy1) -> float:
@@ -189,82 +204,47 @@ def subgame_payoff(pair: SdpPair, z1: Strategy2, z2: Strategy2) -> float:
     return payoff(pair, 1.0, Strategy1(z1.X, z1.y, z1.t, 0.0), z2)
 
 
+def _response_sdp(pair: SdpPair, R: np.ndarray, sign: float, sense: str, name: str) -> StandardSdp:
+    """sense v s.t. sign (R z - v I) = S psd over unit-trace block strategies z.
+
+    z = flat(strategy) has blocks (X, y, scalars) and R z is a response laid
+    out as diag(matrix, diagonal); S has the response's blocks.  Rows: the
+    matrix block's entries p <= q, each diagonal entry, then tr z = 1.
+    """
+    n, m = pair.n, pair.m
+    d = n * n
+
+    def blocks(size):
+        return [matrix_block(n), diag_block(m)] + [diag_block(1)] * (size - d - m)
+
+    nz = R.shape[1]  # the strategy's columns; v is column nz
+    zb = blocks(nz)
+    st = BlockStructure(zb + [free_scalar()] + blocks(R.shape[0]))
+    V_ = len(zb)
+    sR = sign * R
+    # the strategy's matrix block never enters the response's matrix block
+    terms = {k: sR[:d, st.slices[k]].T for k in range(1, V_)}
+    terms[V_] = [-sign * np.eye(n)]
+    E, e = matrix_equality(st, terms, (V_ + 1, -1.0))
+    rows = np.zeros((R.shape[0] - d + 1, st.dim))
+    rows[:-1, :nz] = sR[d:]
+    rows[:-1, nz] = -sign
+    np.fill_diagonal(rows[:-1, st.slices[V_ + 1].stop:], -1.0)
+    rows[-1, :nz] = np.concatenate([np.eye(n).ravel(), np.ones(nz - d)])
+    obj = np.zeros(st.dim)
+    obj[nz] = 1.0
+    return StandardSdp(st, obj, np.vstack([E, rows]), np.concatenate([e, np.zeros(len(rows) - 1), [1.0]]),
+                       sense=sense, name=f"{pair.name or 'pair'}-{name}")
+
+
 def game_sdp_player1(pair: SdpPair, M: float) -> StandardSdp:
     """max v s.t. K(X, y, t, u) - v I psd, (X, y, t, u) a unit-trace block strategy."""
-    n, m = pair.n, pair.m
-    A = pair.A_stack
-    C = pair.C.array
-    b = pair.b_array
-    st = BlockStructure(
-        [matrix_block(n), diag_block(m), diag_block(1), diag_block(1), free_scalar(),
-         matrix_block(n), diag_block(m), diag_block(1)]
-    )
-    X_, Y_, T_, U_, V_, SM_, SD_, SS_ = range(8)
-    I = np.eye(n)
-    # t C - sum y_i A_i + (u - v) I - S_mat = 0 entrywise
-    E, e = matrix_equality(st, {T_: [C], Y_: -A, U_: [I], V_: [-I]}, (SM_, -1.0))
-    rows = np.zeros((m + 2, st.dim))
-    X, Y, T, U, V, _, SD, SS = st.split(rows)
-    V[:-1] = -1.0  # -v in every row but the trace row
-    # <A_i, X> - t b_i + u - v - S_diag_i = 0
-    X[:m] = A
-    T[:m, 0] = -b
-    U[:m] = 1.0
-    np.fill_diagonal(SD, -1.0)
-    # b'y - <X, C> - u M - v - S_sc = 0
-    X[m] = -C
-    Y[m] = b
-    U[m] = -float(M)
-    SS[m] = -1.0
-    # tr X + 1'y + t + u = 1
-    X[m + 1] = I
-    Y[m + 1] = 1.0
-    T[m + 1] = 1.0
-    U[m + 1] = 1.0
-    obj = np.zeros(st.dim)
-    st.view(obj, V_)[:] = 1.0
-    return StandardSdp(st, obj, np.vstack([E, rows]), np.concatenate([e, np.zeros(m + 1), [1.0]]),
-                       sense=MAX, name=f"{pair.name or 'pair'}-game-p1")
+    return _response_sdp(pair, payoff_matrix(pair, M).T, 1.0, MAX, "game-p1")
 
 
 def game_sdp_player2(pair: SdpPair, M: float) -> StandardSdp:
     """min v s.t. v I - L(X, y, t) psd, (X, y, t) a unit-trace block strategy."""
-    n, m = pair.n, pair.m
-    A = pair.A_stack
-    C = pair.C.array
-    b = pair.b_array
-    st = BlockStructure(
-        [matrix_block(n), diag_block(m), diag_block(1), free_scalar(),
-         matrix_block(n), diag_block(m), diag_block(1), diag_block(1)]
-    )
-    X_, Y_, T_, V_, SM_, SD_, SS1_, SS2_ = range(8)
-    I = np.eye(n)
-    # v I - sum y_i A_i + t C - S_mat = 0 entrywise
-    E, e = matrix_equality(st, {V_: [I], Y_: -A, T_: [C]}, (SM_, -1.0))
-    rows = np.zeros((m + 3, st.dim))
-    X, Y, T, V, _, SD, SS1, SS2 = st.split(rows)
-    V[:-1] = 1.0  # v in every row but the trace row
-    # v - t b_i + <A_i, X> - S_diag_i = 0
-    T[:m, 0] = -b
-    X[:m] = A
-    np.fill_diagonal(SD, -1.0)
-    # v - <C, X> + b'y - S_sc1 = 0
-    X[m] = -C
-    Y[m] = b
-    SS1[m] = -1.0
-    # v - tr X - 1'y + t M - S_sc2 = 0
-    X[m + 1] = -I
-    Y[m + 1] = -1.0
-    T[m + 1] = float(M)
-    SS2[m + 1] = -1.0
-    # tr X + 1'y + t = 1
-    X[m + 2] = I
-    Y[m + 2] = 1.0
-    T[m + 2] = 1.0
-    obj = np.zeros(st.dim)
-    st.view(obj, V_)[:] = 1.0
-    return StandardSdp(st, obj, np.vstack([E, rows]), np.concatenate([e, np.zeros(m + 2), [1.0]]),
-                       sense=MIN, name=f"{pair.name or 'pair'}-game-p2")
+    return _response_sdp(pair, payoff_matrix(pair, M), -1.0, MIN, "game-p2")
 
 
 def solve_game(pair: SdpPair, M: float, opts: Optional[SolverOptions] = None) -> GameSolution:

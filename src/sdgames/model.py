@@ -117,13 +117,15 @@ class SymMat:
             return NotImplemented
         if self.dim != other.dim:
             return False
-        if self.mode == EXACT and other.mode == EXACT:
-            return self._rows == other._rows
-        return np.array_equal(self.array, other.array)
+        if self.mode == FLOAT and other.mode == FLOAT:
+            return np.array_equal(self._arr, other._arr)
+        # exact across modes: Fraction(float) is the float's exact value
+        return all(Fraction(a) == Fraction(b)
+                   for ra, rb in zip(self.rows(), other.rows()) for a, b in zip(ra, rb))
 
     def __hash__(self):
-        # equality crosses modes (exact == float when the floats agree), so
-        # only the dimension may enter the hash
+        # equality crosses modes (exact == float when every float is the
+        # exact entry), so only the dimension may enter the hash
         return hash(self.dim)
 
     def __repr__(self) -> str:

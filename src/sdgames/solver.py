@@ -39,7 +39,6 @@ class DebugInvariantViolation(AssertionError):
 class SolverOptions:
     tol: float = 1e-8
     max_iters: int = 200
-    initial_centrality: float = 1.0
     debug: bool = False
 
     def __post_init__(self):
@@ -296,6 +295,13 @@ class _Ipm:
         pinf = (abs(r_p).max() if r_p.size else 0.0) / self.beta_scale
         return float(pinf), float(abs(r_d).max()) / self.c_scale
 
+    def _converged(self, pinf, dinf, pobj, dobj, compl) -> bool:
+        """Both infeasibilities, and the gap or the complementarity relative to
+        1 + |pobj| + |dobj|, are at most tol."""
+        tol = self.opts.tol
+        denom = 1.0 + abs(pobj) + abs(dobj)
+        return pinf <= tol and dinf <= tol and (abs(pobj - dobj) / denom <= tol or compl / denom <= tol)
+
     def _debug_weak_duality(self, pobj, dobj, x, y, r_p, r_d):
         corr = abs(float(y @ r_p)) + abs(float(r_d @ x))
         slack = pobj - dobj + corr
@@ -396,7 +402,7 @@ class _Ipm:
         if self.inconsistent:
             d = self.A.shape[1]
             return self._result(PRIMAL_INFEASIBLE, np.zeros(d), np.zeros(self.p), np.zeros(d), 0)
-        x = (opts.initial_centrality * self.beta_scale) * self.e
+        x = self.beta_scale * self.e
         s = x.copy()
         y = np.zeros(self.p)
         best = (np.inf, x, y, s, 0)
@@ -409,16 +415,13 @@ class _Ipm:
             dobj = float(self.beta @ y)
             pinf, dinf = self._infeasibilities(r_p, r_d)
             compl = float(x[:nc] @ s[:nc])
-            denom = 1.0 + abs(pobj) + abs(dobj)
-            relgap = abs(pobj - dobj) / denom
+            relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             if opts.debug:
                 self._debug_weak_duality(pobj, dobj, x, y, r_p, r_d)
             merit = pinf + dinf + relgap
             if merit < best[0]:
                 best = (merit, x, y, s, it)  # iterates are replaced, never updated in place
-            if pinf <= opts.tol and dinf <= opts.tol and (
-                relgap <= opts.tol or compl / denom <= opts.tol
-            ):
+            if self._converged(pinf, dinf, pobj, dobj, compl):
                 status = OPTIMAL
                 break
             det, det_ray = self._check_infeasibility(x, y, s)
@@ -474,17 +477,11 @@ class _Ipm:
         if status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and best[0] < np.inf:
             _, x, y, s, _ = best
         res = self._result(status, x, y, s, it, ray)
-        if res.status in (MAX_ITERATIONS, NUMERICAL_FAILURE):
-            denom = 1.0 + abs(res.primal_objective) + abs(res.dual_objective)
-            if (
-                res.primal_infeas <= opts.tol
-                and res.dual_infeas <= opts.tol
-                and (
-                    abs(res.gap) / denom <= opts.tol
-                    or float(x[:nc] @ s[:nc]) / denom <= opts.tol
-                )
-            ):
-                res.status = OPTIMAL
+        if status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and self._converged(
+            res.primal_infeas, res.dual_infeas, res.primal_objective, res.dual_objective,
+            float(x[:nc] @ s[:nc]),
+        ):
+            res.status = OPTIMAL
         return res
 
     def _result(self, status, x, y, s, iterations, ray=None) -> SolveResult:

@@ -21,7 +21,7 @@ from sdgames.game import (
     solve_game,
     subgame_payoff,
 )
-from sdgames.generators import random_diagonal, random_slater
+from sdgames.generators import khachiyan_pair, random_diagonal, random_slater
 from sdgames.model import SdpPair, SymMat, frobenius_inner, min_eigenvalue
 from sdgames.bounds import practical_bound_M
 from sdgames.solver import solve
@@ -154,13 +154,19 @@ class TestResponseOperators:
         L = response_matrix_L(both_infeasible_pair, 1.0, s2).array
         assert L[-1, -1] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
-    def test_operator_consistency_random(self, bounded_pair):
+    @pytest.mark.parametrize("make_pair", [
+        pytest.param(lambda request: request.getfixturevalue("bounded_pair"), id="bounded"),
+        pytest.param(lambda request: random_slater(4, 3, 1), id="random_slater-4-3-1"),
+        pytest.param(lambda request: khachiyan_pair(2, 2), id="khachiyan-2-2"),
+    ])
+    def test_operator_consistency_random(self, make_pair, request):
+        pair = make_pair(request)
         rng = np.random.default_rng(11)
         for _ in range(100):
-            s1, s2 = rand_s1(rng, 2, 1), rand_s2(rng, 2, 1)
-            p = payoff(bounded_pair, 3.0, s1, s2)
-            K = response_matrix_K(bounded_pair, 3.0, s1)
-            L = response_matrix_L(bounded_pair, 3.0, s2)
+            s1, s2 = rand_s1(rng, pair.n, pair.m), rand_s2(rng, pair.n, pair.m)
+            p = payoff(pair, 3.0, s1, s2)
+            K = response_matrix_K(pair, 3.0, s1)
+            L = response_matrix_L(pair, 3.0, s2)
             assert frobenius_inner(K, s2.as_block_matrix()) == pytest.approx(p, abs=1e-12)
             assert frobenius_inner(s1.as_block_matrix(), L) == pytest.approx(p, abs=1e-12)
 

@@ -356,6 +356,18 @@ class TestHashEqualityContract:
         assert hash(bounded_pair) == hash(pf)
         assert len({bounded_pair, pf}) == 1
 
+    def test_exact_entry_differs_from_its_rounded_float(self):
+        a, f = SymMat([[Fraction(1, 3)]]), SymMat(np.array([[1 / 3]]))
+        assert Fraction(1, 3) != 1 / 3
+        assert a != f and f != a
+        assert a == SymMat([[Fraction(1, 3)]]) and f == a.to_float()
+
+    def test_exact_pair_differs_from_its_rounded_float(self):
+        a = SymMat([[Fraction(1, 3)]])
+        pair = SdpPair(C=a, A=(a,), b=(1,))
+        assert pair.mode == "exact"
+        assert pair != pair.to_float()
+
 
 class TestNonFiniteData:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -901,14 +901,6 @@ class TestInvariants:
             assert r1.status == OPTIMAL and r2.status == OPTIMAL
             assert r2.value == pytest.approx(-r1.value, abs=1e-6 * (1 + abs(r1.value)))
 
-    def test_initial_centrality_scales_start_only(self):
-        rng = np.random.default_rng(71)
-        prob = _random_feasible_block_sdp(rng)
-        r1 = solve(prob, SolverOptions())
-        r2 = solve(prob, SolverOptions(initial_centrality=5.0))
-        assert r1.status == r2.status == OPTIMAL
-        assert r1.value == pytest.approx(r2.value, abs=1e-7)
-
     def test_reported_solution_feasibility(self):
         rng = np.random.default_rng(61)
         prob = _random_feasible_block_sdp(rng)
