@@ -74,7 +74,9 @@ def _print_report_text(name: str, report: dict) -> None:
         return
     M = report["M"]
     print(f"outcome     : {report['outcome']}")
-    print(f"game value  : {report['game_value']:.9g}")
+    d = report["diagnostics"]
+    bracket = f"[{d['value_lower']:.9g}, {d['value_upper']:.9g}]"
+    print(f"game value  : {report['game_value']:.9g} in {bracket}")
     mval = "inf" if M["value"] is None else f"{M['value']:g}"
     print(f"M           : {mval} ({M['mode']})")
     if M["certified_log2"] is not None:

@@ -63,9 +63,6 @@ class _BlockStrategy:
         """flat(s) = (X raveled, y, scalars), the vector P acts on."""
         return np.concatenate([self.X.array.ravel(), self.y, self._scalars()])
 
-    def as_block_matrix(self) -> SymMat:
-        return _block_matrix(self._flat(), self.X.dim)
-
     @classmethod
     def _normalized(cls, X, y, *scalars):
         """Clip eigenvalues of X in [-1e-9 (1 + max |X|), 0) and negative y and
@@ -97,16 +94,24 @@ class Strategy2(_BlockStrategy):
 
 @dataclass(frozen=True, eq=False)
 class GameSolution:
-    value: float
+    """Strategies and the value bracket they certify: every s2 pays player 1
+    at least ``lower`` against s1, and no s1 earns more than ``upper``
+    against s2, so lower <= v <= upper for the game value v."""
+
     s1: Strategy1
     s2: Strategy2
-    residual: float
-    value_p1: float = 0.0
-    value_p2: float = 0.0
+    lower: float
+    upper: float
 
     def __post_init__(self):
-        if self.value < -1e-7 * (1.0 + abs(self.value)):
-            raise ValueError("the modified game value cannot be negative")
+        # both hold for any strategies; only rounding may break them
+        slack = 1e-7 * (1.0 + abs(self.upper))
+        if self.lower > self.upper + slack or self.upper < -slack:
+            raise ValueError("the value bracket must have lower <= upper and upper >= 0")
+
+    @property
+    def value(self) -> float:
+        return 0.5 * (self.lower + self.upper)
 
 
 def normalized_strategy1(X, y, t: float, u: float) -> Strategy1:
@@ -198,12 +203,6 @@ def best_response_value_p1(pair: SdpPair, M: float, s2: Strategy2) -> float:
     return max_eigenvalue(response_matrix_L(pair, M, s2))
 
 
-def subgame_payoff(pair: SdpPair, z1: Strategy2, z2: Strategy2) -> float:
-    """Payoff of the symmetric subgame on the first n+m+1 blocks: player 1
-    plays z1 with u = 0, so M drops out."""
-    return payoff(pair, 1.0, Strategy1(z1.X, z1.y, z1.t, 0.0), z2)
-
-
 def _response_sdp(pair: SdpPair, R: np.ndarray, sign: float, sense: str, name: str) -> StandardSdp:
     """sense v s.t. sign (R z - v I) = S psd over unit-trace block strategies z.
 
@@ -248,11 +247,8 @@ def game_sdp_player2(pair: SdpPair, M: float) -> StandardSdp:
 
 
 def solve_game(pair: SdpPair, M: float, opts: Optional[SolverOptions] = None) -> GameSolution:
-    """Solve both player SDPs and return the equilibrium.
-
-    The value is the average of the two optima; the residual aggregates the
-    solver disagreement and the best-response gaps of the extracted strategies.
-    """
+    """Solve both player SDPs and return their strategies with the bracket
+    lower = lambda_min(K(s1)) <= v <= upper = lambda_max(L(s2))."""
     if M <= 0:
         raise ValueError("the solution bound must be positive")
     opts = opts or SolverOptions(tol=1e-10, max_iters=300)
@@ -266,13 +262,6 @@ def solve_game(pair: SdpPair, M: float, opts: Optional[SolverOptions] = None) ->
     res2 = solve(game_sdp_player2(pf, M), opts)
     if res2.status not in acceptable:
         raise SolverFailure(f"player 2 game SDP failed: {res2.status}")
-    v1, v2 = res1.value, res2.value
     s1 = normalized_strategy1(res1.primal[0], res1.primal[1], res1.primal[2][0], res1.primal[3][0])
     s2 = normalized_strategy2(res2.primal[0], res2.primal[1], res2.primal[2][0])
-    v = 0.5 * (v1 + v2)
-    residual = max(
-        abs(v1 - v2),
-        abs(best_response_value_p2(pf, M, s1) - v),
-        abs(best_response_value_p1(pf, M, s2) - v),
-    )
-    return GameSolution(value=v, s1=s1, s2=s2, residual=residual, value_p1=v1, value_p2=v2)
+    return GameSolution(s1, s2, best_response_value_p2(pf, M, s1), best_response_value_p1(pf, M, s2))

@@ -41,13 +41,10 @@ INCONCLUSIVE = "Inconclusive"
 @dataclass(frozen=True)
 class PipelineConfig:
     solver_opts: SolverOptions = SolverOptions(tol=1e-10, max_iters=300)
-    value_zero_threshold: Optional[float] = None
     bound_mode: Union[str, float] = "practical"
     verify_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.value_zero_threshold is not None and self.value_zero_threshold <= 0:
-            raise ValueError("threshold must be positive")
         if not 0 < self.verify_tol < np.inf:
             raise ValueError("verification tolerance must be finite and positive")
         if isinstance(self.bound_mode, str):
@@ -123,11 +120,14 @@ def aux_value_relation(v: float, M: float) -> float:
 def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outcome:
     """Classify a pair through its modified Dantzig game.
 
-    Zero game value: recover the strongly optimal pair from the second
-    player's strategy and verify it.  Positive value: check the first player's
-    strategy structure (t' = 0, u = v), recover an unbounded direction, and
-    verify the certificate inequalities independently.  Any verification
-    failure downgrades to Inconclusive with diagnostics.
+    The strategies bracket the game value, lower <= v <= upper, and route
+    with the threshold 0.5/(M+1).  lower <= threshold: recover the strongly
+    optimal pair from the second player's strategy and verify it.  lower >
+    threshold, or a failed bounded branch with upper > threshold or
+    lower > 1e-6: check the first player's strategy structure (t' = 0,
+    u = v), recover an unbounded direction, and verify the certificate
+    inequalities independently.  Any verification failure downgrades to
+    Inconclusive with diagnostics.
     """
     config = config or PipelineConfig()
     pf = pair.to_float()
@@ -137,17 +137,12 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
         M_used = SolutionBoundM(mode=ARBITRARY, value=float(config.bound_mode))
     M = M_used.value
     game = solve_game(pf, M, config.solver_opts)
-    v = game.value
-    threshold = (
-        config.value_zero_threshold
-        if config.value_zero_threshold is not None
-        else 0.5 / (M + 1.0)
-    )
+    v, lower, upper = game.value, game.lower, game.upper
+    threshold = 0.5 / (M + 1.0)
     tol = config.verify_tol
     diagnostics = {
-        "game_residual": game.residual,
-        "value_p1": game.value_p1,
-        "value_p2": game.value_p2,
+        "value_lower": lower,
+        "value_upper": upper,
         "threshold": threshold,
         "s1_t": game.s1.t,
         "s1_u": game.s1.u,
@@ -155,7 +150,7 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     }
     out = Outcome(kind=INCONCLUSIVE, game_value=v, M_used=M_used, diagnostics=diagnostics)
 
-    if v <= threshold:
+    if lower <= threshold:
         try:
             X, y = recover_optimal(game.s2, tol=min(threshold, 1e-8))
         except ValueError as exc:
@@ -173,15 +168,16 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
                 out.y_opt = y
                 return out
             out.notes.append("recovered pair failed independent optimality verification")
-        robustly_positive = v > max(1e-6, 10.0 * game.residual)
-        if not robustly_positive:
+        if upper <= threshold and lower <= 1e-6:
             return out
-        # the bounded branch failed on a clearly positive value: fall through
-        # to the unbounded analysis so both branches leave diagnostics
+        # the bounded branch did not verify and the value may be positive:
+        # go on so that both branches leave diagnostics
 
-    # a positive game value rules out a strongly optimal pair
-    out.notes.append("game value positive; no pair of strongly optimal solutions exists")
-    out.implied_w_bar = aux_value_relation(min(v, 1.0 - 1e-12), M) if v < 1.0 else None
+    if lower > 0:
+        out.notes.append("game value positive; no pair of strongly optimal solutions exists")
+        out.implied_w_bar = aux_value_relation(v, M) if v < 1.0 else None
+    else:
+        out.notes.append(f"game value bracket [{lower:.3g}, {upper:.3g}] straddles 0")
     structure_ok = abs(game.s1.u - v) <= tol and game.s1.t <= tol
     if not structure_ok:
         out.notes.append(

@@ -28,7 +28,6 @@ from sdgames.game import (
     response_matrix_K,
     response_matrix_L,
     solve_game,
-    subgame_payoff,
 )
 from sdgames.generators import random_diagonal, random_slater, random_unbounded
 from sdgames.model import (
@@ -49,6 +48,7 @@ from sdgames.reduction import (
 )
 from sdgames.solver import OPTIMAL, SolverOptions, StandardSdp, solve
 
+from game_oracle import block_matrix, subgame_payoff
 from lp_oracle import OPTIMAL as LP_OPTIMAL
 from lp_oracle import UNBOUNDED as LP_UNBOUNDED
 from lp_oracle import lp_min_inequality
@@ -189,8 +189,8 @@ def test_criterion_7_property_suites(bounded_pair, game_opts):
     for _ in range(200):
         s1, s2 = rnd_s1(), rnd_s2()
         p = payoff(bounded_pair, 3.0, s1, s2)
-        k = frobenius_inner(response_matrix_K(bounded_pair, 3.0, s1), s2.as_block_matrix())
-        l = frobenius_inner(s1.as_block_matrix(), response_matrix_L(bounded_pair, 3.0, s2))
+        k = frobenius_inner(response_matrix_K(bounded_pair, 3.0, s1), block_matrix(s2))
+        l = frobenius_inner(block_matrix(s1), response_matrix_L(bounded_pair, 3.0, s2))
         worst = max(worst, abs(p - k), abs(p - l))
     _report(7, "operator consistency over 200 strategy pairs at 1e-12", worst <= 1e-12, f"worst={worst:.2e}")
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sdgames.cli as cli
+from sdgames import generators
 from sdgames.cli import main
 from sdgames.generators import example_corpus, random_unbounded
 from sdgames.model import SdpPair, SymMat
@@ -194,7 +195,8 @@ class TestGen:
         assert f1 == f2
 
     def test_out_of_range_parameters_rejected(self, tmp_path, capsys):
-        assert main(["gen", "random-slater", "--n", "17", "--m", "2", "--out", str(tmp_path)]) == 1
+        n = str(generators.MAX_SIZE + 1)
+        assert main(["gen", "random-slater", "--n", n, "--m", "2", "--out", str(tmp_path)]) == 1
         capsys.readouterr()
 
     def test_khachiyan_file_solves_to_closed_form(self, tmp_path, capsys):

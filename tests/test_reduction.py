@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import sdgames
+from sdgames import reduction
 from sdgames.auxiliary import ATTAINED, solve_aux
 from sdgames.bounds import practical_bound_M
-from sdgames.game import Strategy1, Strategy2, solve_game
+from sdgames.game import GameSolution, Strategy1, Strategy2, solve_game
 from sdgames.generators import random_diagonal, random_slater, random_unbounded
 from sdgames.model import (
     DualPoint,
@@ -153,6 +154,55 @@ class TestPipelineCorpus:
         out = run_pipeline(unattained_pair)
         assert out.kind == INCONCLUSIVE
         assert any("constraint qualification" in s for s in out.notes)
+
+
+class TestRouting:
+    """The bracket lower <= v <= upper picks the branches.  The strategies are
+    the solved equilibrium of corpus ``unbounded`` at M = 1 (threshold 1/4):
+    its second player's strategy recovers a pair that fails verification, and
+    its first player's strategy yields a verified primal direction."""
+
+    @pytest.fixture(scope="class")
+    def game(self, unbounded_pair, game_opts):
+        return solve_game(unbounded_pair, 1.0, game_opts)
+
+    def _run(self, monkeypatch, pair, game, lower, upper):
+        planted = GameSolution(game.s1, game.s2, lower, upper)
+        monkeypatch.setattr(reduction, "solve_game", lambda pf, M, opts: planted)
+        return run_pipeline(pair, PipelineConfig(bound_mode=1.0))
+
+    def test_straddling_bracket_tries_both_branches(self, monkeypatch, unbounded_pair, game):
+        out = self._run(monkeypatch, unbounded_pair, game, -1e-9, 0.5)
+        assert out.kind == PRIMAL_UNBOUNDED_CERT
+        assert "min_eig_slack" in out.verification and out.verification["primal"]["ok"]
+        assert "recovered pair failed independent optimality verification" in out.notes
+        assert any("straddles 0" in s for s in out.notes)
+        assert not any("no pair of strongly optimal solutions" in s for s in out.notes)
+
+    def test_upper_within_threshold_tries_bounded_only(self, monkeypatch, unbounded_pair, game):
+        out = self._run(monkeypatch, unbounded_pair, game, 1e-7, 0.2)
+        assert out.kind == INCONCLUSIVE
+        assert "min_eig_slack" in out.verification and "primal" not in out.verification
+        assert out.notes == ["recovered pair failed independent optimality verification"]
+
+    def test_positive_lower_within_threshold_still_tries_certificate(
+        self, monkeypatch, unbounded_pair, game
+    ):
+        out = self._run(monkeypatch, unbounded_pair, game, 0.01, 0.2)
+        assert out.kind == PRIMAL_UNBOUNDED_CERT
+        assert "min_eig_slack" in out.verification and out.verification["primal"]["ok"]
+        assert "game value positive; no pair of strongly optimal solutions exists" in out.notes
+        assert out.diagnostics["value_lower"] == 0.01
+        assert out.diagnostics["value_upper"] == 0.2
+
+
+@pytest.mark.parametrize(
+    "name", ["bounded", "unbounded", "both_infeasible", "aux_unattained", "duality_gap"]
+)
+def test_value_bracket_is_ordered_on_corpus(corpus, game_opts, name):
+    pair, meta = corpus[name]
+    g = solve_game(pair, float(meta["recommended_M"]), game_opts)
+    assert g.lower <= g.upper + 1e-12 * (1.0 + abs(g.upper))
 
 
 # Dense Slater pairs on which a refined-aux probe stops short of Optimal; the
