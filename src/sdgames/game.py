@@ -22,7 +22,7 @@ import numpy as np
 
 from .blocks import BlockStructure, diag_block, free_scalar, matrix_block, matrix_equality
 from .model import SdpPair, SymMat, frobenius_inner, is_psd, max_eigenvalue, min_eigenvalue
-from .solver import MAX, MAX_ITERATIONS, MIN, OPTIMAL, SolverOptions, StandardSdp, solve
+from .solver import MAX, MAX_ITERATIONS, MIN, OPTIMAL, STOPPED_EARLY, SolverOptions, StandardSdp, solve
 from .auxiliary import SolverFailure
 
 _TRACE_TOL = 1e-10
@@ -246,18 +246,53 @@ def game_sdp_player2(pair: SdpPair, M: float) -> StandardSdp:
     return _response_sdp(pair, payoff_matrix(pair, M), -1.0, MIN, "game-p2")
 
 
-def solve_game(pair: SdpPair, M: float, opts: Optional[SolverOptions] = None) -> GameSolution:
+def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float):
+    """Stop test for player 1's solve: the iterate's strategy s1 has t <= tol,
+    lambda_min(K(s1)) > 0.5/(M+1) and ``certifies(s1)``.
+
+    The primal blocks are (X, y, t, u, v, ...).  v > 0.5/(M+1) and
+    t <= tol * trace come first: they cost no eigenvalue call, and the
+    iterates of a pair with value 0 never pass them.  The few iterates that
+    do pass build P for K(s1) anew; a P held through the solve would raise
+    its peak memory.
+    """
+    threshold = 0.5 / (M + 1.0)
+
+    def stop(blocks) -> bool:
+        X, y, (t,), (u,), (v,) = blocks[:5]
+        if v <= threshold or t > tol * (np.trace(X) + np.sum(y) + t + u):
+            return False
+        try:
+            s1 = normalized_strategy1(X, y, t, u)
+        except ValueError:  # an iterate rounded off the cone
+            return False
+        return best_response_value_p2(pair, M, s1) > threshold and certifies(s1)
+
+    return stop
+
+
+def solve_game(
+    pair: SdpPair, M: float, opts: Optional[SolverOptions] = None, certifies=None, tol: float = 1e-6
+) -> GameSolution:
     """Solve both player SDPs and return their strategies with the bracket
-    lower = lambda_min(K(s1)) <= v <= upper = lambda_max(L(s2))."""
+    lower = lambda_min(K(s1)) <= v <= upper = lambda_max(L(s2)).
+
+    With ``certifies``, a test of player 1's strategy, player 1's solve stops
+    at the first iterate whose normalized strategy s1 has t <= tol,
+    lambda_min(K(s1)) > 0.5/(M+1) and ``certifies(s1)`` true.  Any such s1
+    proves the value positive, optimal or not; ``lower`` is then its bound,
+    below the value by up to a few 1e-5.
+    """
     if M <= 0:
         raise ValueError("the solution bound must be positive")
     opts = opts or SolverOptions(tol=1e-10, max_iters=300)
     pf = pair.to_float()
+    stop = None if certifies is None else _certifying_iterate(pf, M, certifies, tol)
     # both player problems are feasible and bounded by construction, so any
     # status besides convergence (or an iteration-capped near-solve) is a failure
     acceptable = (OPTIMAL, MAX_ITERATIONS)
-    res1 = solve(game_sdp_player1(pf, M), opts)
-    if res1.status not in acceptable:
+    res1 = solve(game_sdp_player1(pf, M), opts, stop=stop)
+    if res1.status not in acceptable + (STOPPED_EARLY,):
         raise SolverFailure(f"player 1 game SDP failed: {res1.status}")
     res2 = solve(game_sdp_player2(pf, M), opts)
     if res2.status not in acceptable:

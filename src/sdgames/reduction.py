@@ -110,6 +110,42 @@ def recover_certificate(s1: Strategy1, pair: SdpPair, tol: float) -> Certificate
     return CertificateFragment(primal_direction=primal, dual_direction=dual)
 
 
+# a candidate that passes its check only by the check's margin may have no
+# exact counterpart; an early-stopped player 1 must do better than that
+_ZERO_MARGIN = {
+    "primal": lambda check: check["min_constraint_value"] >= 0.0,
+    "dual": lambda check: check["max_eig_combo"] <= 0.0,
+}
+
+
+def _certificate_checks(s1: Strategy1, pair: SdpPair, tol: float):
+    """The candidate directions of s1 and their independent checks, keyed
+    ``primal`` and ``dual``; raises ValueError when t' has not vanished."""
+    frag = recover_certificate(s1, pair, tol)
+    checks = {}
+    if frag.primal_direction is not None:
+        checks["primal"] = check_primal_direction(pair, frag.primal_direction, tol)
+    if frag.dual_direction is not None:
+        checks["dual"] = check_dual_direction(pair, frag.dual_direction, tol)
+    return frag, checks
+
+
+def _certifies(pair: SdpPair, tol: float):
+    """Test of a player-1 strategy: some candidate direction passes its
+    check, and every one that passes also holds its constraints with zero
+    margin (min <A_i, W> >= 0, or lambda_max(sum_i y_i A_i) <= 0)."""
+
+    def certifies(s1: Strategy1) -> bool:
+        try:
+            _, checks = _certificate_checks(s1, pair, tol)
+        except ValueError:
+            return False
+        passed = [key for key, check in checks.items() if check["ok"]]
+        return bool(passed) and all(_ZERO_MARGIN[key](checks[key]) for key in passed)
+
+    return certifies
+
+
 def aux_value_relation(v: float, M: float) -> float:
     """Auxiliary optimum implied by a positive game value: w = v(M+1)/(1-v)."""
     if not 0.0 <= v < 1.0:
@@ -124,10 +160,14 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     with the threshold 0.5/(M+1).  lower <= threshold: recover the strongly
     optimal pair from the second player's strategy and verify it.  lower >
     threshold, or a failed bounded branch with upper > threshold or
-    lower > 1e-6: check the first player's strategy structure (t' = 0,
-    u = v), recover an unbounded direction, and verify the certificate
-    inequalities independently.  Any verification failure downgrades to
-    Inconclusive with diagnostics.
+    lower > 0: check the first player's strategy structure (t' = 0,
+    lower <= u <= upper), recover an unbounded direction, and verify the
+    certificate inequalities independently.  Any verification failure
+    downgrades to Inconclusive with diagnostics.
+
+    The first player's game solve stops at the first iterate whose strategy
+    passes this certificate branch with zero margin, so on a certificate the
+    bracket is that iterate's and can be some 1e-5 wide.
     """
     config = config or PipelineConfig()
     pf = pair.to_float()
@@ -136,10 +176,10 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     else:
         M_used = SolutionBoundM(mode=ARBITRARY, value=float(config.bound_mode))
     M = M_used.value
-    game = solve_game(pf, M, config.solver_opts)
+    tol = config.verify_tol
+    game = solve_game(pf, M, config.solver_opts, _certifies(pf, tol), tol)
     v, lower, upper = game.value, game.lower, game.upper
     threshold = 0.5 / (M + 1.0)
-    tol = config.verify_tol
     diagnostics = {
         "value_lower": lower,
         "value_upper": upper,
@@ -168,7 +208,7 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
                 out.y_opt = y
                 return out
             out.notes.append("recovered pair failed independent optimality verification")
-        if upper <= threshold and lower <= 1e-6:
+        if upper <= threshold and lower <= 0:
             return out
         # the bounded branch did not verify and the value may be positive:
         # go on so that both branches leave diagnostics
@@ -178,14 +218,15 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
         out.implied_w_bar = aux_value_relation(v, M) if v < 1.0 else None
     else:
         out.notes.append(f"game value bracket [{lower:.3g}, {upper:.3g}] straddles 0")
-    structure_ok = abs(game.s1.u - v) <= tol and game.s1.t <= tol
+    # u = v, when only the bracket is known
+    structure_ok = lower - tol <= game.s1.u <= upper + tol and game.s1.t <= tol
     if not structure_ok:
         out.notes.append(
             "optimal strategy violates the unbounded-regime structure (t'=0, u=v); "
             "constraint qualification may fail"
         )
     try:
-        frag = recover_certificate(game.s1, pf, tol)
+        frag, found = _certificate_checks(game.s1, pf, tol)
     except ValueError as exc:
         out.notes.append(f"certificate recovery failed: {exc}")
         return out
@@ -193,10 +234,7 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
         out.notes.append("no certificate inequality is strictly satisfied")
         return out
     checks = dict(out.verification) if isinstance(out.verification, dict) else {}
-    if frag.primal_direction is not None:
-        checks["primal"] = check_primal_direction(pf, frag.primal_direction, tol)
-    if frag.dual_direction is not None:
-        checks["dual"] = check_dual_direction(pf, frag.dual_direction, tol)
+    checks.update(found)
     out.verification = checks
     primal_ok = checks.get("primal", {}).get("ok", False)
     dual_ok = checks.get("dual", {}).get("ok", False)

@@ -12,7 +12,7 @@ diagonal blocks as one nonnegative orthant, then the free scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -23,6 +23,7 @@ PRIMAL_INFEASIBLE = "PrimalInfeasibleDetected"
 DUAL_INFEASIBLE = "DualInfeasibleDetected"
 MAX_ITERATIONS = "MaxIterations"
 NUMERICAL_FAILURE = "NumericalFailure"
+STOPPED_EARLY = "StoppedEarly"
 
 MIN = "min"
 MAX = "max"
@@ -396,7 +397,7 @@ class _Ipm:
             return MAX_ITERATIONS, None
         return None, None
 
-    def run(self) -> SolveResult:
+    def run(self, stop: Optional[Callable[[list], bool]] = None) -> SolveResult:
         opts = self.opts
         nc = self.ncone
         if self.inconsistent:
@@ -423,6 +424,10 @@ class _Ipm:
                 best = (merit, x, y, s, it)  # iterates are replaced, never updated in place
             if self._converged(pinf, dinf, pobj, dobj, compl):
                 status = OPTIMAL
+                break
+            if stop is not None and stop(self._blocks(x)):
+                self.warnings.append(f"stopped early: the stop test accepted iteration {it}")
+                status = STOPPED_EARLY
                 break
             det, det_ray = self._check_infeasibility(x, y, s)
             if det == MAX_ITERATIONS:
@@ -509,6 +514,16 @@ class _Ipm:
         )
 
 
-def solve(problem: StandardSdp, opts: Optional[SolverOptions] = None) -> SolveResult:
-    """Solve a standard-form block SDP; deterministic for fixed inputs and options."""
-    return _Ipm(problem, opts or SolverOptions()).run()
+def solve(
+    problem: StandardSdp,
+    opts: Optional[SolverOptions] = None,
+    stop: Optional[Callable[[list], bool]] = None,
+) -> SolveResult:
+    """Solve a standard-form block SDP; deterministic for fixed inputs and options.
+
+    ``stop(primal_blocks)``, when given, sees the primal iterate of every
+    iteration that has not converged, as a block list in the layout of
+    ``problem.structure``.  When it returns True the solve ends with that
+    iterate (not the best one seen) and the status ``StoppedEarly``.
+    """
+    return _Ipm(problem, opts or SolverOptions()).run(stop)

@@ -3,10 +3,12 @@
 Runs ``run_pipeline`` with the practical bound on every instance and prints,
 per instance, the expected and the reported kind, the M used, and per solver
 role (``primal-aux``, ``refined-aux``, ``game-p1``, ``game-p2``) the solves,
-their total iterations and how many ended other than Optimal, as
-``solves/iterations/non_optimal``, then the wall time.  A summary follows:
-the kinds lost (expected but not reported) and gained (reported but not
-expected), and the total iterations per role::
+their total iterations and how many ended neither Optimal nor StoppedEarly,
+as ``solves/iterations/non_optimal``, then the number of game solves that a
+stop test ended early (StoppedEarly: player 1 at a certifying iterate) and
+the wall time.  A summary follows: the kinds lost (expected but not
+reported) and gained (reported but not expected), the total iterations and
+non-Optimal solves per role, and the early-stopped solves::
 
     python tests/outcome_census.py          # n = m in {2, 3, 4, 6, 8, 12}
     python tests/outcome_census.py --fast   # n = m in {2, 3, 4}
@@ -51,7 +53,7 @@ from sdgames.reduction import (  # noqa: E402
     STRONGLY_OPTIMAL,
     run_pipeline,
 )
-from sdgames.solver import OPTIMAL  # noqa: E402
+from sdgames.solver import OPTIMAL, STOPPED_EARLY  # noqa: E402
 
 from solve_digest import recording, role  # noqa: E402
 
@@ -77,15 +79,17 @@ def instances(sizes=SIZES) -> list:
 
 
 def census(cases) -> list:
-    """One row per (pair, expected): name, expected, kind, M, per-role counts, wall_s."""
+    """One row per (pair, expected): name, expected, kind, M, wall_s and per
+    role [solves, iterations, non_optimal, stopped_early]."""
     rows = []
     current = [None, None]  # the instance's role table and its pair
 
     def on_solve(problem, res):
-        counts = current[0].setdefault(role(problem, current[1]), [0, 0, 0])
+        counts = current[0].setdefault(role(problem, current[1]), [0, 0, 0, 0])
         counts[0] += 1
         counts[1] += res.iterations
-        counts[2] += res.status != OPTIMAL
+        counts[2] += res.status not in (OPTIMAL, STOPPED_EARLY)
+        counts[3] += res.status == STOPPED_EARLY
 
     with recording(on_solve):
         for pair, expected in cases:
@@ -106,29 +110,40 @@ def census(cases) -> list:
 
 
 def summary(rows) -> dict:
-    """Kinds lost and gained (as counters) and total iterations per role."""
+    """Kinds lost and gained (as counters), total iterations and non-Optimal
+    solves per role, and the early-stopped solves."""
     missed = [r for r in rows if r["kind"] != r["expected"]]
+
+    def total(k, i):
+        return sum(r["roles"].get(k, [0, 0, 0, 0])[i] for r in rows)
+
     return {
         "lost": Counter(r["expected"] for r in missed),
         "gained": Counter(r["kind"] for r in missed),
         "missed": [r["name"] for r in missed],
-        "iterations": {k: sum(r["roles"].get(k, [0, 0, 0])[1] for r in rows) for k in ROLES},
+        "iterations": {k: total(k, 1) for k in ROLES},
+        "non_optimal": {k: total(k, 2) for k in ROLES},
+        "stopped_early": sum(total(k, 3) for k in ROLES),
     }
 
 
 def _counts(c) -> str:
-    return "/".join(map(str, c)) if c else "-"
+    return "/".join(map(str, c[:3])) if c else "-"
+
+
+def _stopped(roles) -> int:
+    return sum(c[3] for c in roles.values())
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     rows = census(instances(FAST_SIZES if "--fast" in argv else SIZES))
     print(f"{'instance':26s} {'expected':20s} {'reported':20s} {'M':>6s} "
-          + " ".join(f"{k:>11s}" for k in ROLES) + f" {'wall_s':>7s}")
+          + " ".join(f"{k:>11s}" for k in ROLES) + f" {'stopped':>7s} {'wall_s':>7s}")
     for r in rows:
         print(f"{r['name']:26s} {r['expected']:20s} {r['kind']:20s} {r['M']:6g} "
               + " ".join(f"{_counts(r['roles'].get(k)):>11s}" for k in ROLES)
-              + f" {r['wall_s']:7.3f}")
+              + f" {_stopped(r['roles']):7d} {r['wall_s']:7.3f}")
     s = summary(rows)
     print(f"\n{len(rows)} instances, {len(rows) - len(s['missed'])} with the expected kind")
     print("kinds lost:   " + (", ".join(f"{k} {v}" for k, v in sorted(s["lost"].items())) or "none"))
@@ -138,6 +153,8 @@ def main(argv=None) -> int:
     its = s["iterations"]
     print("total iterations: " + ", ".join(f"{k} {v}" for k, v in its.items())
           + f", all {sum(its.values())}")
+    print("non-Optimal solves: " + ", ".join(f"{k} {v}" for k, v in s["non_optimal"].items())
+          + f"; stopped early: {s['stopped_early']}")
     return 0
 
 

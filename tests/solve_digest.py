@@ -86,8 +86,8 @@ def recording(on_solve):
     result)`` sees each solve as it returns."""
     original = solver.solve
 
-    def recorded(problem, opts=None):
-        res = original(problem, opts)
+    def recorded(problem, opts=None, stop=None):
+        res = original(problem, opts, stop=stop)
         on_solve(problem, res)
         return res
 

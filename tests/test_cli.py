@@ -371,6 +371,18 @@ class TestVerify:
         assert rc == 0
         assert capsys.readouterr().out.startswith("PASS (Farkas certificate, ")
 
+    def test_early_stopped_certificate_passes_from_its_report(self, tmp_path, capsys):
+        # player 1's game solve stops at the first certifying iterate here
+        problem = tmp_path / "pair.json"
+        save_problem(problem, random_unbounded(10, 10, 2))
+        assert main(["reduce", str(problem), "--M", "10", "--out", str(tmp_path)]) == 2
+        report = json.loads((tmp_path / "pair.report.json").read_text())
+        assert report["outcome"] == "PrimalUnboundedCert"
+        assert report["residuals"]["primal"]["min_constraint_value"] >= 0
+        capsys.readouterr()
+        assert main(["verify", str(problem), str(tmp_path / "pair.report.json")]) == 0
+        assert capsys.readouterr().out.startswith("PASS (Farkas certificate, ")
+
     @pytest.mark.parametrize(
         "stem", ["bounded", "unbounded", "both_infeasible", "duality_gap", "aux_unattained"]
     )

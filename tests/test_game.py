@@ -20,7 +20,7 @@ from sdgames.game import (
     response_matrix_L,
     solve_game,
 )
-from sdgames.generators import khachiyan_pair, random_diagonal, random_slater
+from sdgames.generators import khachiyan_pair, random_diagonal, random_slater, random_unbounded
 from sdgames.model import SdpPair, SymMat, frobenius_inner, min_eigenvalue
 from sdgames.bounds import practical_bound_M
 from sdgames.solver import solve
@@ -340,6 +340,32 @@ class TestSolveGame:
     def test_rejects_nonpositive_bound(self, bounded_pair):
         with pytest.raises(ValueError):
             solve_game(bounded_pair, 0.0)
+
+    def test_certifies_sees_only_strategies_past_the_threshold(self, game_opts):
+        # random_unbounded(10, 10, 2) at M = 10 (threshold 1/22): player 1's
+        # solve ends at the first strategy that certifies accepts
+        pair, M = random_unbounded(10, 10, 2), 10.0
+        seen = []
+
+        def certifies(s1):
+            seen.append(s1)
+            return len(seen) == 2
+
+        g = solve_game(pair, M, game_opts, certifies, 1e-6)
+        assert len(seen) == 2 and g.s1.t <= 1e-6
+        for s1 in seen:
+            assert s1.t <= 1e-6 and best_response_value_p2(pair, M, s1) > 0.5 / (M + 1)
+        assert g.lower == best_response_value_p2(pair, M, seen[-1])
+        assert g.lower <= g.upper
+        full = solve_game(pair, M, game_opts)
+        assert g.upper == full.upper and abs(g.lower - full.lower) <= 1e-4
+
+    def test_certifies_never_called_at_value_zero(self, bounded_pair, game_opts):
+        def certifies(s1):
+            raise AssertionError("called on a pair with game value 0")
+
+        g = solve_game(bounded_pair, 3.0, game_opts, certifies, 1e-6)
+        assert abs(g.value) <= 1e-7
 
 
 class TestDiagonalReduction:

@@ -36,8 +36,10 @@ from sdgames.reduction import (
     recover_optimal,
     run_pipeline,
 )
+from sdgames.solver import STOPPED_EARLY
 
 import outcome_census
+import solve_digest
 from lp_oracle import OPTIMAL as LP_OPTIMAL
 from lp_oracle import UNBOUNDED as LP_UNBOUNDED
 from lp_oracle import lp_min_inequality
@@ -168,7 +170,7 @@ class TestRouting:
 
     def _run(self, monkeypatch, pair, game, lower, upper):
         planted = GameSolution(game.s1, game.s2, lower, upper)
-        monkeypatch.setattr(reduction, "solve_game", lambda pf, M, opts: planted)
+        monkeypatch.setattr(reduction, "solve_game", lambda pf, M, opts, certifies, tol: planted)
         return run_pipeline(pair, PipelineConfig(bound_mode=1.0))
 
     def test_straddling_bracket_tries_both_branches(self, monkeypatch, unbounded_pair, game):
@@ -180,7 +182,7 @@ class TestRouting:
         assert not any("no pair of strongly optimal solutions" in s for s in out.notes)
 
     def test_upper_within_threshold_tries_bounded_only(self, monkeypatch, unbounded_pair, game):
-        out = self._run(monkeypatch, unbounded_pair, game, 1e-7, 0.2)
+        out = self._run(monkeypatch, unbounded_pair, game, 0.0, 0.2)
         assert out.kind == INCONCLUSIVE
         assert "min_eig_slack" in out.verification and "primal" not in out.verification
         assert out.notes == ["recovered pair failed independent optimality verification"]
@@ -194,6 +196,69 @@ class TestRouting:
         assert "game value positive; no pair of strongly optimal solutions exists" in out.notes
         assert out.diagnostics["value_lower"] == 0.01
         assert out.diagnostics["value_upper"] == 0.2
+
+    def test_tiny_positive_lower_still_tries_certificate(self, monkeypatch, unbounded_pair, game):
+        # any certified positive lower bound gets the certificate attempt: the
+        # threshold 0.5/(M+1) shrinks with M, so no absolute cut-off is safe
+        out = self._run(monkeypatch, unbounded_pair, game, 1e-7, 0.2)
+        assert out.kind == PRIMAL_UNBOUNDED_CERT
+        assert "min_eig_slack" in out.verification and out.verification["primal"]["ok"]
+        assert "game value positive; no pair of strongly optimal solutions exists" in out.notes
+
+    def test_positive_lower_at_large_M_gets_the_certificate_attempt(self, duality_gap_pair):
+        # the bracket at M = 1e4 is about [1.997e-9, 2.006e-9], far below the
+        # threshold 5e-5; the certificate branch runs and finds t' nonzero
+        out = run_pipeline(duality_gap_pair, PipelineConfig(bound_mode=1e4))
+        assert out.kind == INCONCLUSIVE
+        assert 0 < out.diagnostics["value_lower"] < 1e-8
+        assert "recovered pair failed independent optimality verification" in out.notes
+        assert "game value positive; no pair of strongly optimal solutions exists" in out.notes
+        assert any(s.startswith("certificate recovery failed") for s in out.notes)
+
+    def test_structure_note_reads_u_against_the_bracket(self, monkeypatch, unbounded_pair, game):
+        # u = v means lower <= u <= upper when only the bracket is known; here
+        # u lies inside the bracket but about 5e-3 from its midpoint
+        u = game.s1.u
+        out = self._run(monkeypatch, unbounded_pair, game, u - 1e-4, u + 1e-2)
+        assert out.kind == PRIMAL_UNBOUNDED_CERT
+        assert not any("unbounded-regime structure" in s for s in out.notes)
+        out = self._run(monkeypatch, unbounded_pair, game, u + 1e-3, u + 1e-2)
+        assert out.kind == PRIMAL_UNBOUNDED_CERT
+        assert any("unbounded-regime structure" in s for s in out.notes)
+
+
+def _with_game_p1(pair, config):
+    """run_pipeline's outcome and the result of its player-1 game solve."""
+    solves = {}
+
+    def on_solve(problem, res):
+        solves[solve_digest.role(problem, pair)] = res
+
+    with solve_digest.recording(on_solve):
+        out = run_pipeline(pair, config)
+    return out, solves["game-p1"]
+
+
+class TestEarlyStop:
+    """Player 1's game solve ends at the first iterate whose strategy the
+    certificate branch reports, with zero margin on the direction's constraints."""
+
+    def test_certificate_at_fixed_M(self):
+        # runs 99 iterations to the precision limit without the stop test
+        out, res = _with_game_p1(random_unbounded(10, 10, 2), PipelineConfig(bound_mode=10.0))
+        assert res.status == STOPPED_EARLY and res.iterations <= 15
+        assert out.kind == PRIMAL_UNBOUNDED_CERT
+        assert out.verification["primal"]["min_constraint_value"] >= 0
+        assert out.diagnostics["value_lower"] > out.diagnostics["threshold"]
+        assert not any("unbounded-regime structure" in s for s in out.notes)
+
+    def test_both_infeasible_keeps_its_dual_direction(self, both_infeasible_pair):
+        # an earlier iterate's primal candidate passes its check only by the
+        # margin, and no exact primal direction exists for this pair
+        out, res = _with_game_p1(both_infeasible_pair, PipelineConfig())
+        assert res.status == STOPPED_EARLY
+        assert out.kind == DUAL_UNBOUNDED_CERT
+        assert out.verification["dual"]["ok"] and out.verification["dual"]["max_eig_combo"] <= 0
 
 
 @pytest.mark.parametrize(

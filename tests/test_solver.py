@@ -21,6 +21,7 @@ from sdgames.solver import (
     DUAL_INFEASIBLE,
     OPTIMAL,
     PRIMAL_INFEASIBLE,
+    STOPPED_EARLY,
     SolverOptions,
     StandardSdp,
     _ConeScaling,
@@ -348,6 +349,30 @@ class TestExamples:
         r2 = solve(prob)
         assert r1.value == r2.value
         assert r1.iterations == r2.iterations
+
+
+class TestStopTest:
+    def test_stop_ends_the_solve_with_the_accepted_iterate(self):
+        prob = _random_feasible_block_sdp(np.random.default_rng(3))
+        seen = []
+
+        def stop(blocks):
+            seen.append([b.copy() for b in blocks])
+            return len(seen) == 4
+
+        r = solve(prob, stop=stop)
+        assert (r.status, r.iterations) == (STOPPED_EARLY, 4)
+        assert r.warnings[-1] == "stopped early: the stop test accepted iteration 4"
+        # the accepted iterate itself, not the best-merit one
+        assert all(np.array_equal(a, b) for a, b in zip(r.primal, seen[-1]))
+
+    def test_rejecting_stop_changes_nothing(self):
+        prob = _random_feasible_block_sdp(np.random.default_rng(3))
+        calls = []
+        plain = solve(prob)
+        r = solve(prob, stop=lambda blocks: calls.append(blocks) or False)
+        assert r.status == OPTIMAL and len(calls) == r.iterations - 1
+        assert solve_digest._solve_bytes(r) == solve_digest._solve_bytes(plain)
 
 
 class TestCertificates:
