@@ -15,7 +15,7 @@ P; best responses are extreme eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -96,12 +96,19 @@ class Strategy2(_BlockStrategy):
 class GameSolution:
     """Strategies and the value bracket they certify: every s2 pays player 1
     at least ``lower`` against s1, and no s1 earns more than ``upper``
-    against s2, so lower <= v <= upper for the game value v."""
+    against s2, so lower <= v <= upper for the game value v.
+
+    ``certificate`` is what the ``certifies`` test of :func:`solve_game`
+    returned on s1 when player 1's solve stopped there, else None.  s1 then
+    proves the value positive, and s2 is solved only to the verification
+    tolerance: ``upper`` stays a certified bound, up to a few 1e-7 higher.
+    """
 
     s1: Strategy1
     s2: Strategy2
     lower: float
     upper: float
+    certificate: object = None
 
     def __post_init__(self):
         # both hold for any strategies; only rounding may break them
@@ -246,15 +253,16 @@ def game_sdp_player2(pair: SdpPair, M: float) -> StandardSdp:
     return _response_sdp(pair, payoff_matrix(pair, M), -1.0, MIN, "game-p2")
 
 
-def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float):
+def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float, accepted: dict):
     """Stop test for player 1's solve: the iterate's strategy s1 has t <= tol,
-    lambda_min(K(s1)) > 0.5/(M+1) and ``certifies(s1)``.
+    lambda_min(K(s1)) > 0.5/(M+1) and ``certifies(s1)`` returns a true value.
 
     The primal blocks are (X, y, t, u, v, ...).  v > 0.5/(M+1) and
     t <= tol * trace come first: they cost no eigenvalue call, and the
     iterates of a pair with value 0 never pass them.  The few iterates that
     do pass build P for K(s1) anew; a P held through the solve would raise
-    its peak memory.
+    its peak memory.  The accepted iterate leaves s1, lambda_min(K(s1)) and
+    what ``certifies`` returned in ``accepted``.
     """
     threshold = 0.5 / (M + 1.0)
 
@@ -266,7 +274,13 @@ def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float):
             s1 = normalized_strategy1(X, y, t, u)
         except ValueError:  # an iterate rounded off the cone
             return False
-        return best_response_value_p2(pair, M, s1) > threshold and certifies(s1)
+        lower = best_response_value_p2(pair, M, s1)
+        if lower <= threshold:
+            return False
+        certificate = certifies(s1)
+        if certificate:
+            accepted.update(s1=s1, lower=lower, certificate=certificate)
+        return bool(certificate)
 
     return stop
 
@@ -279,24 +293,34 @@ def solve_game(
 
     With ``certifies``, a test of player 1's strategy, player 1's solve stops
     at the first iterate whose normalized strategy s1 has t <= tol,
-    lambda_min(K(s1)) > 0.5/(M+1) and ``certifies(s1)`` true.  Any such s1
-    proves the value positive, optimal or not; ``lower`` is then its bound,
-    below the value by up to a few 1e-5.
+    lambda_min(K(s1)) > 0.5/(M+1) and ``certifies(s1)`` true; that value is
+    kept as ``GameSolution.certificate``.  Any such s1 proves the value
+    positive, optimal or not; ``lower`` is then its bound, below the value by
+    up to a few 1e-5.  Player 2 then only closes the bracket from above, so
+    its solve stops at tolerance max(opts.tol, tol): upper = lambda_max(L(s2))
+    is certified for any s2, and a bracket already some 1e-5 wide cannot show
+    the extra digits.  Every other solve uses ``opts``.
     """
     if M <= 0:
         raise ValueError("the solution bound must be positive")
     opts = opts or SolverOptions(tol=1e-10, max_iters=300)
     pf = pair.to_float()
-    stop = None if certifies is None else _certifying_iterate(pf, M, certifies, tol)
+    accepted: dict = {}
+    stop = None if certifies is None else _certifying_iterate(pf, M, certifies, tol, accepted)
     # both player problems are feasible and bounded by construction, so any
     # status besides convergence (or an iteration-capped near-solve) is a failure
     acceptable = (OPTIMAL, MAX_ITERATIONS)
     res1 = solve(game_sdp_player1(pf, M), opts, stop=stop)
     if res1.status not in acceptable + (STOPPED_EARLY,):
         raise SolverFailure(f"player 1 game SDP failed: {res1.status}")
-    res2 = solve(game_sdp_player2(pf, M), opts)
+    if res1.status == STOPPED_EARLY:
+        s1, lower, certificate = accepted["s1"], accepted["lower"], accepted["certificate"]
+        opts2 = replace(opts, tol=max(opts.tol, tol))
+    else:
+        s1 = normalized_strategy1(res1.primal[0], res1.primal[1], res1.primal[2][0], res1.primal[3][0])
+        lower, certificate, opts2 = best_response_value_p2(pf, M, s1), None, opts
+    res2 = solve(game_sdp_player2(pf, M), opts2)
     if res2.status not in acceptable:
         raise SolverFailure(f"player 2 game SDP failed: {res2.status}")
-    s1 = normalized_strategy1(res1.primal[0], res1.primal[1], res1.primal[2][0], res1.primal[3][0])
     s2 = normalized_strategy2(res2.primal[0], res2.primal[1], res2.primal[2][0])
-    return GameSolution(s1, s2, best_response_value_p2(pf, M, s1), best_response_value_p1(pf, M, s2))
+    return GameSolution(s1, s2, lower, best_response_value_p1(pf, M, s2), certificate)

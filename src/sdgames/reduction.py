@@ -133,15 +133,18 @@ def _certificate_checks(s1: Strategy1, pair: SdpPair, tol: float):
 def _certifies(pair: SdpPair, tol: float):
     """Test of a player-1 strategy: some candidate direction passes its
     check, and every one that passes also holds its constraints with zero
-    margin (min <A_i, W> >= 0, or lambda_max(sum_i y_i A_i) <= 0)."""
+    margin (min <A_i, W> >= 0, or lambda_max(sum_i y_i A_i) <= 0).  Returns
+    the ``_certificate_checks`` of a strategy that passes, else None."""
 
-    def certifies(s1: Strategy1) -> bool:
+    def certifies(s1: Strategy1):
         try:
-            _, checks = _certificate_checks(s1, pair, tol)
+            frag, checks = _certificate_checks(s1, pair, tol)
         except ValueError:
-            return False
+            return None
         passed = [key for key, check in checks.items() if check["ok"]]
-        return bool(passed) and all(_ZERO_MARGIN[key](checks[key]) for key in passed)
+        if passed and all(_ZERO_MARGIN[key](checks[key]) for key in passed):
+            return frag, checks
+        return None
 
     return certifies
 
@@ -167,7 +170,8 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
 
     The first player's game solve stops at the first iterate whose strategy
     passes this certificate branch with zero margin, so on a certificate the
-    bracket is that iterate's and can be some 1e-5 wide.
+    bracket is that iterate's and can be some 1e-5 wide; the second player's
+    solve then only closes it from above and stops at ``verify_tol``.
     """
     config = config or PipelineConfig()
     pf = pair.to_float()
@@ -226,7 +230,8 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
             "constraint qualification may fail"
         )
     try:
-        frag, found = _certificate_checks(game.s1, pf, tol)
+        # an early-stopped player 1 already ran these checks on this s1
+        frag, found = game.certificate or _certificate_checks(game.s1, pf, tol)
     except ValueError as exc:
         out.notes.append(f"certificate recovery failed: {exc}")
         return out

@@ -101,6 +101,19 @@ def recording(on_solve):
             m.solve = original
 
 
+def solves_of(pair, run) -> tuple:
+    """run()'s result and {role: result} of the solves it made on ``pair``,
+    the last one per role."""
+    solves = {}
+
+    def on_solve(problem, res):
+        solves[role(problem, pair)] = res
+
+    with recording(on_solve):
+        out = run()
+    return out, solves
+
+
 def digest(instances) -> dict:
     """role -> (solves, iterations, SHA-256 hex digest) over the given instances."""
     records: dict = {}

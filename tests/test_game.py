@@ -23,9 +23,10 @@ from sdgames.game import (
 from sdgames.generators import khachiyan_pair, random_diagonal, random_slater, random_unbounded
 from sdgames.model import SdpPair, SymMat, frobenius_inner, min_eigenvalue
 from sdgames.bounds import practical_bound_M
-from sdgames.solver import solve
+from sdgames.solver import OPTIMAL, solve
 
 from game_oracle import block_matrix, subgame_payoff
+from solve_digest import solves_of
 from lp_oracle import matrix_game_value
 
 
@@ -351,14 +352,28 @@ class TestSolveGame:
             seen.append(s1)
             return len(seen) == 2
 
-        g = solve_game(pair, M, game_opts, certifies, 1e-6)
-        assert len(seen) == 2 and g.s1.t <= 1e-6
+        g, solves = solves_of(pair, lambda: solve_game(pair, M, game_opts, certifies, 1e-6))
+        assert len(seen) == 2 and g.s1 is seen[-1] and g.s1.t <= 1e-6 and g.certificate is True
         for s1 in seen:
             assert s1.t <= 1e-6 and best_response_value_p2(pair, M, s1) > 0.5 / (M + 1)
         assert g.lower == best_response_value_p2(pair, M, seen[-1])
         assert g.lower <= g.upper
-        full = solve_game(pair, M, game_opts)
-        assert g.upper == full.upper and abs(g.lower - full.lower) <= 1e-4
+        # player 2 then stops at the verification tolerance: still Optimal,
+        # in fewer iterations, and its upper end still bounds the value
+        full, full_solves = solves_of(pair, lambda: solve_game(pair, M, game_opts))
+        p2, full_p2 = solves["game-p2"], full_solves["game-p2"]
+        assert p2.status == OPTIMAL and p2.iterations < full_p2.iterations
+        assert full.lower <= g.upper <= full.upper + 1e-6 and abs(g.lower - full.lower) <= 1e-4
+
+    def test_bounded_pair_s2_unchanged_by_certifies(self, game_opts):
+        # player 1 never stops early at value 0, so player 2 keeps opts.tol
+        pair = random_slater(4, 4, 1)
+        M = practical_bound_M(pair).value
+        plain = solve_game(pair, M, game_opts)
+        g = solve_game(pair, M, game_opts, lambda s1: True, 1e-6)
+        assert g.certificate is None
+        for a, b in [(g.s2.X.array, plain.s2.X.array), (g.s2.y, plain.s2.y), (g.s2.t, plain.s2.t)]:
+            assert np.array_equal(a, b)
 
     def test_certifies_never_called_at_value_zero(self, bounded_pair, game_opts):
         def certifies(s1):

@@ -3,6 +3,7 @@ properties on random instance families."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import sdgames
-from sdgames import reduction
+from sdgames import cli, reduction
 from sdgames.auxiliary import ATTAINED, solve_aux
 from sdgames.bounds import practical_bound_M
 from sdgames.game import GameSolution, Strategy1, Strategy2, solve_game
@@ -25,6 +26,7 @@ from sdgames.model import (
     frobenius_inner,
     verify_strongly_optimal,
 )
+from sdgames.probio import report_to_dict, save_problem
 from sdgames.reduction import (
     DUAL_UNBOUNDED_CERT,
     INCONCLUSIVE,
@@ -229,13 +231,7 @@ class TestRouting:
 
 def _with_game_p1(pair, config):
     """run_pipeline's outcome and the result of its player-1 game solve."""
-    solves = {}
-
-    def on_solve(problem, res):
-        solves[solve_digest.role(problem, pair)] = res
-
-    with solve_digest.recording(on_solve):
-        out = run_pipeline(pair, config)
+    out, solves = solve_digest.solves_of(pair, lambda: run_pipeline(pair, config))
     return out, solves["game-p1"]
 
 
@@ -251,6 +247,38 @@ class TestEarlyStop:
         assert out.verification["primal"]["min_constraint_value"] >= 0
         assert out.diagnostics["value_lower"] > out.diagnostics["threshold"]
         assert not any("unbounded-regime structure" in s for s in out.notes)
+
+    def test_certificate_verifies_from_its_report_near_the_full_value(self, tmp_path, capsys):
+        # player 2 stops at the verification tolerance after player 1's early
+        # stop; the report still verifies, and its value is the full game's
+        pair, config = random_unbounded(10, 10, 2), PipelineConfig(bound_mode=10.0)
+        out = run_pipeline(pair, config)
+        assert out.kind == PRIMAL_UNBOUNDED_CERT
+        problem, report = tmp_path / "pair.json", tmp_path / "pair.report.json"
+        save_problem(problem, pair)
+        report.write_text(json.dumps(report_to_dict(out)))
+        assert cli.main(["verify", str(problem), str(report)]) == 0
+        assert capsys.readouterr().out.startswith("PASS (Farkas certificate, ")
+        full = solve_game(pair, 10.0, config.solver_opts)
+        assert abs(json.loads(report.read_text())["game_value"] - full.value) <= 1e-5
+
+    def test_accepted_strategy_is_not_worked_out_again(self, monkeypatch):
+        # the stop test reaches lambda_min(K(s1)) and the checks once here;
+        # solve_game and the certificate branch reuse what it computed
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+
+            return wrapper
+
+        for module, name in [(sdgames.game, "best_response_value_p2"), (reduction, "_certificate_checks")]:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        out = run_pipeline(random_unbounded(10, 10, 2), PipelineConfig(bound_mode=10.0))
+        assert out.kind == PRIMAL_UNBOUNDED_CERT
+        assert sorted(calls) == ["_certificate_checks", "best_response_value_p2"]
 
     def test_both_infeasible_keeps_its_dual_direction(self, both_infeasible_pair):
         # an earlier iterate's primal candidate passes its check only by the
@@ -294,6 +322,9 @@ def test_outcome_census_fast_ladder_reports_expected_kinds():
     assert all(set(r["roles"]) == set(outcome_census.ROLES) for r in rows)
     summary = outcome_census.summary(rows)
     assert not summary["lost"] and not summary["gained"]
+    # brackets are certified, lower <= upper, and narrow at the practical M
+    assert all(-1e-12 <= r["width"] <= 1e-4 for r in rows)
+    assert set(summary["widest"]) == {r["kind"] for r in rows}
 
 
 def test_runtime_does_not_import_scipy():
