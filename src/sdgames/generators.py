@@ -115,6 +115,16 @@ def khachiyan_pair(n: int, tau: int) -> SdpPair:
     return SdpPair(C=SymMat(C), A=tuple(A), b=tuple(b), name=f"khachiyan-n{n}-tau{tau}")
 
 
+def _pair(C, A, b, name: str) -> SdpPair:
+    """Pair of float data, each matrix replaced by its symmetric part."""
+    return SdpPair(
+        C=SymMat.from_array(C, symmetrize=True),
+        A=tuple(SymMat.from_array(Ai, symmetrize=True) for Ai in A),
+        b=tuple(float(v) for v in b),
+        name=name,
+    )
+
+
 def _random_sym(rng: np.random.Generator, n: int) -> np.ndarray:
     G = rng.normal(size=(n, n))
     return 0.5 * (G + G.T)
@@ -132,12 +142,7 @@ def random_slater(n: int, m: int, seed: int) -> SdpPair:
     H = rng.normal(size=(n, n))
     Z0 = H @ H.T + 0.5 * np.eye(n)
     C = sum(yi * Ai for yi, Ai in zip(y0, A)) + Z0
-    return SdpPair(
-        C=SymMat.from_array(C, symmetrize=True),
-        A=tuple(SymMat.from_array(Ai, symmetrize=True) for Ai in A),
-        b=tuple(b),
-        name=f"slater-n{n}-m{m}-s{seed}",
-    )
+    return _pair(C, A, b, f"slater-n{n}-m{m}-s{seed}")
 
 
 def random_unbounded(n: int, m: int, seed: int) -> SdpPair:
@@ -159,12 +164,22 @@ def random_unbounded(n: int, m: int, seed: int) -> SdpPair:
     cval = float(np.tensordot(C, W0, axes=2))
     C = C - (cval + margin) / trW * np.eye(n)
     b = [float(rng.uniform(-1.0, 1.0)) for _ in range(m)]
-    return SdpPair(
-        C=SymMat.from_array(C, symmetrize=True),
-        A=tuple(SymMat.from_array(Ai, symmetrize=True) for Ai in A),
-        b=tuple(b),
-        name=f"unbounded-n{n}-m{m}-s{seed}",
-    )
+    return _pair(C, A, b, f"unbounded-n{n}-m{m}-s{seed}")
+
+
+def random_dual_unbounded(n: int, m: int, seed: int) -> SdpPair:
+    """Pair with a strictly unbounded dual direction y0 > 0 baked in:
+    sum_i y0_i A_i < 0 and b'y0 > 0, so the dual is strictly feasible."""
+    _check_size(n, m)
+    rng = np.random.default_rng(seed)
+    y0 = rng.uniform(0.5, 1.5, size=m)
+    margin = 0.5
+    A = np.array([_random_sym(rng, n) for _ in range(m)])
+    top = float(np.linalg.eigvalsh(np.tensordot(y0, A, axes=1))[-1])
+    A -= max(top + margin, 0.0) / y0.sum() * np.eye(n)
+    b = rng.uniform(-1.0, 1.0, size=m)
+    b -= (float(b @ y0) - margin) / y0.sum()
+    return _pair(_random_sym(rng, n), A, b, f"dual-unbounded-n{n}-m{m}-s{seed}")
 
 
 def random_diagonal(n: int, m: int, seed: int, kind: str = "slater") -> SdpPair:
@@ -188,10 +203,5 @@ def random_diagonal(n: int, m: int, seed: int, kind: str = "slater") -> SdpPair:
         b = rng.uniform(-1.0, 1.0, size=m)
     else:
         raise ValueError("kind must be 'slater' or 'unbounded'")
-    A = tuple(SymMat.from_array(np.diag(row)) for row in rows)
-    return SdpPair(
-        C=SymMat.from_array(np.diag(c)),
-        A=A,
-        b=tuple(float(v) for v in b),
-        name=f"diag-{kind}-n{n}-m{m}-s{seed}",
-    )
+    A = [np.diag(row) for row in rows]
+    return _pair(np.diag(c), A, b, f"diag-{kind}-n{n}-m{m}-s{seed}")

@@ -3,7 +3,9 @@
 Solves  min/max <c, x>  s.t.  <a_j, x> = beta_j,  x in K,
 where K is a product of psd matrix blocks, nonnegative diagonal blocks and
 free scalars.  Path following with Nesterov-Todd scaling and a Mehrotra
-predictor-corrector step; dense Cholesky/LU on the (augmented) Schur system.
+predictor-corrector step.  Cholesky factors only x and s, for the scaling;
+each Newton direction is one LU solve of the augmented Schur system, plus one
+step of iterative refinement once the best merit is below _PRECISION_MERIT.
 Free scalars are kept in the Newton system natively rather than split.
 Inside a solve the iterate is one flat vector: the matrix blocks, then all
 diagonal blocks as one nonnegative orthant, then the free scalars.
@@ -30,6 +32,7 @@ MAX = "max"
 
 _STEP_FRACTION = 0.98  # fraction of the step to the cone boundary taken
 _DIVERGENCE_THRESHOLD = 1e8  # iterate norm, relative to the data scale, that stops a solve
+_PRECISION_MERIT = 1e-6  # best merit below which rounding limits a solve: refine its directions
 
 
 class DebugInvariantViolation(AssertionError):
@@ -339,22 +342,22 @@ class _Ipm:
                 S += Ai[:, b].reshape(p, -1) @ waw[:, b].reshape(p, -1).T
         return S
 
-    def _solve_augmented(self, rhs):
+    def _solve_augmented(self, rhs, refine):
         Maug = self.Maug
         try:
             sol = np.linalg.solve(Maug, rhs)
-            r = rhs - Maug @ sol
-            sol += np.linalg.solve(Maug, r)
+            if refine:
+                sol += np.linalg.solve(Maug, rhs - Maug @ sol)
         except np.linalg.LinAlgError:
             sol, *_ = np.linalg.lstsq(Maug, rhs, rcond=None)
         return sol
 
-    def _direction(self, scalings, r_p, r_d, wrd, g):
+    def _direction(self, scalings, r_p, r_d, wrd, g, refine):
         """Newton direction given the g-term g, which is 0 on the free scalars,
-        and wrd = W r_d W."""
+        and wrd = W r_d W; ``refine`` adds one iterative-refinement solve."""
         p = self.p
         rhs = np.concatenate([r_p - self.A @ (g - wrd), r_d[self.free]])
-        sol = self._solve_augmented(rhs)
+        sol = self._solve_augmented(rhs, refine)
         dy = sol[:p]
         ds = r_d - self.A.T @ dy
         ds[self.free] = 0.0
@@ -442,10 +445,11 @@ class _Ipm:
                 self.Maug[: self.p, : self.p] = self._schur(scalings)
                 wrd = self._apply_w(scalings, r_d)
                 mu = compl / max(self.nu, 1)
+                refine = best[0] < _PRECISION_MERIT
                 # predictor
                 g = -x
                 g[self.free] = 0.0
-                dxa, dya, dsa = self._direction(scalings, r_p, r_d, wrd, g)
+                dxa, dya, dsa = self._direction(scalings, r_p, r_d, wrd, g, refine)
                 apa, ada, scaled = self._step_lengths(scalings, x, s, dxa, dsa)
                 apa, ada = min(1.0, apa), min(1.0, ada)
                 xa = x[:nc] + apa * dxa[:nc]
@@ -457,10 +461,10 @@ class _Ipm:
                 g[o] += (sigma * mu - dxa[o] * dsa[o]) / s[o]
                 for (sl, _, _), sc, t in zip(self.stacks, scalings[0], scaled):
                     g[sl] += sc.combine_target(sigma * mu, t).ravel()
-                dx, dy, ds = self._direction(scalings, r_p, r_d, wrd, g)
+                dx, dy, ds = self._direction(scalings, r_p, r_d, wrd, g, refine)
                 ap, ad, _ = self._step_lengths(scalings, x, s, dx, ds)
             except (np.linalg.LinAlgError, FloatingPointError):
-                if best[0] < 1e-6:
+                if best[0] < _PRECISION_MERIT:
                     self.warnings.append("stopped at numerical precision limit")
                     status = MAX_ITERATIONS
                 else:

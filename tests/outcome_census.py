@@ -10,21 +10,28 @@ width ``value_upper - value_lower`` of the game's value bracket and the wall
 time.  A summary follows: the kinds lost (expected but not reported) and
 gained (reported but not expected), the total iterations and non-Optimal
 solves per role, the early-stopped solves and the widest bracket per
-reported kind::
+reported kind.  The exit status is 1 when a kind is lost or gained::
 
     python tests/outcome_census.py          # n = m in {2, 3, 4, 6, 8, 12}
     python tests/outcome_census.py --fast   # n = m in {2, 3, 4}
+    python tests/outcome_census.py --stalls # game-p1 iterations without a stop test
 
 Instances: the five-instance example corpus, ``khachiyan_pair(n, 2)`` for
-n in {1, 2, 3}, and ``random_slater``, ``random_unbounded`` and
-``random_diagonal`` (both kinds) at seeds 1-3.  A pair built around strictly
-feasible points is expected StronglyOptimal; one built around a strict
-unbounded direction, PrimalUnboundedCert; the corpus carries its own
-expectations.  A tree that changes results (fewer solves, another linear
-solve) compares the kind, M and width columns and the iteration totals with
-its parent's.  BLAS runs on one thread, as in ``tests/solve_digest.py``.  Not
-collected by pytest; ``tests/test_reduction.py`` checks the kinds of the fast
-ladder.
+n in {1, 2, 3}, and ``random_slater``, ``random_unbounded``,
+``random_dual_unbounded`` and ``random_diagonal`` (both kinds) at seeds 1-3.
+A pair built around strictly feasible points is expected StronglyOptimal; one
+built around a strict unbounded primal (dual) direction, PrimalUnboundedCert
+(DualUnboundedCert); the corpus carries its own expectations.  A tree that
+changes results (fewer solves, another linear solve) compares the kind, M and
+width columns and the iteration totals with its parent's.  BLAS runs on one
+thread, as in ``tests/solve_digest.py``.  Not collected by pytest;
+``tests/test_reduction.py`` checks the kinds of the fast ladder.
+
+``--stalls`` instead runs ``solve_game`` without a stop test on
+``random_unbounded(n, n, s)``, n in {6, 8, 10}, s in 100-111, at M = 10, and
+prints the total, median and largest game-p1 iteration count and how many of
+those solves reach max_iters: player 1's iterations at the precision limit,
+which the pipeline's stop test hides.
 """
 
 from __future__ import annotations
@@ -39,33 +46,39 @@ if __name__ == "__main__":
         os.environ.setdefault(_var, "1")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import statistics  # noqa: E402
 import time  # noqa: E402
 from collections import Counter  # noqa: E402
 from functools import partial  # noqa: E402
 
+from sdgames.game import solve_game  # noqa: E402
 from sdgames.generators import (  # noqa: E402
     example_corpus,
     khachiyan_pair,
     random_diagonal,
+    random_dual_unbounded,
     random_slater,
     random_unbounded,
 )
 from sdgames.reduction import (  # noqa: E402
+    DUAL_UNBOUNDED_CERT,
     PRIMAL_UNBOUNDED_CERT,
     STRONGLY_OPTIMAL,
     run_pipeline,
 )
-from sdgames.solver import OPTIMAL, STOPPED_EARLY  # noqa: E402
+from sdgames.solver import OPTIMAL, STOPPED_EARLY, SolverOptions  # noqa: E402
 
 from solve_digest import recording, role  # noqa: E402
 
 SEEDS = (1, 2, 3)
 SIZES = (2, 3, 4, 6, 8, 12)
 FAST_SIZES = (2, 3, 4)
+GAME_OPTS = SolverOptions(tol=1e-10, max_iters=300)  # solve_game's default
 ROLES = ("primal-aux", "refined-aux", "game-p1", "game-p2")
 GENERATORS = (
     (random_slater, STRONGLY_OPTIMAL),
     (random_unbounded, PRIMAL_UNBOUNDED_CERT),
+    (random_dual_unbounded, DUAL_UNBOUNDED_CERT),
     (partial(random_diagonal, kind="slater"), STRONGLY_OPTIMAL),
     (partial(random_diagonal, kind="unbounded"), PRIMAL_UNBOUNDED_CERT),
 )
@@ -134,6 +147,24 @@ def summary(rows) -> dict:
     }
 
 
+def stalls() -> list:
+    """Iterations of player 1's game solve without a stop test on
+    ``random_unbounded(n, n, s)``, n in {6, 8, 10}, s in 100-111, at M = 10."""
+    out = []
+    current = [None]
+
+    def on_solve(problem, res):
+        if role(problem, current[0]) == "game-p1":
+            out.append(res.iterations)
+
+    with recording(on_solve):
+        for n in (6, 8, 10):
+            for seed in range(100, 112):
+                current[0] = pair = random_unbounded(n, n, seed)
+                solve_game(pair, 10.0, GAME_OPTS)
+    return out
+
+
 def _counts(c) -> str:
     return "/".join(map(str, c[:3])) if c else "-"
 
@@ -144,6 +175,12 @@ def _stopped(roles) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if "--stalls" in argv:
+        its = stalls()
+        print(f"{len(its)} game-p1 solves without a stop test: iterations {sum(its)} in total, "
+              f"median {statistics.median(its):g}, max {max(its)}; "
+              f"{its.count(GAME_OPTS.max_iters)} end at max_iters = {GAME_OPTS.max_iters}")
+        return 0
     rows = census(instances(FAST_SIZES if "--fast" in argv else SIZES))
     print(f"{'instance':26s} {'expected':20s} {'reported':20s} {'M':>6s} "
           + " ".join(f"{k:>11s}" for k in ROLES) + f" {'stopped':>7s} {'width':>9s} {'wall_s':>7s}")
@@ -164,7 +201,7 @@ def main(argv=None) -> int:
           + f"; stopped early: {s['stopped_early']}")
     print("widest bracket per reported kind: "
           + ", ".join(f"{k} {w:.3g}" for k, w in s["widest"].items()))
-    return 0
+    return 1 if s["missed"] else 0
 
 
 if __name__ == "__main__":

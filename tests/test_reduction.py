@@ -317,7 +317,7 @@ def test_outcome_census_fast_ladder_reports_expected_kinds():
     # the fast ladder of tests/outcome_census.py: corpus, small Khachiyan pairs
     # and every random family at n <= 4; each pair runs all four solver roles
     rows = outcome_census.census(outcome_census.instances(outcome_census.FAST_SIZES))
-    assert len(rows) == 5 + 3 + 4 * len(outcome_census.FAST_SIZES) * len(outcome_census.SEEDS)
+    assert len(rows) == 5 + 3 + 5 * len(outcome_census.FAST_SIZES) * len(outcome_census.SEEDS)
     assert [(r["name"], r["kind"]) for r in rows if r["kind"] != r["expected"]] == []
     assert all(set(r["roles"]) == set(outcome_census.ROLES) for r in rows)
     summary = outcome_census.summary(rows)
@@ -325,6 +325,14 @@ def test_outcome_census_fast_ladder_reports_expected_kinds():
     # brackets are certified, lower <= upper, and narrow at the practical M
     assert all(-1e-12 <= r["width"] <= 1e-4 for r in rows)
     assert set(summary["widest"]) == {r["kind"] for r in rows}
+
+
+def test_outcome_census_exits_1_when_a_kind_is_lost(bounded_pair, monkeypatch, capsys):
+    # corpus bounded reports StronglyOptimal; the census gates on the kind
+    for expected, rc in ((STRONGLY_OPTIMAL, 0), (PRIMAL_UNBOUNDED_CERT, 1)):
+        monkeypatch.setattr(outcome_census, "instances", lambda sizes: [(bounded_pair, expected)])
+        assert outcome_census.main(["--fast"]) == rc
+    assert "kinds lost:   PrimalUnboundedCert 1" in capsys.readouterr().out
 
 
 def test_runtime_does_not_import_scipy():

@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sdgames.auxiliary import solve_aux
+from sdgames import solver
+from sdgames.auxiliary import build_primal_aux, solve_aux
 from sdgames.blocks import (
     MATRIX,
     BlockStructure,
@@ -373,6 +374,32 @@ class TestStopTest:
         r = solve(prob, stop=lambda blocks: calls.append(blocks) or False)
         assert r.status == OPTIMAL and len(calls) == r.iterations - 1
         assert solve_digest._solve_bytes(r) == solve_digest._solve_bytes(plain)
+
+
+class TestRefinementGate:
+    def test_directions_refined_only_below_the_precision_merit(self, monkeypatch):
+        # per iteration, one LU solve per Newton direction while the best merit
+        # is at least _PRECISION_MERIT, and one refinement solve more after it
+        merits, solves = [], []
+        converged, lu_solve = _Ipm._converged, np.linalg.solve
+
+        def record_merit(ipm, pinf, dinf, pobj, dobj, compl):
+            merits.append(pinf + dinf + abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)))
+            solves.append(0)
+            return converged(ipm, pinf, dinf, pobj, dobj, compl)
+
+        def counted_solve(a, b):
+            solves[-1] += 1
+            return lu_solve(a, b)
+
+        monkeypatch.setattr(_Ipm, "_converged", record_merit)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        r = solve(build_primal_aux(random_slater(4, 4, 1)))
+        assert r.status == OPTIMAL and len(merits) == r.iterations
+        best = np.minimum.accumulate(merits)
+        expected = [4 if m < solver._PRECISION_MERIT else 2 for m in best[:-1]] + [0]
+        assert solves == expected
+        assert 2 in expected and 4 in expected
 
 
 class TestCertificates:
