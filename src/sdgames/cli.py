@@ -22,12 +22,10 @@ from .direct import solve_both
 from .generators import example_corpus, khachiyan_pair, random_slater, random_unbounded
 from .model import (
     EXACT,
-    DualPoint,
-    PrimalPoint,
     SymMat,
     check_dual_direction,
     check_primal_direction,
-    verify_strongly_optimal,
+    check_strongly_optimal,
 )
 from .probio import ProblemFormatError, load_problem, report_to_dict, save_problem
 from .reduction import (
@@ -63,8 +61,13 @@ def _finite_positive(text: str) -> float:
 
 
 def _bound_arg(text: str):
-    """argparse type of --M: 'auto' or a finite positive number."""
-    return text if text == "auto" else _finite_positive(text)
+    """argparse type of --M: 'auto' or a finite number of at least 1."""
+    if text == "auto":
+        return text
+    value = _finite_positive(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is below 1, the least solution bound")
+    return value
 
 
 def _print_report_text(name: str, report: dict) -> None:
@@ -257,20 +260,19 @@ def cmd_verify(args) -> int:
             kind, cand = _report_candidate(cand)
         f = _candidate_fields(cand, kind)
         if kind == "optimal":
-            X, y = PrimalPoint(SymMat(f["X"])), DualPoint(tuple(f["y"]))
-            ok, detail = verify_strongly_optimal(pf, X, y, tol), ""
+            check = check_strongly_optimal(pf, SymMat(f["X"]), f["y"], tol)
+        elif kind == "primal-dir":
+            check = check_primal_direction(pf, SymMat(f["W"]), tol)
         else:
-            if kind == "primal-dir":
-                check = check_primal_direction(pf, SymMat(f["W"]), tol)
-            else:
-                check = check_dual_direction(pf, f["y"], tol)
-            ok = check["ok"]
-            detail = f" (Farkas certificate, {'strict' if check['strict'] else 'not strict'})"
+            check = check_dual_direction(pf, f["y"], tol)
     except (KeyError, ValueError, TypeError) as exc:
         print(f"invalid candidate: {exc}", file=sys.stderr)
         return 1
-    print(f"PASS{detail}" if ok else "FAIL")
-    return 0 if ok else 2
+    detail = ""
+    if kind != "optimal":
+        detail = f" (Farkas certificate, {'strict' if check['strict'] else 'not strict'})"
+    print(f"PASS{detail}" if check["ok"] else "FAIL")
+    return 0 if check["ok"] else 2
 
 
 def cmd_solve(args) -> int:
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run the game reduction pipeline")
     p.add_argument("input", help="problem file or directory of problem files")
     p.add_argument("--M", type=_bound_arg, default="auto",
-                   help="solution bound: 'auto' or a finite positive number")
+                   help="solution bound: 'auto' or a finite number of at least 1")
     p.add_argument("--tol", type=_finite_positive, default=1e-10)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None, help="directory for report files")

@@ -235,20 +235,6 @@ class DualPoint:
         return np.array([float(v) for v in self.y], dtype=float)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Worst-case feasibility/optimality slack of a candidate primal-dual point."""
-
-    min_eig_slack: float
-    worst_linear_violation: float
-    gap: float
-
-    def __post_init__(self):
-        for v in (self.min_eig_slack, self.worst_linear_violation, self.gap):
-            if not np.isfinite(v):
-                raise ValueError("residual fields must be finite")
-
-
 def frobenius_inner(A: SymMat, B: SymMat):
     """Trace inner product sum_ij A_ij B_ij; exact when both operands are exact."""
     if A.dim != B.dim:
@@ -281,43 +267,48 @@ def dual_slack_matrix(pair: SdpPair, y) -> SymMat:
     return SymMat.from_array(pair.C.array - pair.apply_AT(y), symmetrize=True)
 
 
-def residuals(pair: SdpPair, X: PrimalPoint, y: DualPoint) -> ResidualReport:
-    """Aggregate feasibility/optimality residuals of a candidate pair (X, y).
+def check_strongly_optimal(pair: SdpPair, X: SymMat, y, tol: float) -> dict:
+    """Check (X, y) as a strongly optimal pair by weak duality.
 
-    min_eig_slack is the smallest eigenvalue over the psd conditions
-    (X, the dual slack C - sum y_i A_i, and the y_i as 1x1 blocks);
-    worst_linear_violation is max_i max(0, b_i - <A_i, X>); gap is <C,X> - b'y.
+    ``ok``: X psd, y >= 0, <A_i, X> >= b_i, sum_i y_i A_i <= C (Loewner)
+    and gap <= 0.  The margins are tol * (1 + max |entry|) for each psd
+    condition (X, and the dual slack C - sum_i y_i A_i), tol * (1 + max |y|)
+    for y >= 0, tol * (1 + |b_i|) for constraint i and tol * (1 + |<C, X>|)
+    for the gap.  ``min_eig_slack`` is the smallest eigenvalue over the psd
+    conditions (X, the dual slack and the y_i as 1x1 blocks);
+    ``worst_linear_violation`` is max_i max(0, b_i - <A_i, X>); ``gap`` is
+    <C, X> - b'y.
     """
-    if X.X.dim != pair.n or len(y.y) != pair.m:
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    yv = np.asarray([float(v) for v in y], dtype=float)
+    if X.dim != pair.n or yv.shape[0] != pair.m:
         raise ValueError("dimension mismatch with the problem pair")
-    Xf = X.X.to_float()
-    yv = y.array
-    slack = min(min_eigenvalue(Xf), min_eigenvalue(dual_slack_matrix(pair, yv)), float(np.min(yv)))
-    return ResidualReport(
-        min_eig_slack=slack,
-        worst_linear_violation=float(np.max(pair.b_array - pair.apply_A(Xf), initial=0.0)),
-        gap=frobenius_inner(pair.C.to_float(), Xf) - float(pair.b_array @ yv),
+    Xf = X.to_float()
+    slack = dual_slack_matrix(pair, yv)
+    b = pair.b_array
+    lam_X, lam_S, y_min = min_eigenvalue(Xf), min_eigenvalue(slack), float(np.min(yv))
+    shortfall = b - pair.apply_A(Xf)
+    obj = frobenius_inner(pair.C.to_float(), Xf)
+    gap = obj - float(b @ yv)
+    ok = (
+        lam_X >= -tol * (1.0 + Xf.max_abs_entry())
+        and y_min >= -tol * (1.0 + float(np.max(np.abs(yv))))
+        and not np.any(shortfall > tol * (1.0 + np.abs(b)))
+        and lam_S >= -tol * (1.0 + slack.max_abs_entry())
+        and gap <= tol * (1.0 + abs(obj))
     )
+    return {
+        "ok": ok,
+        "min_eig_slack": min(lam_X, lam_S, y_min),
+        "worst_linear_violation": float(np.max(shortfall, initial=0.0)),
+        "gap": gap,
+    }
 
 
 def verify_strongly_optimal(pair: SdpPair, X: PrimalPoint, y: DualPoint, tol: float) -> bool:
     """Weak-duality check: primal feasible, dual feasible and gap <= 0, all within tol."""
-    if X.X.dim != pair.n or len(y.y) != pair.m:
-        raise ValueError("dimension mismatch with the problem pair")
-    Xf = X.X.to_float()
-    yv = y.array
-    b = pair.b_array
-    if not is_psd(Xf, tol):
-        return False
-    if float(np.min(yv)) < -tol * (1.0 + float(np.max(np.abs(yv)))):
-        return False
-    if np.any(b - pair.apply_A(Xf) > tol * (1.0 + np.abs(b))):
-        return False
-    if not is_psd(dual_slack_matrix(pair, yv), tol):
-        return False
-    obj = frobenius_inner(pair.C.to_float(), Xf)
-    gap = obj - float(b @ yv)
-    return gap <= tol * (1.0 + abs(obj))
+    return check_strongly_optimal(pair, X.X, y.y, tol)["ok"]
 
 
 def check_primal_direction(pair: SdpPair, W: SymMat, tol: float) -> dict:

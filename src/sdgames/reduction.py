@@ -4,10 +4,10 @@ independent arithmetic.
 
 Classification never guesses: a recovered point or direction is only reported
 after it passes the check in :mod:`sdgames.model` that ``sdgames verify`` also
-runs (``verify_strongly_optimal``, ``check_primal_direction``,
-``check_dual_direction``), otherwise the outcome is Inconclusive with
-diagnostics from both branches.  A direction is reported when it is a Farkas
-certificate; whether it is also strict is recorded in the verification.
+runs (``check_strongly_optimal``, ``check_primal_direction``,
+``check_dual_direction``), otherwise the outcome is Inconclusive with the
+checks of every candidate tried.  A direction is reported when it is a Farkas
+certificate; whether it is also strict is recorded in its check.
 """
 
 from __future__ import annotations
@@ -20,15 +20,12 @@ import numpy as np
 from .bounds import ARBITRARY, SolutionBoundM, practical_bound_M
 from .game import Strategy1, Strategy2, solve_game
 from .model import (
-    DualPoint,
-    PrimalPoint,
     SdpPair,
     SymMat,
     check_dual_direction,
     check_primal_direction,
+    check_strongly_optimal,
     frobenius_inner,
-    residuals,
-    verify_strongly_optimal,
 )
 from .solver import SolverOptions
 
@@ -50,8 +47,9 @@ class PipelineConfig:
         if isinstance(self.bound_mode, str):
             if self.bound_mode != "practical":
                 raise ValueError("bound_mode is 'practical' or a fixed numeric value")
-        elif not 0 < float(self.bound_mode) < np.inf:
-            raise ValueError("a fixed solution bound must be finite and positive")
+        elif not 1 <= float(self.bound_mode) < np.inf:
+            raise ValueError("bound_mode: a fixed solution bound must be finite and positive, "
+                             f"and at least 1 (got {self.bound_mode!r})")
 
 
 @dataclass(eq=False)
@@ -159,19 +157,25 @@ def aux_value_relation(v: float, M: float) -> float:
 def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outcome:
     """Classify a pair through its modified Dantzig game.
 
-    The strategies bracket the game value, lower <= v <= upper, and route
-    with the threshold 0.5/(M+1).  lower <= threshold: recover the strongly
-    optimal pair from the second player's strategy and verify it.  lower >
-    threshold, or a failed bounded branch with upper > threshold or
-    lower > 0: check the first player's strategy structure (t' = 0,
-    lower <= u <= upper), recover an unbounded direction, and verify the
-    certificate inequalities independently.  Any verification failure
-    downgrades to Inconclusive with diagnostics.
+    Verification picks the outcome: the first candidate that passes its
+    independent check is reported.  The strongly optimal pair recovered from
+    the second player's strategy is tried first, then the unbounded
+    directions read off the first player's strategy (t' = 0 expected).  When
+    none passes the outcome is Inconclusive.  ``verification`` holds the
+    check of every candidate tried, keyed ``optimal``, ``primal`` and
+    ``dual``.
+
+    The strategies bracket the game value, lower <= v <= upper.  The bracket
+    only writes the diagnostics and the notes: a positive or a straddling
+    value, and whether the first player's strategy has the unbounded-regime
+    structure t' = 0, lower <= u <= upper.
 
     The first player's game solve stops at the first iterate whose strategy
-    passes this certificate branch with zero margin, so on a certificate the
-    bracket is that iterate's and can be some 1e-5 wide; the second player's
-    solve then only closes it from above and stops at ``verify_tol``.
+    passes the certificate checks with zero margin.  That certificate is
+    already verified and is reported at once, without a bounded attempt; its
+    bracket is that iterate's and can be some 1e-5 wide, since the second
+    player's solve then only closes it from above and stops at
+    ``verify_tol``.
     """
     config = config or PipelineConfig()
     pf = pair.to_float()
@@ -194,28 +198,19 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     }
     out = Outcome(kind=INCONCLUSIVE, game_value=v, M_used=M_used, diagnostics=diagnostics)
 
-    if lower <= threshold:
+    if game.certificate is None:
         try:
             X, y = recover_optimal(game.s2, tol=min(threshold, 1e-8))
         except ValueError as exc:
             out.notes.append(f"bounded-branch recovery failed: {exc}")
         else:
-            report = residuals(pf, PrimalPoint(X), DualPoint(tuple(y)))
-            out.verification = {
-                "min_eig_slack": report.min_eig_slack,
-                "worst_linear_violation": report.worst_linear_violation,
-                "gap": report.gap,
-            }
-            if verify_strongly_optimal(pf, PrimalPoint(X), DualPoint(tuple(y)), tol):
+            out.verification["optimal"] = check_strongly_optimal(pf, X, y, tol)
+            if out.verification["optimal"]["ok"]:
                 out.kind = STRONGLY_OPTIMAL
                 out.X_opt = X
                 out.y_opt = y
                 return out
             out.notes.append("recovered pair failed independent optimality verification")
-        if upper <= threshold and lower <= 0:
-            return out
-        # the bounded branch did not verify and the value may be positive:
-        # go on so that both branches leave diagnostics
 
     if lower > 0:
         out.notes.append("game value positive; no pair of strongly optimal solutions exists")
@@ -231,16 +226,14 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
         )
     try:
         # an early-stopped player 1 already ran these checks on this s1
-        frag, found = game.certificate or _certificate_checks(game.s1, pf, tol)
+        frag, checks = game.certificate or _certificate_checks(game.s1, pf, tol)
     except ValueError as exc:
         out.notes.append(f"certificate recovery failed: {exc}")
         return out
     if frag.empty:
         out.notes.append("no certificate inequality is strictly satisfied")
         return out
-    checks = dict(out.verification) if isinstance(out.verification, dict) else {}
-    checks.update(found)
-    out.verification = checks
+    out.verification.update(checks)
     primal_ok = checks.get("primal", {}).get("ok", False)
     dual_ok = checks.get("dual", {}).get("ok", False)
     if primal_ok:

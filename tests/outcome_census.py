@@ -15,6 +15,7 @@ reported kind.  The exit status is 1 when a kind is lost or gained::
     python tests/outcome_census.py          # n = m in {2, 3, 4, 6, 8, 12}
     python tests/outcome_census.py --fast   # n = m in {2, 3, 4}
     python tests/outcome_census.py --stalls # game-p1 iterations without a stop test
+    python tests/outcome_census.py --sweep  # the kind per pair and fixed M
 
 Instances: the five-instance example corpus, ``khachiyan_pair(n, 2)`` for
 n in {1, 2, 3}, and ``random_slater``, ``random_unbounded``,
@@ -32,6 +33,12 @@ thread, as in ``tests/solve_digest.py``.  Not collected by pytest;
 prints the total, median and largest game-p1 iteration count and how many of
 those solves reach max_iters: player 1's iterations at the precision limit,
 which the pipeline's stop test hides.
+
+``--sweep`` instead runs ``run_pipeline`` at each fixed M in {1, 3, 1e4,
+1e6, 1e8, 1e10} on the corpus and six random pairs, and prints one row per
+pair: the kind at each M, or the class of the exception the run raised.  A
+tree that changes routing or solves compares this table with its parent's;
+it takes about 2 s and always exits 0.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ from sdgames.reduction import (  # noqa: E402
     DUAL_UNBOUNDED_CERT,
     PRIMAL_UNBOUNDED_CERT,
     STRONGLY_OPTIMAL,
+    PipelineConfig,
     run_pipeline,
 )
 from sdgames.solver import OPTIMAL, STOPPED_EARLY, SolverOptions  # noqa: E402
@@ -165,6 +173,28 @@ def stalls() -> list:
     return out
 
 
+SWEEP_MS = (1.0, 3.0, 1e4, 1e6, 1e8, 1e10)
+
+
+def sweep() -> list:
+    """(name, [kind or exception class at each M in SWEEP_MS]) for the corpus
+    and six random pairs."""
+    pairs = [pair for pair, _ in example_corpus()] + [
+        random_slater(4, 4, 1), random_unbounded(4, 4, 1), random_dual_unbounded(4, 4, 1),
+        random_slater(8, 8, 1), random_slater(12, 12, 2), random_unbounded(8, 8, 1),
+    ]
+    rows = []
+    for pair in pairs:
+        kinds = []
+        for M in SWEEP_MS:
+            try:
+                kinds.append(run_pipeline(pair, PipelineConfig(bound_mode=M)).kind)
+            except Exception as exc:  # the table shows any failure by its class
+                kinds.append(type(exc).__name__)
+        rows.append((pair.name, kinds))
+    return rows
+
+
 def _counts(c) -> str:
     return "/".join(map(str, c[:3])) if c else "-"
 
@@ -180,6 +210,11 @@ def main(argv=None) -> int:
         print(f"{len(its)} game-p1 solves without a stop test: iterations {sum(its)} in total, "
               f"median {statistics.median(its):g}, max {max(its)}; "
               f"{its.count(GAME_OPTS.max_iters)} end at max_iters = {GAME_OPTS.max_iters}")
+        return 0
+    if "--sweep" in argv:
+        print(f"{'instance':26s} " + " ".join(f"{'M = ' + format(M, 'g'):>20s}" for M in SWEEP_MS))
+        for name, kinds in sweep():
+            print(f"{name:26s} " + " ".join(f"{k:>20s}" for k in kinds))
         return 0
     rows = census(instances(FAST_SIZES if "--fast" in argv else SIZES))
     print(f"{'instance':26s} {'expected':20s} {'reported':20s} {'M':>6s} "

@@ -9,7 +9,6 @@ from sdgames import auxiliary
 from sdgames.auxiliary import (
     ATTAINED,
     SUSPECTED_UNATTAINED,
-    build_dual_aux,
     build_primal_aux,
     build_refined_aux,
     solve_aux,
@@ -24,6 +23,7 @@ from sdgames.model import (
 )
 from sdgames.solver import MAX_ITERATIONS, NUMERICAL_FAILURE, OPTIMAL, SolverOptions, solve
 
+from aux_oracle import build_dual_aux
 from test_solver import bv_inner
 
 

@@ -152,10 +152,13 @@ class TestReportFormat:
             (p.name, key, check[key])
             for p in tmp_path.glob("*.report.json")
             for check in json.loads(p.read_text())["residuals"].values()
-            if isinstance(check, dict)
             for key in ("ok", "strict")
+            if key in check
         ]
-        assert len(flags) == 6  # unbounded and aux_unattained: primal; both_infeasible: dual
+        # ok of the optimal check: bounded, aux_unattained and duality_gap;
+        # ok and strict of the primal direction: unbounded and aux_unattained,
+        # and of the dual direction: both_infeasible
+        assert len(flags) == 9
         assert all(isinstance(v, bool) for _, _, v in flags), flags
 
     def test_certified_exponent_as_decimal_string(self, bounded_pair):
@@ -540,6 +543,19 @@ class TestSolveAndBound:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"argument {flag}: '{value}' is not a finite positive number" in err
+
+    @pytest.mark.parametrize("value", ["0.5", "0.999"])
+    def test_bound_below_one_is_a_usage_error(self, corpus_dir, monkeypatch, capsys, value):
+        def no_load(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "load_problem", no_load)
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", str(corpus_dir), "--M", value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --M: '{value}' is below 1" in err
 
     def test_reduce_and_solve_agree_on_slater_instances(self, tmp_path, capsys):
         for seed in (3, 4):

@@ -1,28 +1,34 @@
-"""Core data model: symmetric matrices, inner products, psd tests, residuals and
-the checks of strongly optimal pairs and unbounded directions."""
+"""Core data model: symmetric matrices, inner products, psd tests, and the
+checks of strongly optimal pairs and unbounded directions."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdgames.model import (
     DualPoint,
     PrimalPoint,
-    ResidualReport,
     SdpPair,
     SymMat,
     check_dual_direction,
     check_primal_direction,
+    check_strongly_optimal,
     frobenius_inner,
     is_psd,
     min_eigenvalue,
-    residuals,
     verify_strongly_optimal,
 )
+from sdgames.generators import example_corpus, random_dual_unbounded, random_slater, random_unbounded
+from sdgames.reduction import run_pipeline
+
+import optimality_oracle
 
 
 class TestSymMat:
@@ -142,27 +148,33 @@ class TestIsPsd:
 
 
 class TestResiduals:
+    """The slack fields of ``check_strongly_optimal``."""
+
     def test_bounded_recovered_solution(self, bounded_pair):
-        rep = residuals(
-            bounded_pair,
-            PrimalPoint(SymMat([[1.0, 0.0], [0.0, 0.0]])),
-            DualPoint((1.0,)),
-        )
-        assert rep.worst_linear_violation == 0.0
-        assert rep.gap == pytest.approx(0.0, abs=1e-15)
+        check = check_strongly_optimal(bounded_pair, SymMat([[1.0, 0.0], [0.0, 0.0]]), (1.0,), 1e-7)
+        assert check["ok"]
+        assert check["worst_linear_violation"] == 0.0
+        assert check["gap"] == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_point(self, bounded_pair):
-        rep = residuals(bounded_pair, PrimalPoint(SymMat.zeros(2)), DualPoint((0.0,)))
-        assert rep.worst_linear_violation == pytest.approx(1.0)
-        assert rep.gap == pytest.approx(0.0)
+        check = check_strongly_optimal(bounded_pair, SymMat.zeros(2), (0.0,), 1e-7)
+        assert not check["ok"]
+        assert check["worst_linear_violation"] == pytest.approx(1.0)
+        assert check["gap"] == pytest.approx(0.0)
 
     def test_large_y_dual_violation(self, bounded_pair):
-        rep = residuals(bounded_pair, PrimalPoint(SymMat.zeros(2)), DualPoint((50.0,)))
-        assert rep.min_eig_slack < 0
+        check = check_strongly_optimal(bounded_pair, SymMat.zeros(2), (50.0,), 1e-7)
+        assert not check["ok"]
+        assert check["min_eig_slack"] < 0
 
-    def test_fields_must_be_finite(self):
-        with pytest.raises(ValueError):
-            ResidualReport(min_eig_slack=np.nan, worst_linear_violation=0.0, gap=0.0)
+    def test_negative_tol_rejected(self, bounded_pair):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_strongly_optimal(bounded_pair, SymMat.zeros(2), (0.0,), -1e-7)
+
+    def test_fields_must_be_finite(self, bounded_pair):
+        # SymMat refuses a non-finite X, and the dual slack a non-finite y
+        with pytest.raises(ValueError, match="non-finite"):
+            check_strongly_optimal(bounded_pair, SymMat.zeros(2), (np.nan,), 1e-7)
 
 
 class TestVerifyStronglyOptimal:
@@ -178,6 +190,15 @@ class TestVerifyStronglyOptimal:
         X = PrimalPoint(SymMat.zeros(2))
         assert not verify_strongly_optimal(bounded_pair, X, DualPoint((0.0,)), 1e-7)
 
+    def test_psd_margins_scale_with_their_own_matrix(self, bounded_pair):
+        # at the optimum max |X| = 1 and max |C - y A_1| = 2: each psd margin
+        # is tol * (1 + its own max entry), 2 tol for X and 3 tol for the slack
+        tol = 1e-6
+        X = PrimalPoint(SymMat([[1.0, 0.0], [0.0, 0.0]]))
+        assert verify_strongly_optimal(bounded_pair, X, DualPoint((1.0 + 2.5 * tol,)), tol)
+        X = PrimalPoint(SymMat([[1.0, 0.0], [0.0, -2.5 * tol]]))
+        assert not verify_strongly_optimal(bounded_pair, X, DualPoint((1.0,)), tol)
+
     def test_monotone_in_tol(self, bounded_pair):
         rng = np.random.default_rng(7)
         X0 = SymMat([[1.0, 0.0], [0.0, 0.0]])
@@ -191,6 +212,45 @@ class TestVerifyStronglyOptimal:
             ]
             # once true it stays true as tol grows
             assert all(b or not a for a, b in zip(passed, passed[1:]))
+
+
+@cache
+def _base_candidates() -> tuple:
+    """(pair, X, y) per corpus and random pair: the reported strongly optimal
+    pair, or the identity and ones where none is reported."""
+    pairs = [pair for pair, _ in example_corpus()] + [
+        random_slater(3, 3, 1), random_slater(4, 2, 2), random_unbounded(3, 3, 1),
+        random_dual_unbounded(3, 2, 1),
+    ]
+    out = []
+    for pair in pairs:
+        res = run_pipeline(pair)
+        if res.X_opt is None:
+            out.append((pair, np.eye(pair.n), np.ones(pair.m)))
+        else:
+            out.append((pair, res.X_opt.array, res.y_opt))
+    return tuple(out)
+
+
+_TOLS = st.sampled_from([1e-9, 1e-6, 1e-3])
+# a perturbation in units of tol: none, within a few margins, or far out
+_STEPS = st.just(0.0) | st.floats(-4.0, 4.0) | st.floats(-1e3, 1e3)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 8), _TOLS, _STEPS, _STEPS, _STEPS, _STEPS)
+def test_check_strongly_optimal_matches_the_reference(index, tol, sx, dx, sy, dy):
+    # candidates scaled and shifted from a base point: ok and the three
+    # slack numbers equal the reference's bit for bit
+    pair, X0, y0 = _base_candidates()[index]
+    X = SymMat.from_array((1.0 + sx * tol) * X0 + dx * tol * np.eye(pair.n), symmetrize=True)
+    y = (1.0 + sy * tol) * y0 + dy * tol
+    check = check_strongly_optimal(pair, X, y, tol)
+    point, multipliers = PrimalPoint(X), DualPoint(tuple(y))
+    ref = optimality_oracle.residuals(pair, point, multipliers)
+    assert check["ok"] == optimality_oracle.verify_strongly_optimal(pair, point, multipliers, tol)
+    for key in ("min_eig_slack", "worst_linear_violation", "gap"):
+        assert check[key].hex() == getattr(ref, key).hex(), key
 
 
 def _flags(check):

@@ -133,6 +133,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="finite and positive"):
             PipelineConfig(bound_mode=bad)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0 - 1e-12])
+    def test_numeric_bound_below_one_is_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match=r"^bound_mode: .* at least 1"):
+            PipelineConfig(bound_mode=bad)
+        assert PipelineConfig(bound_mode=1.0).bound_mode == 1.0
+
 
 class TestPipelineCorpus:
     def test_bounded(self, bounded_pair):
@@ -161,10 +167,11 @@ class TestPipelineCorpus:
 
 
 class TestRouting:
-    """The bracket lower <= v <= upper picks the branches.  The strategies are
-    the solved equilibrium of corpus ``unbounded`` at M = 1 (threshold 1/4):
-    its second player's strategy recovers a pair that fails verification, and
-    its first player's strategy yields a verified primal direction."""
+    """Verification picks the outcome, whatever the bracket lower <= v <= upper
+    says; the bracket only writes the notes.  The strategies are the solved
+    equilibrium of corpus ``unbounded`` at M = 1 (threshold 1/4): its second
+    player's strategy recovers a pair that fails verification, and its first
+    player's strategy yields a verified primal direction."""
 
     @pytest.fixture(scope="class")
     def game(self, unbounded_pair, game_opts):
@@ -178,23 +185,30 @@ class TestRouting:
     def test_straddling_bracket_tries_both_branches(self, monkeypatch, unbounded_pair, game):
         out = self._run(monkeypatch, unbounded_pair, game, -1e-9, 0.5)
         assert out.kind == PRIMAL_UNBOUNDED_CERT
-        assert "min_eig_slack" in out.verification and out.verification["primal"]["ok"]
+        assert not out.verification["optimal"]["ok"] and out.verification["primal"]["ok"]
         assert "recovered pair failed independent optimality verification" in out.notes
         assert any("straddles 0" in s for s in out.notes)
         assert not any("no pair of strongly optimal solutions" in s for s in out.notes)
 
-    def test_upper_within_threshold_tries_bounded_only(self, monkeypatch, unbounded_pair, game):
+    def test_bracket_within_threshold_still_gets_the_certificate(
+        self, monkeypatch, unbounded_pair, game
+    ):
+        # the certificate attempt follows any failed bounded one, whatever
+        # the bracket
         out = self._run(monkeypatch, unbounded_pair, game, 0.0, 0.2)
-        assert out.kind == INCONCLUSIVE
-        assert "min_eig_slack" in out.verification and "primal" not in out.verification
-        assert out.notes == ["recovered pair failed independent optimality verification"]
+        assert out.kind == PRIMAL_UNBOUNDED_CERT
+        assert not out.verification["optimal"]["ok"] and out.verification["primal"]["ok"]
+        assert out.notes[:2] == [
+            "recovered pair failed independent optimality verification",
+            "game value bracket [0, 0.2] straddles 0",
+        ]
 
     def test_positive_lower_within_threshold_still_tries_certificate(
         self, monkeypatch, unbounded_pair, game
     ):
         out = self._run(monkeypatch, unbounded_pair, game, 0.01, 0.2)
         assert out.kind == PRIMAL_UNBOUNDED_CERT
-        assert "min_eig_slack" in out.verification and out.verification["primal"]["ok"]
+        assert not out.verification["optimal"]["ok"] and out.verification["primal"]["ok"]
         assert "game value positive; no pair of strongly optimal solutions exists" in out.notes
         assert out.diagnostics["value_lower"] == 0.01
         assert out.diagnostics["value_upper"] == 0.2
@@ -204,7 +218,7 @@ class TestRouting:
         # threshold 0.5/(M+1) shrinks with M, so no absolute cut-off is safe
         out = self._run(monkeypatch, unbounded_pair, game, 1e-7, 0.2)
         assert out.kind == PRIMAL_UNBOUNDED_CERT
-        assert "min_eig_slack" in out.verification and out.verification["primal"]["ok"]
+        assert not out.verification["optimal"]["ok"] and out.verification["primal"]["ok"]
         assert "game value positive; no pair of strongly optimal solutions exists" in out.notes
 
     def test_positive_lower_at_large_M_gets_the_certificate_attempt(self, duality_gap_pair):
@@ -279,6 +293,19 @@ class TestEarlyStop:
         out = run_pipeline(random_unbounded(10, 10, 2), PipelineConfig(bound_mode=10.0))
         assert out.kind == PRIMAL_UNBOUNDED_CERT
         assert sorted(calls) == ["_certificate_checks", "best_response_value_p2"]
+
+    def test_early_stopped_certificate_skips_the_bounded_attempt(self, monkeypatch):
+        calls = []
+
+        def recover(*args, **kwargs):
+            calls.append(args)
+            return recover_optimal(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "recover_optimal", recover)
+        out, res = _with_game_p1(random_unbounded(10, 10, 2), PipelineConfig(bound_mode=10.0))
+        assert res.status == STOPPED_EARLY
+        assert out.kind == PRIMAL_UNBOUNDED_CERT
+        assert calls == [] and "optimal" not in out.verification
 
     def test_both_infeasible_keeps_its_dual_direction(self, both_infeasible_pair):
         # an earlier iterate's primal candidate passes its check only by the
