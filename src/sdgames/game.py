@@ -22,8 +22,7 @@ import numpy as np
 
 from .blocks import BlockStructure, diag_block, free_scalar, matrix_block, matrix_equality
 from .model import SdpPair, SymMat, frobenius_inner, is_psd, max_eigenvalue, min_eigenvalue
-from .solver import MAX, MAX_ITERATIONS, MIN, OPTIMAL, STOPPED_EARLY, SolverOptions, StandardSdp, solve
-from .auxiliary import SolverFailure
+from .solver import MAX, MIN, STOPPED_EARLY, SolverOptions, StandardSdp, solve
 
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-7
@@ -102,6 +101,9 @@ class GameSolution:
     returned on s1 when player 1's solve stopped there, else None.  s1 then
     proves the value positive, and s2 is solved only to the verification
     tolerance: ``upper`` stays a certified bound, up to a few 1e-7 higher.
+
+    ``status`` holds the solver statuses of player 1's and player 2's solves.
+    They only inform: the bracket holds whatever they say.
     """
 
     s1: Strategy1
@@ -109,6 +111,7 @@ class GameSolution:
     lower: float
     upper: float
     certificate: object = None
+    status: tuple = ()
 
     def __post_init__(self):
         # both hold for any strategies; only rounding may break them
@@ -255,27 +258,26 @@ def game_sdp_player2(pair: SdpPair, M: float) -> StandardSdp:
 
 def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float, accepted: dict):
     """Stop test for player 1's solve: the iterate's strategy s1 has t <= tol,
-    lambda_min(K(s1)) > 0.5/(M+1) and ``certifies(s1)`` returns a true value.
+    lambda_min(K(s1)) > 0 and ``certifies(s1)`` returns a true value.
 
-    The primal blocks are (X, y, t, u, v, ...).  v > 0.5/(M+1) and
-    t <= tol * trace come first: they cost no eigenvalue call, and the
-    iterates of a pair with value 0 never pass them.  The few iterates that
-    do pass build P for K(s1) anew; a P held through the solve would raise
-    its peak memory.  The accepted iterate leaves s1, lambda_min(K(s1)) and
-    what ``certifies`` returned in ``accepted``.
+    The primal blocks are (X, y, t, u, v, ...).  v > 0 and t <= tol * trace
+    come first: they cost no eigenvalue call.  The iterates that pass them
+    build P for K(s1) anew; a P held through the solve would raise its peak
+    memory.  lambda_min(K(s1)) > 0 proves the value positive, so at value 0
+    ``certifies`` is never asked.  The accepted iterate leaves s1,
+    lambda_min(K(s1)) and what ``certifies`` returned in ``accepted``.
     """
-    threshold = 0.5 / (M + 1.0)
 
     def stop(blocks) -> bool:
         X, y, (t,), (u,), (v,) = blocks[:5]
-        if v <= threshold or t > tol * (np.trace(X) + np.sum(y) + t + u):
+        if v <= 0 or t > tol * (np.trace(X) + np.sum(y) + t + u):
             return False
         try:
             s1 = normalized_strategy1(X, y, t, u)
         except ValueError:  # an iterate rounded off the cone
             return False
         lower = best_response_value_p2(pair, M, s1)
-        if lower <= threshold:
+        if lower <= 0:
             return False
         certificate = certifies(s1)
         if certificate:
@@ -291,14 +293,19 @@ def solve_game(
     """Solve both player SDPs and return their strategies with the bracket
     lower = lambda_min(K(s1)) <= v <= upper = lambda_max(L(s2)).
 
+    The bracket holds for any strategies, so every solve status is accepted:
+    a solve that does not converge leaves its best iterate, and only a wider
+    bracket or a failed verification downstream shows it.  The statuses are
+    kept as ``GameSolution.status``.
+
     With ``certifies``, a test of player 1's strategy, player 1's solve stops
     at the first iterate whose normalized strategy s1 has t <= tol,
-    lambda_min(K(s1)) > 0.5/(M+1) and ``certifies(s1)`` true; that value is
-    kept as ``GameSolution.certificate``.  Any such s1 proves the value
-    positive, optimal or not; ``lower`` is then its bound, below the value by
-    up to a few 1e-5.  Player 2 then only closes the bracket from above, so
-    its solve stops at tolerance max(opts.tol, tol): upper = lambda_max(L(s2))
-    is certified for any s2, and a bracket already some 1e-5 wide cannot show
+    lambda_min(K(s1)) > 0 and ``certifies(s1)`` true; that value is kept as
+    ``GameSolution.certificate``.  Any such s1 proves the value positive,
+    optimal or not; ``lower`` is then its bound, below the value by up to a
+    few 1e-5.  Player 2 then only closes the bracket from above, so its solve
+    stops at tolerance max(opts.tol, tol): upper = lambda_max(L(s2)) is
+    certified for any s2, and a bracket already some 1e-5 wide cannot show
     the extra digits.  Every other solve uses ``opts``.
     """
     if M <= 0:
@@ -307,12 +314,7 @@ def solve_game(
     pf = pair.to_float()
     accepted: dict = {}
     stop = None if certifies is None else _certifying_iterate(pf, M, certifies, tol, accepted)
-    # both player problems are feasible and bounded by construction, so any
-    # status besides convergence (or an iteration-capped near-solve) is a failure
-    acceptable = (OPTIMAL, MAX_ITERATIONS)
     res1 = solve(game_sdp_player1(pf, M), opts, stop=stop)
-    if res1.status not in acceptable + (STOPPED_EARLY,):
-        raise SolverFailure(f"player 1 game SDP failed: {res1.status}")
     if res1.status == STOPPED_EARLY:
         s1, lower, certificate = accepted["s1"], accepted["lower"], accepted["certificate"]
         opts2 = replace(opts, tol=max(opts.tol, tol))
@@ -320,7 +322,6 @@ def solve_game(
         s1 = normalized_strategy1(res1.primal[0], res1.primal[1], res1.primal[2][0], res1.primal[3][0])
         lower, certificate, opts2 = best_response_value_p2(pf, M, s1), None, opts
     res2 = solve(game_sdp_player2(pf, M), opts2)
-    if res2.status not in acceptable:
-        raise SolverFailure(f"player 2 game SDP failed: {res2.status}")
     s2 = normalized_strategy2(res2.primal[0], res2.primal[1], res2.primal[2][0])
-    return GameSolution(s1, s2, lower, best_response_value_p1(pf, M, s2), certificate)
+    return GameSolution(s1, s2, lower, best_response_value_p1(pf, M, s2), certificate,
+                        (res1.status, res2.status))

@@ -27,7 +27,7 @@ from .model import (
     check_strongly_optimal,
     frobenius_inner,
 )
-from .solver import SolverOptions
+from .solver import NUMERICAL_FAILURE, SolverOptions
 
 STRONGLY_OPTIMAL = "StronglyOptimal"
 PRIMAL_UNBOUNDED_CERT = "PrimalUnboundedCert"
@@ -168,7 +168,9 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     The strategies bracket the game value, lower <= v <= upper.  The bracket
     only writes the diagnostics and the notes: a positive or a straddling
     value, and whether the first player's strategy has the unbounded-regime
-    structure t' = 0, lower <= u <= upper.
+    structure t' = 0, lower <= u <= upper.  The game solves' statuses only
+    inform too: ``diagnostics["game_status"]`` holds both, and a note marks
+    a NumericalFailure.
 
     The first player's game solve stops at the first iterate whose strategy
     passes the certificate checks with zero margin.  That certificate is
@@ -195,8 +197,11 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
         "s1_t": game.s1.t,
         "s1_u": game.s1.u,
         "s2_t": game.s2.t,
+        "game_status": game.status,
     }
     out = Outcome(kind=INCONCLUSIVE, game_value=v, M_used=M_used, diagnostics=diagnostics)
+    if NUMERICAL_FAILURE in game.status:
+        out.notes.append(f"a game solve ended {NUMERICAL_FAILURE}; its best iterate was used")
 
     if game.certificate is None:
         try:

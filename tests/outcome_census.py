@@ -38,7 +38,8 @@ which the pipeline's stop test hides.
 1e6, 1e8, 1e10} on the corpus and six random pairs, and prints one row per
 pair: the kind at each M, or the class of the exception the run raised.  A
 tree that changes routing or solves compares this table with its parent's;
-it takes about 2 s and always exits 0.
+it takes about 2 s and exits 1 when any cell holds an exception, since
+``run_pipeline`` reports numerical trouble as an outcome and never raises on it.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from sdgames.generators import (  # noqa: E402
 )
 from sdgames.reduction import (  # noqa: E402
     DUAL_UNBOUNDED_CERT,
+    INCONCLUSIVE,
     PRIMAL_UNBOUNDED_CERT,
     STRONGLY_OPTIMAL,
     PipelineConfig,
@@ -174,6 +176,7 @@ def stalls() -> list:
 
 
 SWEEP_MS = (1.0, 3.0, 1e4, 1e6, 1e8, 1e10)
+KINDS = (STRONGLY_OPTIMAL, PRIMAL_UNBOUNDED_CERT, DUAL_UNBOUNDED_CERT, INCONCLUSIVE)
 
 
 def sweep() -> list:
@@ -213,9 +216,13 @@ def main(argv=None) -> int:
         return 0
     if "--sweep" in argv:
         print(f"{'instance':26s} " + " ".join(f"{'M = ' + format(M, 'g'):>20s}" for M in SWEEP_MS))
+        raised = 0
         for name, kinds in sweep():
             print(f"{name:26s} " + " ".join(f"{k:>20s}" for k in kinds))
-        return 0
+            raised += sum(k not in KINDS for k in kinds)
+        if raised:
+            print(f"\n{raised} runs raised an exception")
+        return 1 if raised else 0
     rows = census(instances(FAST_SIZES if "--fast" in argv else SIZES))
     print(f"{'instance':26s} {'expected':20s} {'reported':20s} {'M':>6s} "
           + " ".join(f"{k:>11s}" for k in ROLES) + f" {'stopped':>7s} {'width':>9s} {'wall_s':>7s}")

@@ -13,6 +13,7 @@ from sdgames.auxiliary import (
     build_refined_aux,
     solve_aux,
 )
+from sdgames.bounds import ARBITRARY, practical_bound_M
 from sdgames.generators import khachiyan_pair, random_slater, random_unbounded
 from sdgames.model import (
     SdpPair,
@@ -158,6 +159,22 @@ class TestSolveAux:
 
         monkeypatch.setattr(auxiliary, "solve", solve_stopped_short)
         assert solve_aux(bounded_pair).attained_flag == SUSPECTED_UNATTAINED
+
+    def test_failed_main_solve_plays_at_M_one(self, bounded_pair, monkeypatch):
+        # a NumericalFailure main solve goes through the same residual gate
+        # as any stopped one; here it fails the gate, so M = 1
+        def solve_failed(problem, opts=None):
+            res = solve(problem, opts)
+            res.status = NUMERICAL_FAILURE
+            if problem.name.endswith("-primal-aux"):
+                res.primal_infeas = 1e-6
+            return res
+
+        monkeypatch.setattr(auxiliary, "solve", solve_failed)
+        M = practical_bound_M(bounded_pair)
+        assert M.value == 1.0 and M.mode == ARBITRARY
+        assert M.derived_from.attained_flag == SUSPECTED_UNATTAINED
+        assert M.derived_from.solve_status == NUMERICAL_FAILURE
 
 
 def _recorded_solve_aux(monkeypatch, pair, inner=solve):

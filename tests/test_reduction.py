@@ -17,7 +17,7 @@ from sdgames import cli, reduction
 from sdgames.auxiliary import ATTAINED, solve_aux
 from sdgames.bounds import practical_bound_M
 from sdgames.game import GameSolution, Strategy1, Strategy2, solve_game
-from sdgames.generators import random_diagonal, random_slater, random_unbounded
+from sdgames.generators import random_diagonal, random_dual_unbounded, random_slater, random_unbounded
 from sdgames.model import (
     DualPoint,
     PrimalPoint,
@@ -38,7 +38,7 @@ from sdgames.reduction import (
     recover_optimal,
     run_pipeline,
 )
-from sdgames.solver import STOPPED_EARLY
+from sdgames.solver import NUMERICAL_FAILURE, OPTIMAL, STOPPED_EARLY, solve
 
 import outcome_census
 import solve_digest
@@ -315,6 +315,49 @@ class TestEarlyStop:
         assert out.kind == DUAL_UNBOUNDED_CERT
         assert out.verification["dual"]["ok"] and out.verification["dual"]["max_eig_combo"] <= 0
 
+    def test_dual_direction_stops_below_the_old_threshold(self):
+        # the stop test asks lambda_min(K(s1)) > 0, not > 0.5/(M+1): player 1
+        # ran 121 iterations to MaxIterations here under the old threshold
+        out, res = _with_game_p1(random_dual_unbounded(8, 8, 3), PipelineConfig())
+        assert res.status == STOPPED_EARLY and res.iterations <= 20
+        assert out.kind == DUAL_UNBOUNDED_CERT and out.verification["dual"]["ok"]
+        assert out.diagnostics["game_status"] == (STOPPED_EARLY, OPTIMAL)
+
+
+class TestFailedGameSolve:
+    """A game solve that ends NumericalFailure leaves its best iterate:
+    verification still picks the outcome, and the status is only recorded."""
+
+    NOTE = "a game solve ended NumericalFailure; its best iterate was used"
+
+    def _run(self, monkeypatch, pair, player):
+        def failing(problem, opts=None, stop=None):
+            res = solve(problem, opts, stop=stop)
+            if problem.name.endswith(f"-game-{player}"):
+                res.status = NUMERICAL_FAILURE
+            return res
+
+        monkeypatch.setattr(sdgames.game, "solve", failing)
+        return run_pipeline(pair)
+
+    def test_player2_failure_still_verifies_its_pair(self, monkeypatch, bounded_pair):
+        out = self._run(monkeypatch, bounded_pair, "p2")
+        assert out.kind == STRONGLY_OPTIMAL and out.verification["optimal"]["ok"]
+        assert out.diagnostics["game_status"] == (OPTIMAL, NUMERICAL_FAILURE)
+        assert out.notes == [self.NOTE]
+
+    def test_player1_failure_still_verifies_its_direction(self, monkeypatch, unbounded_pair):
+        # the failed solve's iterate is not taken as a stop-test certificate;
+        # the certificate branch checks its directions again
+        out = self._run(monkeypatch, unbounded_pair, "p1")
+        assert out.kind == PRIMAL_UNBOUNDED_CERT and out.verification["primal"]["ok"]
+        assert out.diagnostics["game_status"] == (NUMERICAL_FAILURE, OPTIMAL)
+        assert out.notes[0] == self.NOTE
+
+    def test_no_note_without_a_failure(self, bounded_pair):
+        out = run_pipeline(bounded_pair)
+        assert out.diagnostics["game_status"] == (OPTIMAL, OPTIMAL) and out.notes == []
+
 
 @pytest.mark.parametrize(
     "name", ["bounded", "unbounded", "both_infeasible", "aux_unattained", "duality_gap"]
@@ -360,6 +403,19 @@ def test_outcome_census_exits_1_when_a_kind_is_lost(bounded_pair, monkeypatch, c
         monkeypatch.setattr(outcome_census, "instances", lambda sizes: [(bounded_pair, expected)])
         assert outcome_census.main(["--fast"]) == rc
     assert "kinds lost:   PrimalUnboundedCert 1" in capsys.readouterr().out
+
+
+def test_outcome_census_sweep_exits_1_when_a_run_raises(monkeypatch, capsys):
+    class Ran:
+        kind = INCONCLUSIVE
+
+    def raising(pair, config):
+        raise RuntimeError("a solve broke down")
+
+    for run, rc in ((lambda pair, config: Ran, 0), (raising, 1)):
+        monkeypatch.setattr(outcome_census, "run_pipeline", run)
+        assert outcome_census.main(["--sweep"]) == rc
+    assert "RuntimeError" in capsys.readouterr().out
 
 
 def test_runtime_does_not_import_scipy():
