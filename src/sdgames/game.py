@@ -22,7 +22,16 @@ import numpy as np
 
 from .blocks import BlockStructure, diag_block, free_scalar, matrix_block, matrix_equality
 from .model import SdpPair, SymMat, frobenius_inner, is_psd, max_eigenvalue, min_eigenvalue
-from .solver import MAX, MIN, STOPPED_EARLY, SolverOptions, StandardSdp, solve
+from .solver import (
+    DUAL_INFEASIBLE,
+    MAX,
+    MIN,
+    PRIMAL_INFEASIBLE,
+    STOPPED_EARLY,
+    SolverOptions,
+    StandardSdp,
+    solve,
+)
 
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-7
@@ -246,6 +255,28 @@ def _response_sdp(pair: SdpPair, R: np.ndarray, sign: float, sense: str, name: s
                        sense=sense, name=f"{pair.name or 'pair'}-{name}")
 
 
+def _player2_start(res1) -> tuple:
+    """Player 2's iterate (x, y, s) that is player 1's iterate ``res1`` read
+    through the duality of the two :func:`_response_sdp` programs.
+
+    Player 1's blocks are (X, y, t, u, v, SX, Sy, St), player 2's (X, y, t,
+    v, TX, Ty, Tt, Tu).  Player 1's dual slack on its strategy and slack
+    blocks is player 2's primal on its slack and strategy blocks, and the
+    other way round; player 2's v is minus player 1's trace-row multiplier,
+    and its multipliers are player 1's X over p <= q (the rows of
+    ``matrix_equality``), y, t, u and v.  Player 2's primal and dual
+    objectives are minus player 1's dual and primal ones.  Where player 1's
+    dual residual vanishes on its slack blocks, player 2's primal and dual
+    residuals are player 1's dual and primal ones, those of the off-diagonal
+    matrix rows halved or doubled.
+    """
+    x, y, s = res1.primal, res1.dual, res1.dual_slack
+    n = x[0].shape[0]
+    xv = [*s[5:8], [-y[-1]], *s[:4]]
+    sv = [*x[5:8], [0.0], *x[:4]]
+    return xv, np.concatenate([x[0][np.triu_indices(n)], *x[1:5]]), sv
+
+
 def game_sdp_player1(pair: SdpPair, M: float) -> StandardSdp:
     """max v s.t. K(X, y, t, u) - v I psd, (X, y, t, u) a unit-trace block strategy."""
     return _response_sdp(pair, payoff_matrix(pair, M).T, 1.0, MAX, "game-p1")
@@ -307,6 +338,17 @@ def solve_game(
     stops at tolerance max(opts.tol, tol): upper = lambda_max(L(s2)) is
     certified for any s2, and a bracket already some 1e-5 wide cannot show
     the extra digits.  Every other solve uses ``opts``.
+
+    The two player SDPs are one primal-dual pair: each is the Lagrangian dual
+    of the other, and player 1's primal-dual iterate with x and s swapped is
+    a player-2 iterate with the same gap (:func:`_player2_start`).  So player
+    2's solve starts where player 1's ended and keeps its own options and
+    convergence test; it runs only the iterations that point still lacks,
+    one or two after a converged player 1.  It starts cold when player 1
+    ended with a Farkas status, whose iterate diverged.  The solver would
+    also start cold if its presolve dropped a row, but every row of either
+    program except the trace row has a slack entry of its own, so all rows
+    are kept.
     """
     if M <= 0:
         raise ValueError("the solution bound must be positive")
@@ -321,7 +363,9 @@ def solve_game(
     else:
         s1 = normalized_strategy1(res1.primal[0], res1.primal[1], res1.primal[2][0], res1.primal[3][0])
         lower, certificate, opts2 = best_response_value_p2(pf, M, s1), None, opts
-    res2 = solve(game_sdp_player2(pf, M), opts2)
+    # a Farkas status means player 1's iterates diverged: start player 2 cold
+    warm = res1.status not in (PRIMAL_INFEASIBLE, DUAL_INFEASIBLE)
+    res2 = solve(game_sdp_player2(pf, M), opts2, start=_player2_start(res1) if warm else None)
     s2 = normalized_strategy2(res2.primal[0], res2.primal[1], res2.primal[2][0])
     return GameSolution(s1, s2, lower, best_response_value_p1(pf, M, s2), certificate,
                         (res1.status, res2.status))

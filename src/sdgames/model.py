@@ -271,13 +271,14 @@ def check_strongly_optimal(pair: SdpPair, X: SymMat, y, tol: float) -> dict:
     """Check (X, y) as a strongly optimal pair by weak duality.
 
     ``ok``: X psd, y >= 0, <A_i, X> >= b_i, sum_i y_i A_i <= C (Loewner)
-    and gap <= 0.  The margins are tol * (1 + max |entry|) for each psd
+    and gap = 0.  The margins are tol * (1 + max |entry|) for each psd
     condition (X, and the dual slack C - sum_i y_i A_i), tol * (1 + max |y|)
     for y >= 0, tol * (1 + |b_i|) for constraint i and tol * (1 + |<C, X>|)
-    for the gap.  ``min_eig_slack`` is the smallest eigenvalue over the psd
-    conditions (X, the dual slack and the y_i as 1x1 blocks);
-    ``worst_linear_violation`` is max_i max(0, b_i - <A_i, X>); ``gap`` is
-    <C, X> - b'y.
+    for |gap|, on both sides: an exactly feasible pair has gap >= 0, so a gap
+    far below 0 means the candidate lies near no feasible pair.
+    ``min_eig_slack`` is the smallest eigenvalue over the psd conditions (X,
+    the dual slack and the y_i as 1x1 blocks); ``worst_linear_violation`` is
+    max_i max(0, b_i - <A_i, X>); ``gap`` is <C, X> - b'y.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
@@ -296,7 +297,7 @@ def check_strongly_optimal(pair: SdpPair, X: SymMat, y, tol: float) -> dict:
         and y_min >= -tol * (1.0 + float(np.max(np.abs(yv))))
         and not np.any(shortfall > tol * (1.0 + np.abs(b)))
         and lam_S >= -tol * (1.0 + slack.max_abs_entry())
-        and gap <= tol * (1.0 + abs(obj))
+        and abs(gap) <= tol * (1.0 + abs(obj))
     )
     return {
         "ok": ok,
@@ -307,7 +308,7 @@ def check_strongly_optimal(pair: SdpPair, X: SymMat, y, tol: float) -> dict:
 
 
 def verify_strongly_optimal(pair: SdpPair, X: PrimalPoint, y: DualPoint, tol: float) -> bool:
-    """Weak-duality check: primal feasible, dual feasible and gap <= 0, all within tol."""
+    """Weak-duality check: primal feasible, dual feasible and gap = 0, all within tol."""
     return check_strongly_optimal(pair, X.X, y.y, tol)["ok"]
 
 

@@ -400,15 +400,23 @@ class _Ipm:
             return MAX_ITERATIONS, None
         return None, None
 
-    def run(self, stop: Optional[Callable[[list], bool]] = None) -> SolveResult:
+    def run(self, stop: Optional[Callable[[list], bool]] = None, start=None) -> SolveResult:
         opts = self.opts
         nc = self.ncone
         if self.inconsistent:
             d = self.A.shape[1]
             return self._result(PRIMAL_INFEASIBLE, np.zeros(d), np.zeros(self.p), np.zeros(d), 0)
-        x = self.beta_scale * self.e
-        s = x.copy()
-        y = np.zeros(self.p)
+        if start is None or self.dropped_rows:
+            x = self.beta_scale * self.e
+            s = x.copy()
+            y = np.zeros(self.p)
+        else:
+            x, s = (self._flat(v) for v in (start[0], start[2]))
+            x, s = 0.5 * (x + x[self.tr]), 0.5 * (s + s[self.tr])
+            s[self.free] = 0.0
+            y = np.array(start[1], dtype=float)
+            if y.shape != (self.p,):
+                raise ValueError("the start's y does not conform to the constraints")
         best = (np.inf, x, y, s, 0)
         it = 0
         status = MAX_ITERATIONS
@@ -522,6 +530,7 @@ def solve(
     problem: StandardSdp,
     opts: Optional[SolverOptions] = None,
     stop: Optional[Callable[[list], bool]] = None,
+    start: Optional[tuple] = None,
 ) -> SolveResult:
     """Solve a standard-form block SDP; deterministic for fixed inputs and options.
 
@@ -529,5 +538,14 @@ def solve(
     iteration that has not converged, as a block list in the layout of
     ``problem.structure``.  When it returns True the solve ends with that
     iterate (not the best one seen) and the status ``StoppedEarly``.
+
+    ``start = (x_blocks, y, s_blocks)``, when given, is the initial iterate in
+    place of the scaled identity, laid out as ``primal``, ``dual`` and
+    ``dual_slack`` of a :class:`SolveResult`: x and s strictly inside the
+    cone and one y per constraint row.  Its matrix blocks are symmetrized and
+    s is taken as 0 on the free scalars, as in every iterate.  The solve
+    starts cold when presolve drops a row, as y then no longer matches the
+    rows kept.  The convergence test is the same from any start, so a start
+    near the solution only saves iterations.
     """
-    return _Ipm(problem, opts or SolverOptions()).run(stop)
+    return _Ipm(problem, opts or SolverOptions()).run(stop, start)

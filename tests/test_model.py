@@ -25,6 +25,7 @@ from sdgames.model import (
     min_eigenvalue,
     verify_strongly_optimal,
 )
+from sdgames.auxiliary import solve_aux
 from sdgames.generators import example_corpus, random_dual_unbounded, random_slater, random_unbounded
 from sdgames.reduction import run_pipeline
 
@@ -190,14 +191,26 @@ class TestVerifyStronglyOptimal:
         X = PrimalPoint(SymMat.zeros(2))
         assert not verify_strongly_optimal(bounded_pair, X, DualPoint((0.0,)), 1e-7)
 
+    def test_negative_gap_fails_on_duality_gap_aux_point(self, duality_gap_pair):
+        # the pair has a positive duality gap, so no strongly optimal pair
+        # exists; its aux point is feasible within about 4e-8 on both sides,
+        # but its gap of about -0.024 lies far below -tol
+        aux = solve_aux(duality_gap_pair)
+        check = check_strongly_optimal(duality_gap_pair, aux.X, aux.y, 1e-6)
+        assert check["min_eig_slack"] >= -1e-6 and check["worst_linear_violation"] <= 1e-6
+        assert check["gap"] < -0.01
+        assert not check["ok"]
+
     def test_psd_margins_scale_with_their_own_matrix(self, bounded_pair):
         # at the optimum max |X| = 1 and max |C - y A_1| = 2: each psd margin
-        # is tol * (1 + its own max entry), 2 tol for X and 3 tol for the slack
+        # is tol * (1 + its own max entry), 2 tol for X and 3 tol for the slack.
+        # X_22 = d moves <C, X> by 2 d and leaves <A_1, X> = 1, so each point
+        # below has gap <C, X> - y = 0 and only its psd margin decides
         tol = 1e-6
-        X = PrimalPoint(SymMat([[1.0, 0.0], [0.0, 0.0]]))
+        X = PrimalPoint(SymMat([[1.0, 0.0], [0.0, 1.25 * tol]]))
         assert verify_strongly_optimal(bounded_pair, X, DualPoint((1.0 + 2.5 * tol,)), tol)
         X = PrimalPoint(SymMat([[1.0, 0.0], [0.0, -2.5 * tol]]))
-        assert not verify_strongly_optimal(bounded_pair, X, DualPoint((1.0,)), tol)
+        assert not verify_strongly_optimal(bounded_pair, X, DualPoint((1.0 - 5.0 * tol,)), tol)
 
     def test_monotone_in_tol(self, bounded_pair):
         rng = np.random.default_rng(7)

@@ -331,8 +331,8 @@ class TestFailedGameSolve:
     NOTE = "a game solve ended NumericalFailure; its best iterate was used"
 
     def _run(self, monkeypatch, pair, player):
-        def failing(problem, opts=None, stop=None):
-            res = solve(problem, opts, stop=stop)
+        def failing(problem, opts=None, **kwargs):
+            res = solve(problem, opts, **kwargs)
             if problem.name.endswith(f"-game-{player}"):
                 res.status = NUMERICAL_FAILURE
             return res
@@ -383,6 +383,18 @@ def test_dense_slater_regressions_strongly_optimal(n, seed):
     )
 
 
+def test_slater_pair_at_huge_M_is_strongly_optimal():
+    # at M = 1e10 player 2's cold solve ended NumericalFailure on this pair;
+    # started from player 1's iterate it converges, and s2 recovers a pair
+    # that verifies
+    pair = random_slater(8, 8, 1)
+    out = run_pipeline(pair, PipelineConfig(bound_mode=1e10))
+    assert out.kind == STRONGLY_OPTIMAL and out.diagnostics["game_status"] == (OPTIMAL, OPTIMAL)
+    assert verify_strongly_optimal(
+        pair.to_float(), PrimalPoint(out.X_opt), DualPoint(tuple(out.y_opt)), 1e-6
+    )
+
+
 def test_outcome_census_fast_ladder_reports_expected_kinds():
     # the fast ladder of tests/outcome_census.py: corpus, small Khachiyan pairs
     # and every random family at n <= 4; each pair runs all four solver roles
@@ -416,6 +428,23 @@ def test_outcome_census_sweep_exits_1_when_a_run_raises(monkeypatch, capsys):
         monkeypatch.setattr(outcome_census, "run_pipeline", run)
         assert outcome_census.main(["--sweep"]) == rc
     assert "RuntimeError" in capsys.readouterr().out
+
+
+def test_outcome_census_sweep_exits_1_on_a_false_strongly_optimal(monkeypatch, capsys):
+    # every sweep row but the three random_slater pairs and corpus bounded
+    # expects another kind, so a run that always reports StronglyOptimal
+    # fails the gate on those rows and one that never does passes it
+    class Ran:
+        kind = INCONCLUSIVE
+
+    class Optimal:
+        kind = STRONGLY_OPTIMAL
+
+    for ran, rc in ((Ran, 0), (Optimal, 1)):
+        monkeypatch.setattr(outcome_census, "run_pipeline", lambda pair, config: ran)
+        assert outcome_census.main(["--sweep"]) == rc
+    n_other = 7 * len(outcome_census.SWEEP_MS)
+    assert f"{n_other} runs reported StronglyOptimal on a pair expected otherwise" in capsys.readouterr().out
 
 
 def test_runtime_does_not_import_scipy():

@@ -376,6 +376,49 @@ class TestStopTest:
         assert solve_digest._solve_bytes(r) == solve_digest._solve_bytes(plain)
 
 
+class TestStart:
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_resuming_from_an_iterate_repeats_the_rest_of_the_solve(self, k):
+        # the iterate of iteration k is where the cold solve stood, so the
+        # solve started there takes the cold solve's remaining iterations and
+        # ends at the same point bit for bit
+        prob = _random_feasible_block_sdp(np.random.default_rng(3))
+        cold = solve(prob)
+        mid = solve(prob, stop=lambda blocks, seen=[]: seen.append(1) or len(seen) == k)
+        assert mid.iterations == k
+        r = solve(prob, start=(mid.primal, mid.dual, mid.dual_slack))
+        assert r.status == OPTIMAL and r.iterations == cold.iterations - k + 1
+        for a, b in zip([*r.primal, r.dual, *r.dual_slack], [*cold.primal, cold.dual, *cold.dual_slack]):
+            assert np.array_equal(a, b)
+
+    def test_start_at_a_converged_iterate_returns_it(self):
+        prob = _random_feasible_block_sdp(np.random.default_rng(4))
+        cold = solve(prob)
+        r = solve(prob, start=(cold.primal, cold.dual, cold.dual_slack))
+        assert (r.status, r.iterations, r.value, r.gap) == (OPTIMAL, 1, cold.value, cold.gap)
+        for a, b in zip([*r.primal, r.dual, *r.dual_slack], [*cold.primal, cold.dual, *cold.dual_slack]):
+            assert np.array_equal(a, b)
+
+    def test_start_ignored_when_presolve_drops_a_row(self):
+        st = BlockStructure([diag_block(2)])
+        rows = [
+            ([np.array([1.0, 1.0])], 2.0),
+            ([np.array([2.0, 2.0])], 4.0),
+            ([np.array([1.0, -1.0])], 0.0),
+        ]
+        prob = _sdp(st, [np.array([1.0, 1.0])], rows)
+        start = ([np.array([3.0, 0.5])], np.array([1.0, -2.0, 0.5]), [np.array([0.1, 7.0])])
+        assert solve_digest._solve_bytes(solve(prob, start=start)) == solve_digest._solve_bytes(solve(prob))
+
+    def test_start_needs_one_multiplier_per_row(self):
+        prob = _random_feasible_block_sdp(np.random.default_rng(4))
+        cold = solve(prob)
+        with pytest.raises(ValueError, match="y"):
+            solve(prob, start=(cold.primal, cold.dual[:-1], cold.dual_slack))
+        with pytest.raises(ValueError, match="block structure"):
+            solve(prob, start=(cold.primal[:1], cold.dual, cold.dual_slack))
+
+
 class TestRefinementGate:
     def test_directions_refined_only_below_the_precision_merit(self, monkeypatch):
         # per iteration, one LU solve per Newton direction while the best merit
