@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -97,11 +98,9 @@ def _reduce_one(path: Path, args) -> tuple:
     pair, metadata = load_problem(path)
     t0 = time.perf_counter()
     bound_mode = "practical" if args.M == "auto" else args.M
-    cfg = PipelineConfig(
-        solver_opts=SolverOptions(tol=args.tol, max_iters=400),
-        bound_mode=bound_mode,
-    )
-    outcome = run_pipeline(pair, cfg)
+    # run_pipeline's own solver options, so that reduce and the library agree
+    opts = replace(PipelineConfig().solver_opts, tol=args.tol)
+    outcome = run_pipeline(pair, PipelineConfig(solver_opts=opts, bound_mode=bound_mode))
     timings = {"total_s": time.perf_counter() - t0}
     report = report_to_dict(outcome, timings)
     if pair.mode == EXACT:

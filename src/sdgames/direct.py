@@ -9,7 +9,7 @@ import numpy as np
 
 from .blocks import BlockStructure, diag_block, matrix_block, matrix_equality
 from .model import SdpPair, SymMat
-from .solver import MAX, MIN, SolverOptions, StandardSdp, solve
+from .solver import MAX, MIN, OPTIMAL, PRIMAL_INFEASIBLE, SolverOptions, StandardSdp, solve
 
 
 def primal_sdp(pair: SdpPair) -> StandardSdp:
@@ -106,10 +106,10 @@ def solve_both(pair: SdpPair, opts: Optional[SolverOptions] = None) -> dict:
     pf = pair.to_float()
     Q, sub, infeasible = detect_primal_face(pf)
     if infeasible:
-        pstatus, pvalue, pres = "PrimalInfeasibleDetected", float("nan"), None
+        pstatus, pvalue, pres = PRIMAL_INFEASIBLE, float("nan"), None
     elif Q is not None and (sub is None or Q.shape[1] == 0):
         # the face collapsed: X = 0 (or unconstrained on a null face)
-        pstatus, pvalue, pres = "Optimal", 0.0, None
+        pstatus, pvalue, pres = OPTIMAL, 0.0, None
     elif Q is not None:
         pres = solve(primal_sdp(sub), opts)
         pstatus, pvalue = pres.status, pres.value

@@ -25,7 +25,6 @@ from .model import (
     check_dual_direction,
     check_primal_direction,
     check_strongly_optimal,
-    frobenius_inner,
 )
 from .solver import NUMERICAL_FAILURE, SolverOptions
 
@@ -67,18 +66,6 @@ class Outcome:
     notes: list = field(default_factory=list)
 
 
-@dataclass(frozen=True, eq=False)
-class CertificateFragment:
-    """Candidate unbounded directions read off an optimal player-1 strategy."""
-
-    primal_direction: Optional[SymMat] = None
-    dual_direction: Optional[np.ndarray] = None
-
-    @property
-    def empty(self) -> bool:
-        return self.primal_direction is None and self.dual_direction is None
-
-
 def recover_optimal(s2: Strategy2, tol: float):
     """Scale the second player's optimal strategy back to a primal/dual pair."""
     if s2.t <= tol:
@@ -87,28 +74,26 @@ def recover_optimal(s2: Strategy2, tol: float):
     return X, s2.y / s2.t
 
 
-def recover_certificate(s1: Strategy1, pair: SdpPair, tol: float) -> CertificateFragment:
-    """Read candidate unbounded directions off an optimal player-1 strategy.
+def recover_certificate(s1: Strategy1, pair: SdpPair, tol: float) -> dict:
+    """Check an optimal player-1 strategy's blocks as unbounded directions.
 
-    <C, X'> < 0 makes X' a candidate unbounded direction of the primal
-    (certifying dual infeasibility); b'y' > 0 makes y' a candidate for the
-    dual (certifying primal infeasibility).  Both may hold; primal is listed
-    first.  Expects t' to have vanished: a positive-value game with t' > tol
-    signals numerical trouble or a failed constraint qualification.
+    Returns ``{"primal": check_primal_direction(pair, s1.X, tol), "dual":
+    check_dual_direction(pair, s1.y, tol)}``.  A passing primal check makes
+    X' a Farkas certificate that the dual is infeasible (<C, X'> < 0 among
+    its conditions), a passing dual check y' one that the primal is
+    infeasible (b'y' > 0).  Both may pass.  Expects t' to have vanished: a
+    positive-value game with t' > tol signals numerical trouble or a failed
+    constraint qualification, and raises ValueError.
     """
     if s1.t > tol:
         raise ValueError("t' nonzero in unbounded regime")
-    scale = 1.0 + pair.max_abs_entry()
-    primal = None
-    dual = None
-    if frobenius_inner(pair.C.to_float(), s1.X.to_float()) < -tol * scale:
-        primal = s1.X
-    if float(pair.b_array @ s1.y) > tol * scale:
-        dual = np.array(s1.y)
-    return CertificateFragment(primal_direction=primal, dual_direction=dual)
+    return {
+        "primal": check_primal_direction(pair, s1.X, tol),
+        "dual": check_dual_direction(pair, s1.y, tol),
+    }
 
 
-# a candidate that passes its check only by the check's margin may have no
+# a direction that passes its check only by the check's margin may have no
 # exact counterpart; an early-stopped player 1 must do better than that
 _ZERO_MARGIN = {
     "primal": lambda check: check["min_constraint_value"] >= 0.0,
@@ -116,32 +101,20 @@ _ZERO_MARGIN = {
 }
 
 
-def _certificate_checks(s1: Strategy1, pair: SdpPair, tol: float):
-    """The candidate directions of s1 and their independent checks, keyed
-    ``primal`` and ``dual``; raises ValueError when t' has not vanished."""
-    frag = recover_certificate(s1, pair, tol)
-    checks = {}
-    if frag.primal_direction is not None:
-        checks["primal"] = check_primal_direction(pair, frag.primal_direction, tol)
-    if frag.dual_direction is not None:
-        checks["dual"] = check_dual_direction(pair, frag.dual_direction, tol)
-    return frag, checks
-
-
 def _certifies(pair: SdpPair, tol: float):
-    """Test of a player-1 strategy: some candidate direction passes its
-    check, and every one that passes also holds its constraints with zero
-    margin (min <A_i, W> >= 0, or lambda_max(sum_i y_i A_i) <= 0).  Returns
-    the ``_certificate_checks`` of a strategy that passes, else None."""
+    """Test of a player-1 strategy: some direction passes its check, and
+    every one that passes also holds its constraints with zero margin
+    (min <A_i, W> >= 0, or lambda_max(sum_i y_i A_i) <= 0).  Returns the
+    ``recover_certificate`` checks of a strategy that passes, else None."""
 
     def certifies(s1: Strategy1):
         try:
-            frag, checks = _certificate_checks(s1, pair, tol)
+            checks = recover_certificate(s1, pair, tol)
         except ValueError:
             return None
         passed = [key for key, check in checks.items() if check["ok"]]
         if passed and all(_ZERO_MARGIN[key](checks[key]) for key in passed):
-            return frag, checks
+            return checks
         return None
 
     return certifies
@@ -159,11 +132,12 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
 
     Verification picks the outcome: the first candidate that passes its
     independent check is reported.  The strongly optimal pair recovered from
-    the second player's strategy is tried first, then the unbounded
-    directions read off the first player's strategy (t' = 0 expected).  When
-    none passes the outcome is Inconclusive.  ``verification`` holds the
-    check of every candidate tried, keyed ``optimal``, ``primal`` and
-    ``dual``.
+    the second player's strategy is tried first, then the first player's
+    blocks X' and y' as unbounded directions (t' = 0 expected); a passing
+    primal direction is listed first.  When none passes the outcome is
+    Inconclusive.  ``verification`` holds the check of every candidate
+    tried, keyed ``optimal``, ``primal`` and ``dual``: both direction checks
+    whenever t' vanished, the failing one too.
 
     The strategies bracket the game value, lower <= v <= upper.  The bracket
     only writes the diagnostics and the notes: a positive or a straddling
@@ -231,26 +205,20 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
         )
     try:
         # an early-stopped player 1 already ran these checks on this s1
-        frag, checks = game.certificate or _certificate_checks(game.s1, pf, tol)
+        checks = game.certificate or recover_certificate(game.s1, pf, tol)
     except ValueError as exc:
         out.notes.append(f"certificate recovery failed: {exc}")
         return out
-    if frag.empty:
-        out.notes.append("no certificate inequality is strictly satisfied")
-        return out
     out.verification.update(checks)
-    primal_ok = checks.get("primal", {}).get("ok", False)
-    dual_ok = checks.get("dual", {}).get("ok", False)
-    if primal_ok:
-        out.kind = PRIMAL_UNBOUNDED_CERT
-        out.direction_X = frag.primal_direction
-        if dual_ok:
-            out.direction_y = frag.dual_direction
-            out.notes.append("both certificate directions verified; primal listed first")
+    passed = [key for key, check in checks.items() if check["ok"]]
+    if not passed:
+        out.notes.append("candidate directions failed independent verification")
         return out
-    if dual_ok:
-        out.kind = DUAL_UNBOUNDED_CERT
-        out.direction_y = frag.dual_direction
-        return out
-    out.notes.append("candidate directions failed independent verification")
+    out.kind = PRIMAL_UNBOUNDED_CERT if passed[0] == "primal" else DUAL_UNBOUNDED_CERT
+    if "primal" in passed:
+        out.direction_X = game.s1.X
+    if "dual" in passed:
+        out.direction_y = np.array(game.s1.y)
+    if len(passed) == 2:
+        out.notes.append("both certificate directions verified; primal listed first")
     return out

@@ -417,7 +417,7 @@ class _Ipm:
             y = np.array(start[1], dtype=float)
             if y.shape != (self.p,):
                 raise ValueError("the start's y does not conform to the constraints")
-        best = (np.inf, x, y, s, 0)
+        best = (np.inf, x, y, s)
         it = 0
         status = MAX_ITERATIONS
         ray = None
@@ -432,7 +432,7 @@ class _Ipm:
                 self._debug_weak_duality(pobj, dobj, x, y, r_p, r_d)
             merit = pinf + dinf + relgap
             if merit < best[0]:
-                best = (merit, x, y, s, it)  # iterates are replaced, never updated in place
+                best = (merit, x, y, s)  # iterates are replaced, never updated in place
             if self._converged(pinf, dinf, pobj, dobj, compl):
                 status = OPTIMAL
                 break
@@ -492,7 +492,7 @@ class _Ipm:
                 status = NUMERICAL_FAILURE
                 break
         if status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and best[0] < np.inf:
-            _, x, y, s, _ = best
+            _, x, y, s = best
         res = self._result(status, x, y, s, it, ray)
         if status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and self._converged(
             res.primal_infeas, res.dual_infeas, res.primal_objective, res.dual_objective,

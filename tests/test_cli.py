@@ -156,9 +156,9 @@ class TestReportFormat:
             if key in check
         ]
         # ok of the optimal check: bounded, aux_unattained and duality_gap;
-        # ok and strict of the primal direction: unbounded and aux_unattained,
-        # and of the dual direction: both_infeasible
-        assert len(flags) == 9
+        # ok and strict of both directions, the failing one too: unbounded,
+        # aux_unattained and both_infeasible (duality_gap's t' is nonzero)
+        assert len(flags) == 15
         assert all(isinstance(v, bool) for _, _, v in flags), flags
 
     def test_certified_exponent_as_decimal_string(self, bounded_pair):

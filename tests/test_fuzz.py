@@ -1,5 +1,6 @@
 """Seeded property tests: the problem-file parser on arbitrary JSON-like input,
-and ``sdgames verify`` on every result that the pipeline reports."""
+``sdgames verify`` on every result that the pipeline reports, and the
+certificate read against the objective pre-filter it dropped."""
 
 from __future__ import annotations
 
@@ -7,15 +8,25 @@ import contextlib
 import io
 import json
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import certificate_oracle
 from sdgames.cli import main
-from sdgames.generators import random_diagonal, random_slater, random_unbounded
+from sdgames.game import normalized_strategy1, solve_game
+from sdgames.generators import (
+    example_corpus,
+    random_diagonal,
+    random_dual_unbounded,
+    random_slater,
+    random_unbounded,
+)
 from sdgames.probio import ProblemFormatError, problem_from_dict, report_to_dict, save_problem
-from sdgames.reduction import INCONCLUSIVE, run_pipeline
+from sdgames.reduction import INCONCLUSIVE, _certifies, recover_certificate, run_pipeline
 
 NUMBERS = st.one_of(
     st.integers(min_value=-(10**400), max_value=10**400),
@@ -129,3 +140,49 @@ def test_verify_accepts_every_reported_result(family, n, m, seed):
             with contextlib.redirect_stdout(io.StringIO()) as out:
                 rc = main(["verify", str(problem), str(path), "--kind", kind])
             assert rc == 0, (report["outcome"], kind, out.getvalue())
+
+
+CERTIFICATE_PAIRS = [pair.to_float() for pair, _ in example_corpus()] + [
+    gen(3, 3, seed).to_float()
+    for gen in (random_unbounded, random_dual_unbounded, random_slater, GENERATORS["diag-unbounded"])
+    for seed in (1, 2)
+]
+
+
+@lru_cache(maxsize=None)
+def _game_s1(index: int):
+    """Player 1's optimal blocks (X, y, u) on a pair at M = 10."""
+    s1 = solve_game(CERTIFICATE_PAIRS[index], 10.0).s1
+    return s1.X.array, s1.y, s1.u
+
+
+@st.composite
+def _unit_trace_s1(draw):
+    """A pair and a unit-trace player-1 strategy with t' = 0: player 1's
+    optimal blocks mixed with a random strategy, from all of one to all of
+    the other, so that both checks pass, fail and sit near their margins."""
+    index = draw(st.integers(0, len(CERTIFICATE_PAIRS) - 1))
+    pair = CERTIFICATE_PAIRS[index]
+    w = draw(st.one_of(st.sampled_from([0.0, 0.5, 1 - 1e-4, 1 - 1e-6, 1 - 1e-8, 1.0]), st.floats(0.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    G = rng.standard_normal((pair.n, pair.n))
+    noise = normalized_strategy1(G @ G.T, np.abs(rng.standard_normal(pair.m)), 0.0, abs(rng.standard_normal()))
+    X, y, u = _game_s1(index)
+    mixed = (w * X + (1 - w) * noise.X.array, w * y + (1 - w) * noise.y, 0.0, w * u + (1 - w) * noise.u)
+    return pair, normalized_strategy1(*mixed)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_unit_trace_s1(), st.sampled_from([1e-6, 1e-9]))
+def test_certificate_read_matches_the_pre_filter(case, tol):
+    pair, s1 = case
+    checks = recover_certificate(s1, pair, tol)
+    reference = certificate_oracle.candidate_checks(s1, pair, tol)
+    # every check the pre-filter ran comes out the same, and only its candidates pass
+    assert {key: checks[key] for key in reference} == reference
+    assert [key for key, check in checks.items() if check["ok"]] == [
+        key for key, check in reference.items() if check["ok"]
+    ]
+    accepted = _certifies(pair, tol)(s1)
+    assert (accepted is None) == (certificate_oracle.certifies(pair, tol)(s1) is None)
+    assert accepted is None or accepted == checks

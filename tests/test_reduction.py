@@ -82,21 +82,23 @@ class TestRecoverCertificate:
         W = np.array([[1.0, 1.5], [1.5, 5.0]])
         total = np.trace(W) + 0.4
         s1 = s1_of(W / total, [0.0], 0.0, 0.4 / total)
-        frag = recover_certificate(s1, unbounded_pair.to_float(), 1e-6)
-        assert frag.primal_direction is not None
-        assert frag.dual_direction is None
+        checks = recover_certificate(s1, unbounded_pair.to_float(), 1e-6)
+        assert checks["primal"]["ok"]
+        assert not checks["dual"]["ok"] and checks["dual"]["objective_along_direction"] == 0.0
 
     def test_both_infeasible_dual_direction(self, both_infeasible_pair):
         s1 = s1_of(np.zeros((2, 2)), [2.0 / 3.0], 0.0, 1.0 / 3.0)
-        frag = recover_certificate(s1, both_infeasible_pair.to_float(), 1e-6)
-        assert frag.dual_direction is not None
-        assert frag.dual_direction[0] == pytest.approx(2.0 / 3.0)
-        assert frag.primal_direction is None
+        pair = both_infeasible_pair.to_float()
+        checks = recover_certificate(s1, pair, 1e-6)
+        assert checks["dual"]["ok"]
+        assert checks["dual"]["objective_along_direction"] == pytest.approx(pair.b_array[0] * 2.0 / 3.0)
+        assert not checks["primal"]["ok"] and checks["primal"]["objective_along_direction"] == 0.0
 
     def test_pure_u_yields_nothing(self, bounded_pair):
         s1 = s1_of(np.zeros((2, 2)), [0.0], 0.0, 1.0)
-        frag = recover_certificate(s1, bounded_pair.to_float(), 1e-6)
-        assert frag.empty
+        checks = recover_certificate(s1, bounded_pair.to_float(), 1e-6)
+        assert list(checks) == ["primal", "dual"]
+        assert not any(check["ok"] for check in checks.values())
 
     def test_nonzero_t_errors(self, bounded_pair):
         s1 = s1_of(np.zeros((2, 2)), [0.5], 0.5, 0.0)
@@ -288,11 +290,11 @@ class TestEarlyStop:
 
             return wrapper
 
-        for module, name in [(sdgames.game, "best_response_value_p2"), (reduction, "_certificate_checks")]:
+        for module, name in [(sdgames.game, "best_response_value_p2"), (reduction, "recover_certificate")]:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         out = run_pipeline(random_unbounded(10, 10, 2), PipelineConfig(bound_mode=10.0))
         assert out.kind == PRIMAL_UNBOUNDED_CERT
-        assert sorted(calls) == ["_certificate_checks", "best_response_value_p2"]
+        assert sorted(calls) == ["best_response_value_p2", "recover_certificate"]
 
     def test_early_stopped_certificate_skips_the_bounded_attempt(self, monkeypatch):
         calls = []
