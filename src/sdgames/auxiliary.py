@@ -8,7 +8,6 @@ attained exactly when a strongly optimal pair exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,6 +17,9 @@ from .solver import MIN, OPTIMAL, SolveResult, SolverOptions, StandardSdp, solve
 
 ATTAINED = "Attained"
 SUSPECTED_UNATTAINED = "SuspectedUnattained"
+
+_MAIN_OPTS = SolverOptions(tol=1e-9, max_iters=300)  # the auxiliary SDP's solve
+_PROBE_OPTS = SolverOptions(tol=1e-7, max_iters=300)  # the two refined-aux probes
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +94,7 @@ def _extract(res: SolveResult):
     return SymMat.from_array(X, symmetrize=True), np.array(y, dtype=float), float(w[0])
 
 
-def solve_aux(pair: SdpPair, opts: Optional[SolverOptions] = None) -> AuxSolution:
+def solve_aux(pair: SdpPair) -> AuxSolution:
     """Solve the primal auxiliary SDP and pick a small optimal point if one exists.
 
     The near-optimal face is probed at two shrinking caps on w, minimizing
@@ -114,24 +116,25 @@ def solve_aux(pair: SdpPair, opts: Optional[SolverOptions] = None) -> AuxSolutio
     main solve's and the tight probe's point on the attained branch still
     asks for an optimal main solve.  The flag is heuristic: it never
     certifies non-attainment.
+
+    The main solve runs to tol 1e-9 and the probes to 1e-7, each within 300
+    iterations, whatever tolerance the game solves use.
     """
-    opts = opts or SolverOptions(tol=1e-9, max_iters=300)
     pf = pair.to_float()
-    first = solve(build_primal_aux(pf), opts)
+    first = solve(build_primal_aux(pf), _MAIN_OPTS)
     w_star = first.value
     scale = 1.0 + pf.max_abs_entry()
     norm_cap = 1e6 * scale
-    probe_opts = SolverOptions(tol=1e-7, max_iters=opts.max_iters)
     delta = 1e-4 * (1.0 + abs(w_star))
     tight_cap, loose_cap = w_star + delta / 10.0, w_star + delta
-    tight = solve(build_refined_aux(pf, tight_cap), probe_opts)
+    tight = solve(build_refined_aux(pf, tight_cap), _PROBE_OPTS)
     probed = tight.status == OPTIMAL
     grows = False
     if probed:
         # b_loose'y <= loose.value; the cap is the last entry of b
         loose_lower = tight.dual_objective + (loose_cap - tight_cap) * tight.dual[-1]
         if tight.value > 2.0 * loose_lower + 1.0:
-            loose = solve(build_refined_aux(pf, loose_cap), probe_opts)
+            loose = solve(build_refined_aux(pf, loose_cap), _PROBE_OPTS)
             probed = loose.status == OPTIMAL
             grows = tight.value > 2.0 * loose.value + 1.0
     first_small = bv_norm_inf(first.primal[:3]) <= norm_cap

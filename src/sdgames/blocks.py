@@ -99,14 +99,14 @@ class BlockStructure:
             raise ValueError("blocks do not conform to the block structure")
         return np.concatenate([x.ravel() for x in blocks])
 
-    def identity(self, scale: float = 1.0) -> List[np.ndarray]:
-        """Identity-like point: scale*I on matrix blocks, scale on diag, 0 on free."""
+    def identity(self) -> List[np.ndarray]:
+        """Identity-like point: I on matrix blocks, 1 on diag, 0 on free."""
         out = []
         for b in self.blocks:
             if b.kind == MATRIX:
-                out.append(scale * np.eye(b.size))
+                out.append(np.eye(b.size))
             elif b.kind == DIAG:
-                out.append(scale * np.ones(b.size))
+                out.append(np.ones(b.size))
             else:
                 out.append(np.zeros(1))
         return out

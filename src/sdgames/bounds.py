@@ -18,7 +18,7 @@ import numpy as np
 from .auxiliary import ATTAINED, AuxSolution, solve_aux
 from .blocks import BlockStructure, free_scalar, matrix_block
 from .model import EXACT, SdpPair
-from .solver import MIN, SolverOptions, StandardSdp
+from .solver import MIN, StandardSdp
 
 CERTIFIED = "Certified"
 PRACTICAL = "Practical"
@@ -154,13 +154,13 @@ def certified_bound_M(pair: SdpPair) -> SolutionBoundM:
     return SolutionBoundM(mode=CERTIFIED, value=math.inf, certified_log2=log2)
 
 
-def practical_bound_M(pair: SdpPair, opts: Optional[SolverOptions] = None) -> SolutionBoundM:
+def practical_bound_M(pair: SdpPair) -> SolutionBoundM:
     """Numeric solution bound from a solved auxiliary SDP.
 
     Attained: M = ceil(tr(X*) + 1'y* + 1) + 1.  Suspected unattained: any
     positive constant is admissible; M = 1.
     """
-    aux = solve_aux(pair, opts)
+    aux = solve_aux(pair)
     if aux.attained_flag == ATTAINED:
         g = float(np.trace(aux.X.array) + np.sum(aux.y)) + 1.0
         value = float(math.ceil(g - 1e-6)) + 1.0

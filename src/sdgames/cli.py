@@ -37,10 +37,12 @@ from .reduction import (
     PipelineConfig,
     run_pipeline,
 )
-from .solver import SolverOptions
+from .solver import DUAL_INFEASIBLE, PRIMAL_INFEASIBLE, SolverOptions
 
 # errors a command reports with exit code 1 instead of a traceback
 _FILE_ERRORS = (OSError, ValueError, RuntimeError)
+
+_FARKAS_STATUSES = (PRIMAL_INFEASIBLE, DUAL_INFEASIBLE)
 
 _EXIT_BY_KIND = {
     STRONGLY_OPTIMAL: 0,
@@ -277,12 +279,12 @@ def cmd_verify(args) -> int:
 def cmd_solve(args) -> int:
     pair, _ = load_problem(Path(args.input))
     res = solve_both(pair, SolverOptions(tol=args.tol, max_iters=500))
-    doc = {
-        "primal_status": res["primal_status"],
-        "primal_value": None if not np.isfinite(res["primal_value"]) else res["primal_value"],
-        "dual_status": res["dual_status"],
-        "dual_value": res["dual_value"],
-    }
+    doc = {}
+    for side in ("primal", "dual"):
+        status = res[f"{side}_status"]
+        doc[f"{side}_status"] = status
+        # a Farkas status leaves a diverged iterate, whose objective is no value
+        doc[f"{side}_value"] = None if status in _FARKAS_STATUSES else res[f"{side}_value"]
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
@@ -299,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="problem file or directory of problem files")
     p.add_argument("--M", type=_bound_arg, default="auto",
                    help="solution bound: 'auto' or a finite number of at least 1")
-    p.add_argument("--tol", type=_finite_positive, default=1e-10)
+    p.add_argument("--tol", type=_finite_positive, default=1e-10,
+                   help="tolerance of the game solves (default 1e-10); the auxiliary "
+                   "solves behind --M auto keep 1e-9, their probes 1e-7")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None, help="directory for report files")
     p.set_defaults(func=cmd_reduce)

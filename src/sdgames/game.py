@@ -16,7 +16,6 @@ P; best responses are extreme eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Optional
 
 import numpy as np
 
@@ -35,6 +34,8 @@ from .solver import (
 
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-7
+
+GAME_OPTS = SolverOptions(tol=1e-10, max_iters=300)  # the player SDPs' default solver options
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +320,7 @@ def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float, accepted
 
 
 def solve_game(
-    pair: SdpPair, M: float, opts: Optional[SolverOptions] = None, certifies=None, tol: float = 1e-6
+    pair: SdpPair, M: float, opts: SolverOptions = GAME_OPTS, certifies=None, tol: float = 1e-6
 ) -> GameSolution:
     """Solve both player SDPs and return their strategies with the bracket
     lower = lambda_min(K(s1)) <= v <= upper = lambda_max(L(s2)).
@@ -352,7 +353,6 @@ def solve_game(
     """
     if M <= 0:
         raise ValueError("the solution bound must be positive")
-    opts = opts or SolverOptions(tol=1e-10, max_iters=300)
     pf = pair.to_float()
     accepted: dict = {}
     stop = None if certifies is None else _certifying_iterate(pf, M, certifies, tol, accepted)

@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bounds import ARBITRARY, SolutionBoundM, practical_bound_M
-from .game import Strategy1, Strategy2, solve_game
+from .game import GAME_OPTS, Strategy1, Strategy2, solve_game
 from .model import (
     SdpPair,
     SymMat,
@@ -36,7 +36,7 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    solver_opts: SolverOptions = SolverOptions(tol=1e-10, max_iters=300)
+    solver_opts: SolverOptions = GAME_OPTS
     bound_mode: Union[str, float] = "practical"
     verify_tol: float = 1e-6
 
@@ -163,11 +163,9 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     tol = config.verify_tol
     game = solve_game(pf, M, config.solver_opts, _certifies(pf, tol), tol)
     v, lower, upper = game.value, game.lower, game.upper
-    threshold = 0.5 / (M + 1.0)
     diagnostics = {
         "value_lower": lower,
         "value_upper": upper,
-        "threshold": threshold,
         "s1_t": game.s1.t,
         "s1_u": game.s1.u,
         "s2_t": game.s2.t,
@@ -179,7 +177,7 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
 
     if game.certificate is None:
         try:
-            X, y = recover_optimal(game.s2, tol=min(threshold, 1e-8))
+            X, y = recover_optimal(game.s2, tol=1e-8)
         except ValueError as exc:
             out.notes.append(f"bounded-branch recovery failed: {exc}")
         else:

@@ -35,15 +35,10 @@ _DIVERGENCE_THRESHOLD = 1e8  # iterate norm, relative to the data scale, that st
 _PRECISION_MERIT = 1e-6  # best merit below which rounding limits a solve: refine its directions
 
 
-class DebugInvariantViolation(AssertionError):
-    """Raised in debug mode when an iterate violates corrected weak duality."""
-
-
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-8
     max_iters: int = 200
-    debug: bool = False
 
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
@@ -306,14 +301,6 @@ class _Ipm:
         denom = 1.0 + abs(pobj) + abs(dobj)
         return pinf <= tol and dinf <= tol and (abs(pobj - dobj) / denom <= tol or compl / denom <= tol)
 
-    def _debug_weak_duality(self, pobj, dobj, x, y, r_p, r_d):
-        corr = abs(float(y @ r_p)) + abs(float(r_d @ x))
-        slack = pobj - dobj + corr
-        if slack < -1e-9 * (1.0 + abs(pobj) + abs(dobj) + corr):
-            raise DebugInvariantViolation(
-                f"weak duality violated at an iterate: pobj={pobj!r} dobj={dobj!r} corr={corr!r}"
-            )
-
     def _scalings(self, x, s):
         """NT scaling of each stack of matrix blocks, and w2 = x/s on the orthant."""
         nt = [
@@ -428,8 +415,6 @@ class _Ipm:
             pinf, dinf = self._infeasibilities(r_p, r_d)
             compl = float(x[:nc] @ s[:nc])
             relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-            if opts.debug:
-                self._debug_weak_duality(pobj, dobj, x, y, r_p, r_d)
             merit = pinf + dinf + relgap
             if merit < best[0]:
                 best = (merit, x, y, s)  # iterates are replaced, never updated in place
@@ -491,15 +476,11 @@ class _Ipm:
             if not (np.isfinite(x).all() and np.isfinite(y).all()):
                 status = NUMERICAL_FAILURE
                 break
+        # the best iterate failed the convergence test at its own iteration,
+        # so falling back to it never makes a solve Optimal
         if status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and best[0] < np.inf:
             _, x, y, s = best
-        res = self._result(status, x, y, s, it, ray)
-        if status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and self._converged(
-            res.primal_infeas, res.dual_infeas, res.primal_objective, res.dual_objective,
-            float(x[:nc] @ s[:nc]),
-        ):
-            res.status = OPTIMAL
-        return res
+        return self._result(status, x, y, s, it, ray)
 
     def _result(self, status, x, y, s, iterations, ray=None) -> SolveResult:
         r_p, r_d = self._residuals(x, y, s)

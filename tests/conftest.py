@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from sdgames.game import GAME_OPTS
 from sdgames.generators import example_corpus
-from sdgames.solver import SolverOptions
 
 
 def _corpus_dict():
@@ -44,4 +44,4 @@ def duality_gap_pair(corpus):
 
 @pytest.fixture(scope="session")
 def game_opts():
-    return SolverOptions(tol=1e-10, max_iters=300)
+    return GAME_OPTS

@@ -62,7 +62,7 @@ import time  # noqa: E402
 from collections import Counter  # noqa: E402
 from functools import partial  # noqa: E402
 
-from sdgames.game import solve_game  # noqa: E402
+from sdgames.game import GAME_OPTS, solve_game  # noqa: E402
 from sdgames.generators import (  # noqa: E402
     example_corpus,
     khachiyan_pair,
@@ -79,14 +79,13 @@ from sdgames.reduction import (  # noqa: E402
     PipelineConfig,
     run_pipeline,
 )
-from sdgames.solver import OPTIMAL, STOPPED_EARLY, SolverOptions  # noqa: E402
+from sdgames.solver import OPTIMAL, STOPPED_EARLY  # noqa: E402
 
 from solve_digest import recording, role  # noqa: E402
 
 SEEDS = (1, 2, 3)
 SIZES = (2, 3, 4, 6, 8, 12)
 FAST_SIZES = (2, 3, 4)
-GAME_OPTS = SolverOptions(tol=1e-10, max_iters=300)  # solve_game's default
 ROLES = ("primal-aux", "refined-aux", "game-p1", "game-p2")
 GENERATORS = (
     (random_slater, STRONGLY_OPTIMAL),

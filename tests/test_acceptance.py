@@ -48,6 +48,7 @@ from sdgames.reduction import (
 )
 from sdgames.solver import OPTIMAL, SolverOptions, StandardSdp, solve
 
+import weak_duality_oracle
 from game_oracle import block_matrix, subgame_payoff
 from lp_oracle import OPTIMAL as LP_OPTIMAL
 from lp_oracle import UNBOUNDED as LP_UNBOUNDED
@@ -272,7 +273,8 @@ def test_criterion_8_solver_baseline():
         Cm = sum(y0[k] * rows[k][0][0] for k in range(mm)) + S0
         cd = sum(y0[k] * rows[k][0][1] for k in range(mm)) + s0d
         prob = StandardSdp(st, st.flat([Cm, cd]), [st.flat(a) for a, _ in rows], [r for _, r in rows])
-        r = solve(prob, SolverOptions(debug=True))
+        with weak_duality_oracle.checked():
+            r = solve(prob)
         denom = 1.0 + abs(r.primal_objective) + abs(r.dual_objective)
         ok &= r.status == OPTIMAL
         worst_gap = max(worst_gap, abs(r.gap) / denom)

@@ -490,6 +490,16 @@ class TestSolveAndBound:
         assert doc["primal_status"] != "Optimal"
         assert doc["dual_status"] != "Optimal"
 
+    @pytest.mark.parametrize("name", ["both_infeasible", "aux_unattained", "unbounded"])
+    def test_solve_prints_no_value_after_a_farkas_status(self, corpus_dir, capsys, name):
+        # each solve here ends at a Farkas ray; its diverged iterate's objective
+        # (up to 1.2e8 in size) is not a value
+        assert main(["solve", str(corpus_dir / f"{name}.json"), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for side in ("primal", "dual"):
+            assert doc[f"{side}_status"] in ("PrimalInfeasibleDetected", "DualInfeasibleDetected")
+            assert doc[f"{side}_value"] is None
+
     def test_bound_practical(self, corpus_dir, capsys):
         assert main(["bound", str(corpus_dir / "bounded.json"), "--practical"]) == 0
         out = capsys.readouterr().out

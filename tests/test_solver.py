@@ -18,6 +18,7 @@ from sdgames.blocks import (
 )
 from sdgames.game import solve_game
 from sdgames.generators import random_slater
+from sdgames.reduction import run_pipeline
 from sdgames.solver import (
     DUAL_INFEASIBLE,
     OPTIMAL,
@@ -33,6 +34,7 @@ from sdgames.solver import (
 )
 
 import solve_digest
+import weak_duality_oracle
 from lp_oracle import OPTIMAL as LP_OPTIMAL
 from lp_oracle import lp_min_standard
 
@@ -946,12 +948,23 @@ class TestInvariants:
         assert set(first) == {"primal-aux", "refined-aux", "game-p1", "game-p2"}
         assert solve_digest.digest(solve_digest.corpus_instances()) == first
 
-    def test_weak_duality_in_debug_mode(self):
+    def test_weak_duality_at_every_iterate(self):
         rng = np.random.default_rng(17)
-        for _ in range(5):
-            prob = _random_feasible_block_sdp(rng)
-            r = solve(prob, SolverOptions(debug=True))
-            assert r.status == OPTIMAL
+        with weak_duality_oracle.checked() as count:
+            for _ in range(5):
+                prob = _random_feasible_block_sdp(rng)
+                assert solve(prob).status == OPTIMAL
+        assert count[0] > 5
+
+    def test_weak_duality_at_every_iterate_of_the_pipeline(self, corpus):
+        # every solve run_pipeline makes on the corpus, all four solver roles
+        roles = set()
+        with weak_duality_oracle.checked() as count:
+            for pair, _ in corpus.values():
+                _, solves = solve_digest.solves_of(pair, lambda: run_pipeline(pair))
+                roles |= set(solves)
+        assert roles == {"primal-aux", "refined-aux", "game-p1", "game-p2"}
+        assert count[0] > 100
 
     def test_block_permutation_equivariance(self):
         rng = np.random.default_rng(29)
