@@ -44,6 +44,15 @@ _FILE_ERRORS = (OSError, ValueError, RuntimeError)
 
 _FARKAS_STATUSES = (PRIMAL_INFEASIBLE, DUAL_INFEASIBLE)
 
+# the program of the pair that each side's Farkas status proves infeasible:
+# the dual side solves the pair's dual as its primal, so its labels swap
+_PROVEN_INFEASIBLE = {
+    ("primal", PRIMAL_INFEASIBLE): "primal",
+    ("primal", DUAL_INFEASIBLE): "dual",
+    ("dual", PRIMAL_INFEASIBLE): "dual",
+    ("dual", DUAL_INFEASIBLE): "primal",
+}
+
 _EXIT_BY_KIND = {
     STRONGLY_OPTIMAL: 0,
     PRIMAL_UNBOUNDED_CERT: 2,
@@ -288,8 +297,13 @@ def cmd_solve(args) -> int:
     if args.json:
         print(json.dumps(doc, indent=2))
     else:
-        print(f"primal: {doc['primal_status']}  value={doc['primal_value']}")
-        print(f"dual  : {doc['dual_status']}  value={doc['dual_value']}")
+        for side in ("primal", "dual"):
+            status = doc[f"{side}_status"]
+            infeasible = _PROVEN_INFEASIBLE.get((side, status))
+            if infeasible:
+                print(f"{side:6s}: {status} (the {infeasible} is infeasible)")
+            else:
+                print(f"{side:6s}: {status}  value={doc[f'{side}_value']}")
     return 0
 
 

@@ -278,6 +278,51 @@ def _player2_start(res1) -> tuple:
     return xv, np.concatenate([x[0][np.triu_indices(n)], *x[1:5]]), sv
 
 
+_START_BLEND = 1e-3  # weight of the uniform strategy in _player1_start's point
+
+
+def _player1_start(pair: SdpPair, M: float, X, y) -> tuple:
+    """Player 1's iterate (x, y, s) built from a primal-dual point (X, y) of
+    the pair, the duality of :func:`_player2_start` read the other way round.
+
+    With tau = tr X + 1'y + 1, s2 = (X, y, 1)/tau and s1 = (X, y, 1, 0)/tau
+    are strategies whose payoff is near 0 when (X, y) is near a strongly
+    optimal pair, the equilibrium of a game of value 0.  Both are blended a
+    fraction 1e-3 toward the uniform strategy, so that every block is
+    positive definite.  With v1 = lambda_min(K(s1)) - 1e-3 and
+    v2 = lambda_max(L(s2)) + 1e-3, player 1's primal is (s1, v1,
+    K(s1) - v1 I), its multipliers are s2's X over p <= q, y, t and -v2, and
+    its dual slack is (v2 I - L(s2), 0, s2): strictly inside the cone,
+    primal and dual feasible up to rounding, with <x, s> = v2 - v1.
+    """
+    n, m = pair.n, pair.m
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    tau = float(np.trace(X) + np.sum(y)) + 1.0
+
+    def blend(k):
+        """(X, y, 1, 0...) / tau with k scalars, blended toward I / (n + m + k)."""
+        u = _START_BLEND / (n + m + k)
+        Xb = (1.0 - _START_BLEND) / tau * X + u * np.eye(n)
+        yb = (1.0 - _START_BLEND) / tau * y + u
+        scalars = np.full(k, u)
+        scalars[0] += (1.0 - _START_BLEND) / tau
+        return Xb, yb, scalars
+
+    X1, y1, ts1 = blend(2)
+    X2, y2, ts2 = blend(1)
+    P = payoff_matrix(pair, M)
+    d = n * n
+    K = P.T @ np.concatenate([X1.ravel(), y1, ts1])
+    L = P @ np.concatenate([X2.ravel(), y2, ts2])
+    KX, LX = K[:d].reshape(n, n), L[:d].reshape(n, n)
+    v1 = min(np.linalg.eigvalsh(KX)[0], K[d:].min()) - _START_BLEND
+    v2 = max(np.linalg.eigvalsh(LX)[-1], L[d:].max()) + _START_BLEND
+    x = [X1, y1, ts1[:1], ts1[1:], [v1], KX - v1 * np.eye(n), K[d:-1] - v1, K[-1:] - v1]
+    s = [v2 * np.eye(n) - LX, v2 - L[d:-2], v2 - L[-2:-1], v2 - L[-1:], [0.0], X2, y2, ts2]
+    return x, np.concatenate([X2[np.triu_indices(n)], y2, ts2, [-v2]]), s
+
+
 def game_sdp_player1(pair: SdpPair, M: float) -> StandardSdp:
     """max v s.t. K(X, y, t, u) - v I psd, (X, y, t, u) a unit-trace block strategy."""
     return _response_sdp(pair, payoff_matrix(pair, M).T, 1.0, MAX, "game-p1")
@@ -320,7 +365,8 @@ def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float, accepted
 
 
 def solve_game(
-    pair: SdpPair, M: float, opts: SolverOptions = GAME_OPTS, certifies=None, tol: float = 1e-6
+    pair: SdpPair, M: float, opts: SolverOptions = GAME_OPTS, certifies=None, tol: float = 1e-6,
+    point=None,
 ) -> GameSolution:
     """Solve both player SDPs and return their strategies with the bracket
     lower = lambda_min(K(s1)) <= v <= upper = lambda_max(L(s2)).
@@ -350,13 +396,21 @@ def solve_game(
     also start cold if its presolve dropped a row, but every row of either
     program except the trace row has a slack entry of its own, so all rows
     are kept.
+
+    ``point = (X, y)``, a primal-dual point of the pair such as the auxiliary
+    solve's, starts player 1 at :func:`_player1_start`'s iterate instead of
+    the scaled identity.  Near a strongly optimal pair that iterate is near
+    the game's equilibrium, so player 1 runs only the few iterations that
+    close its gap; the convergence and stop tests are the same from either
+    start.
     """
     if M <= 0:
         raise ValueError("the solution bound must be positive")
     pf = pair.to_float()
     accepted: dict = {}
     stop = None if certifies is None else _certifying_iterate(pf, M, certifies, tol, accepted)
-    res1 = solve(game_sdp_player1(pf, M), opts, stop=stop)
+    start = None if point is None else _player1_start(pf, M, *point)
+    res1 = solve(game_sdp_player1(pf, M), opts, stop=stop, start=start)
     if res1.status == STOPPED_EARLY:
         s1, lower, certificate = accepted["s1"], accepted["lower"], accepted["certificate"]
         opts2 = replace(opts, tol=max(opts.tol, tol))

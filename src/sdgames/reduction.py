@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bounds import ARBITRARY, SolutionBoundM, practical_bound_M
+from .bounds import ARBITRARY, PRACTICAL, SolutionBoundM, practical_bound_M
 from .game import GAME_OPTS, Strategy1, Strategy2, solve_game
 from .model import (
     SdpPair,
@@ -146,6 +146,12 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     inform too: ``diagnostics["game_status"]`` holds both, and a note marks
     a NumericalFailure.
 
+    Under the practical bound, when the auxiliary optimum w* is within
+    ``verify_tol * (1 + max |data|)`` of 0, the auxiliary point predicts a
+    strongly optimal pair, and player 1's game solve starts there (see
+    :func:`solve_game`'s ``point``); every other solve starts cold.
+    ``diagnostics["game_start"]`` records which: ``"aux"`` or ``"cold"``.
+
     The first player's game solve stops at the first iterate whose strategy
     passes the certificate checks with zero margin.  That certificate is
     already verified and is reported at once, without a bounded attempt; its
@@ -161,7 +167,11 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
         M_used = SolutionBoundM(mode=ARBITRARY, value=float(config.bound_mode))
     M = M_used.value
     tol = config.verify_tol
-    game = solve_game(pf, M, config.solver_opts, _certifies(pf, tol), tol)
+    aux = M_used.derived_from
+    # the aux point starts player 1 only where it predicts a strongly optimal pair
+    warm = M_used.mode == PRACTICAL and abs(aux.w) <= tol * (1.0 + pf.max_abs_entry())
+    point = (aux.X.array, aux.y) if warm else None
+    game = solve_game(pf, M, config.solver_opts, _certifies(pf, tol), tol, point=point)
     v, lower, upper = game.value, game.lower, game.upper
     diagnostics = {
         "value_lower": lower,
@@ -170,6 +180,7 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
         "s1_u": game.s1.u,
         "s2_t": game.s2.t,
         "game_status": game.status,
+        "game_start": "aux" if warm else "cold",
     }
     out = Outcome(kind=INCONCLUSIVE, game_value=v, M_used=M_used, diagnostics=diagnostics)
     if NUMERICAL_FAILURE in game.status:

@@ -30,7 +30,7 @@ STOPPED_EARLY = "StoppedEarly"
 MIN = "min"
 MAX = "max"
 
-_STEP_FRACTION = 0.98  # fraction of the step to the cone boundary taken
+_STEP_FRACTION = 0.98  # least fraction of the step to the cone boundary taken
 _DIVERGENCE_THRESHOLD = 1e8  # iterate norm, relative to the data scale, that stops a solve
 _PRECISION_MERIT = 1e-6  # best merit below which rounding limits a solve: refine its directions
 
@@ -463,8 +463,13 @@ class _Ipm:
                 else:
                     status = NUMERICAL_FAILURE
                 break
-            ap = min(1.0, _STEP_FRACTION * ap)
-            ad = min(1.0, _STEP_FRACTION * ad)
+            # a feasible iterate backs off from the boundary only by the
+            # predictor's predicted reduction mu_aff / mu, when that is below 0.02
+            frac = _STEP_FRACTION
+            if pinf <= opts.tol and dinf <= opts.tol and mu > 0:
+                frac = max(frac, 1.0 - mu_aff / mu)
+            ap = min(1.0, frac * ap)
+            ad = min(1.0, frac * ad)
             if ap < 1e-14 and ad < 1e-14:
                 self.warnings.append("step sizes collapsed; stopping early")
                 status = MAX_ITERATIONS

@@ -5,12 +5,14 @@ per instance, the expected and the reported kind, the M used, and per solver
 role (``primal-aux``, ``refined-aux``, ``game-p1``, ``game-p2``) the solves,
 their total iterations and how many ended neither Optimal nor StoppedEarly,
 as ``solves/iterations/non_optimal``, then the number of game solves that a
-stop test ended early (StoppedEarly: player 1 at a certifying iterate), the
-width ``value_upper - value_lower`` of the game's value bracket and the wall
-time.  A summary follows: the kinds lost (expected but not reported) and
+stop test ended early (StoppedEarly: player 1 at a certifying iterate), where
+player 1's game solve started (``aux``, at the auxiliary point, or ``cold``),
+the width ``value_upper - value_lower`` of the game's value bracket and the
+wall time.  A summary follows: the kinds lost (expected but not reported) and
 gained (reported but not expected), the total iterations and non-Optimal
-solves per role, the early-stopped solves and the widest bracket per
-reported kind.  The exit status is 1 when a kind is lost or gained::
+solves per role, the early-stopped solves, the player-1 solves started at the
+auxiliary point and the widest bracket per reported kind.  The exit status is
+1 when a kind is lost or gained::
 
     python tests/outcome_census.py          # n = m in {2, 3, 4, 6, 8, 12}
     python tests/outcome_census.py --fast   # n = m in {2, 3, 4}
@@ -106,9 +108,9 @@ def instances(sizes=SIZES) -> list:
 
 
 def census(cases) -> list:
-    """One row per (pair, expected): name, expected, kind, M, width (of the
-    value bracket), wall_s and per role [solves, iterations, non_optimal,
-    stopped_early]."""
+    """One row per (pair, expected): name, expected, kind, M, start (of
+    player 1's game solve), width (of the value bracket), wall_s and per role
+    [solves, iterations, non_optimal, stopped_early]."""
     rows = []
     current = [None, None]  # the instance's role table and its pair
 
@@ -131,6 +133,7 @@ def census(cases) -> list:
                 "expected": expected,
                 "kind": out.kind,
                 "M": out.M_used.value,
+                "start": out.diagnostics["game_start"],
                 "width": out.diagnostics["value_upper"] - out.diagnostics["value_lower"],
                 "roles": roles,
                 "wall_s": wall,
@@ -140,8 +143,8 @@ def census(cases) -> list:
 
 def summary(rows) -> dict:
     """Kinds lost and gained (as counters), total iterations and non-Optimal
-    solves per role, the early-stopped solves and the widest bracket per
-    reported kind."""
+    solves per role, the early-stopped solves, the player-1 solves started at
+    the auxiliary point and the widest bracket per reported kind."""
     missed = [r for r in rows if r["kind"] != r["expected"]]
 
     def total(k, i):
@@ -154,6 +157,7 @@ def summary(rows) -> dict:
         "iterations": {k: total(k, 1) for k in ROLES},
         "non_optimal": {k: total(k, 2) for k in ROLES},
         "stopped_early": sum(total(k, 3) for k in ROLES),
+        "aux_starts": sum(r["start"] == "aux" for r in rows),
         "widest": {kind: max(r["width"] for r in rows if r["kind"] == kind)
                    for kind in sorted({r["kind"] for r in rows})},
     }
@@ -235,11 +239,11 @@ def main(argv=None) -> int:
         return 1 if raised or false_optimal else 0
     rows = census(instances(FAST_SIZES if "--fast" in argv else SIZES))
     print(f"{'instance':26s} {'expected':20s} {'reported':20s} {'M':>6s} "
-          + " ".join(f"{k:>11s}" for k in ROLES) + f" {'stopped':>7s} {'width':>9s} {'wall_s':>7s}")
+          + " ".join(f"{k:>11s}" for k in ROLES) + f" {'stopped':>7s} {'start':>5s} {'width':>9s} {'wall_s':>7s}")
     for r in rows:
         print(f"{r['name']:26s} {r['expected']:20s} {r['kind']:20s} {r['M']:6g} "
               + " ".join(f"{_counts(r['roles'].get(k)):>11s}" for k in ROLES)
-              + f" {_stopped(r['roles']):7d} {r['width']:9.2e} {r['wall_s']:7.3f}")
+              + f" {_stopped(r['roles']):7d} {r['start']:>5s} {r['width']:9.2e} {r['wall_s']:7.3f}")
     s = summary(rows)
     print(f"\n{len(rows)} instances, {len(rows) - len(s['missed'])} with the expected kind")
     print("kinds lost:   " + (", ".join(f"{k} {v}" for k, v in sorted(s["lost"].items())) or "none"))
@@ -251,6 +255,7 @@ def main(argv=None) -> int:
           + f", all {sum(its.values())}")
     print("non-Optimal solves: " + ", ".join(f"{k} {v}" for k, v in s["non_optimal"].items())
           + f"; stopped early: {s['stopped_early']}")
+    print(f"player 1 started at the aux point: {s['aux_starts']} of {len(rows)}")
     print("widest bracket per reported kind: "
           + ", ".join(f"{k} {w:.3g}" for k, w in s["widest"].items()))
     return 1 if s["missed"] else 0

@@ -500,6 +500,20 @@ class TestSolveAndBound:
             assert doc[f"{side}_status"] in ("PrimalInfeasibleDetected", "DualInfeasibleDetected")
             assert doc[f"{side}_value"] is None
 
+    @pytest.mark.parametrize("name, lines", [
+        ("unbounded", ["primal: DualInfeasibleDetected (the dual is infeasible)",
+                       "dual  : PrimalInfeasibleDetected (the dual is infeasible)"]),
+        ("both_infeasible", ["primal: PrimalInfeasibleDetected (the primal is infeasible)",
+                             "dual  : DualInfeasibleDetected (the primal is infeasible)"]),
+    ])
+    def test_solve_text_names_the_program_a_farkas_status_proves_infeasible(
+        self, corpus_dir, capsys, name, lines
+    ):
+        # the dual side solves the pair's dual as its own primal, so its
+        # PrimalInfeasibleDetected is about the pair's dual
+        assert main(["solve", str(corpus_dir / f"{name}.json")]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
     def test_bound_practical(self, corpus_dir, capsys):
         assert main(["bound", str(corpus_dir / "bounded.json"), "--practical"]) == 0
         out = capsys.readouterr().out

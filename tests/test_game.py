@@ -20,12 +20,14 @@ from sdgames.game import (
     response_matrix_K,
     response_matrix_L,
     solve_game,
+    _player1_start,
     _player2_start,
 )
 from sdgames.generators import khachiyan_pair, random_diagonal, random_slater, random_unbounded
 from sdgames.model import SdpPair, SymMat, frobenius_inner, min_eigenvalue
 from sdgames.bounds import practical_bound_M
-from sdgames.solver import DUAL_INFEASIBLE, MIN, OPTIMAL, PRIMAL_INFEASIBLE, solve
+from sdgames.blocks import DIAG, MATRIX
+from sdgames.solver import DUAL_INFEASIBLE, MIN, OPTIMAL, PRIMAL_INFEASIBLE, _Ipm, solve
 
 from game_oracle import block_matrix, subgame_payoff
 import solve_digest
@@ -436,6 +438,47 @@ class TestPlayer2Start:
         cold = solve(game_sdp_player2(pair, 3.0), game_opts)
         assert g.status == (farkas, OPTIMAL)
         assert solve_digest._solve_bytes(solved["p2"]) == solve_digest._solve_bytes(cold)
+
+
+class TestPlayer1Start:
+    """Player 1's solve can start at a primal-dual point of the pair, read as
+    a near-equilibrium pair of strategies through the duality of the two
+    player SDPs."""
+
+    @pytest.mark.parametrize(
+        "make", [lambda corpus: corpus["bounded"][0], lambda corpus: random_slater(4, 4, 2)],
+        ids=["bounded", "slater-n4-m4-s2"],
+    )
+    def test_aux_point_gives_a_feasible_interior_iterate(self, corpus, game_opts, make):
+        pair = make(corpus)
+        bound = practical_bound_M(pair)
+        aux = bound.derived_from
+        prob = game_sdp_player1(pair.to_float(), bound.value)
+        x, y, s = _player1_start(pair.to_float(), bound.value, aux.X.array, aux.y)
+        ipm = _Ipm(prob, game_opts)
+        xf, sf = ipm._flat(x), ipm._flat(s)
+        pinf, dinf = ipm._infeasibilities(*ipm._residuals(xf, y, sf))
+        assert pinf <= 1e-12 and dinf <= 1e-12
+        assert y.shape == (prob.num_constraints,)
+        for block, xb, sb in zip(prob.structure, x, s):
+            if block.kind == MATRIX:
+                np.linalg.cholesky(xb)
+                np.linalg.cholesky(sb)
+            elif block.kind == DIAG:
+                assert np.all(np.asarray(xb) > 0) and np.all(np.asarray(sb) > 0)
+        # <x, s> = v2 - v1, with v1 player 1's v and v2 minus its trace-row multiplier
+        v1, v2 = x[4][0], -y[-1]
+        gap = float(prob.structure.flat(x) @ prob.structure.flat(s))
+        assert gap == pytest.approx(v2 - v1, rel=1e-12)
+
+    def test_started_player1_converges_to_the_same_value(self, bounded_pair, game_opts):
+        aux = practical_bound_M(bounded_pair).derived_from
+        g, solves = solves_of(bounded_pair, lambda: solve_game(bounded_pair, 4.0, game_opts,
+                                                              point=(aux.X.array, aux.y)))
+        cold, cold_solves = solves_of(bounded_pair, lambda: solve_game(bounded_pair, 4.0, game_opts))
+        assert solves["game-p1"].status == OPTIMAL
+        assert solves["game-p1"].iterations < cold_solves["game-p1"].iterations
+        assert abs(g.lower - cold.lower) <= 1e-9 and g.upper - g.lower <= 1e-9
 
 
 class TestDiagonalReduction:

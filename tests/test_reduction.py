@@ -181,7 +181,7 @@ class TestRouting:
 
     def _run(self, monkeypatch, pair, game, lower, upper):
         planted = GameSolution(game.s1, game.s2, lower, upper)
-        monkeypatch.setattr(reduction, "solve_game", lambda pf, M, opts, certifies, tol: planted)
+        monkeypatch.setattr(reduction, "solve_game", lambda pf, M, opts, certifies, tol, point: planted)
         return run_pipeline(pair, PipelineConfig(bound_mode=1.0))
 
     def test_straddling_bracket_tries_both_branches(self, monkeypatch, unbounded_pair, game):
@@ -324,6 +324,37 @@ class TestEarlyStop:
         assert res.status == STOPPED_EARLY and res.iterations <= 20
         assert out.kind == DUAL_UNBOUNDED_CERT and out.verification["dual"]["ok"]
         assert out.diagnostics["game_status"] == (STOPPED_EARLY, OPTIMAL)
+
+
+class TestAuxStart:
+    """Player 1's game solve starts at the auxiliary point when the practical
+    bound's w* is within verify_tol of 0, and cold otherwise."""
+
+    def test_stalled_slater_pair_converges_from_the_aux_point(self):
+        # player 1 ran 69 iterations to the precision limit here from a cold start
+        out, res = _with_game_p1(random_slater(6, 6, 1), PipelineConfig())
+        assert out.kind == STRONGLY_OPTIMAL and out.verification["optimal"]["ok"]
+        assert out.diagnostics["game_start"] == "aux"
+        assert res.status == OPTIMAL and res.iterations <= 10
+
+    @pytest.mark.parametrize(
+        "pair, config",
+        [(random_slater(4, 4, 1), PipelineConfig(bound_mode=10.0)),
+         (random_unbounded(4, 4, 1), PipelineConfig())],
+        ids=["fixed-M", "unbounded-practical"],
+    )
+    def test_other_pairs_start_cold(self, monkeypatch, pair, config):
+        starts = []
+
+        def recorded(problem, opts=None, **kwargs):
+            if problem.name.endswith("-game-p1"):
+                starts.append(kwargs.get("start"))
+            return solve(problem, opts, **kwargs)
+
+        monkeypatch.setattr(sdgames.game, "solve", recorded)
+        out = run_pipeline(pair, config)
+        assert starts == [None]
+        assert out.diagnostics["game_start"] == "cold"
 
 
 class TestFailedGameSolve:
