@@ -13,7 +13,7 @@ import numpy as np
 
 from .blocks import BlockStructure, bv_norm_inf, diag_block, matrix_block, matrix_equality
 from .model import SdpPair, SymMat
-from .solver import MIN, OPTIMAL, SolveResult, SolverOptions, StandardSdp, solve
+from .solver import MIN, OPTIMAL, START_BLEND, SolveResult, SolverOptions, StandardSdp, solve
 
 ATTAINED = "Attained"
 SUSPECTED_UNATTAINED = "SuspectedUnattained"
@@ -68,25 +68,57 @@ def build_primal_aux(pair: SdpPair) -> StandardSdp:
                        sense=MIN, name=f"{pair.name or 'pair'}-primal-aux")
 
 
-def build_refined_aux(pair: SdpPair, w_cap: float) -> StandardSdp:
-    """Primal auxiliary SDP restricted to w <= w_cap, minimizing tr(X) + 1'y.
+def build_refined_aux(base: StandardSdp, w_cap: float) -> StandardSdp:
+    """The primal auxiliary SDP ``base`` restricted to w <= w_cap, minimizing tr(X) + 1'y.
 
     Used to pick a small point on the (near-)optimal face; the restricted
     problem stays bounded exactly when the auxiliary optimum is attained by
-    a finite solution.
+    a finite solution.  The cap row w + q = w_cap is the last row, with q
+    the new last block.
     """
-    base = build_primal_aux(pair)
     st = BlockStructure(list(base.structure) + [diag_block(1)])
-    # w + q = w_cap, with q the new last block
     rows = np.zeros((base.num_constraints + 1, st.dim))
     rows[:-1, :-1] = base.A
     st.view(rows, 4)[-1] = 1.0
     st.view(rows, len(st) - 1)[-1] = 1.0
     obj = np.zeros(st.dim)
-    st.view(obj, 0)[:] = np.eye(pair.n)
+    st.view(obj, 0)[:] = np.eye(st.blocks[0].size)
     st.view(obj, 2)[:] = 1.0
-    return StandardSdp(st, obj, rows, np.append(base.b, float(w_cap)),
-                       sense=MIN, name=f"{pair.name or 'pair'}-refined-aux")
+    name = base.name.removesuffix("-primal-aux") + "-refined-aux"
+    return StandardSdp(st, obj, rows, np.append(base.b, float(w_cap)), sense=MIN, name=name)
+
+
+def _as_refined(res: SolveResult) -> tuple:
+    """The primal auxiliary solve's iterate ``res`` read in the refined-aux SDP,
+    as (x, y, s) with q = 0.
+
+    The multipliers are (res.dual, -1).  The refined objective is the main
+    one plus I on X and 1 on y, minus 1 on w, and the cap row's -1 adds 1 on
+    w and on q, so the dual slack is res.dual_slack plus I on X, 1 on y and
+    1 on q: the dual residual on the main solve's blocks is the main solve's.
+    """
+    s = [*res.dual_slack, np.ones(1)]
+    s[0] = s[0] + np.eye(len(s[0]))
+    s[2] = s[2] + 1.0
+    return [*res.primal, np.zeros(1)], np.append(res.dual, -1.0), s
+
+
+def _probe_start(x: list, y: np.ndarray, s: list, w_cap: float) -> tuple:
+    """The start (x, y, s) of a refined-aux probe at cap ``w_cap`` from a
+    refined-aux iterate.
+
+    q moves to w_cap - w, so x keeps the iterate's primal residual on every
+    row but the cap row, which it meets exactly; x is left otherwise as it
+    is, a solver iterate inside the cone.  s is blended a fraction
+    START_BLEND toward its mean eigenvalue times the identity, as
+    :func:`game._player1_start` blends its strategies toward the uniform one:
+    the trace of s is kept and every eigenvalue is lifted off the boundary.
+    """
+    x = [*x[:-1], w_cap - x[4]]
+    mean = sum(np.trace(v) if v.ndim == 2 else np.sum(v) for v in s) / sum(len(v) for v in s)
+    s = [(1.0 - START_BLEND) * v + START_BLEND * mean * (np.eye(len(v)) if v.ndim == 2 else 1.0)
+         for v in s]
+    return x, y, s
 
 
 def _extract(res: SolveResult):
@@ -118,23 +150,31 @@ def solve_aux(pair: SdpPair) -> AuxSolution:
     certifies non-attainment.
 
     The main solve runs to tol 1e-9 and the probes to 1e-7, each within 300
-    iterations, whatever tolerance the game solves use.
+    iterations, whatever tolerance the game solves use.  The primal
+    auxiliary SDP is built once and each probe adds its cap row to it.  The
+    tight probe starts at the main solve's iterate read in its SDP
+    (:func:`_as_refined`), the loose one at the tight probe's final iterate,
+    each moved to its cap by :func:`_probe_start`.  The start changes only
+    the probes' iterate path, not their options or convergence test.
     """
     pf = pair.to_float()
-    first = solve(build_primal_aux(pf), _MAIN_OPTS)
+    base = build_primal_aux(pf)
+    first = solve(base, _MAIN_OPTS)
     w_star = first.value
     scale = 1.0 + pf.max_abs_entry()
     norm_cap = 1e6 * scale
     delta = 1e-4 * (1.0 + abs(w_star))
     tight_cap, loose_cap = w_star + delta / 10.0, w_star + delta
-    tight = solve(build_refined_aux(pf, tight_cap), _PROBE_OPTS)
+    start = _probe_start(*_as_refined(first), tight_cap)
+    tight = solve(build_refined_aux(base, tight_cap), _PROBE_OPTS, start=start)
     probed = tight.status == OPTIMAL
     grows = False
     if probed:
         # b_loose'y <= loose.value; the cap is the last entry of b
         loose_lower = tight.dual_objective + (loose_cap - tight_cap) * tight.dual[-1]
         if tight.value > 2.0 * loose_lower + 1.0:
-            loose = solve(build_refined_aux(pf, loose_cap), _PROBE_OPTS)
+            start = _probe_start(tight.primal, tight.dual, tight.dual_slack, loose_cap)
+            loose = solve(build_refined_aux(base, loose_cap), _PROBE_OPTS, start=start)
             probed = loose.status == OPTIMAL
             grows = tight.value > 2.0 * loose.value + 1.0
     first_small = bv_norm_inf(first.primal[:3]) <= norm_cap

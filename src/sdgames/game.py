@@ -26,6 +26,7 @@ from .solver import (
     MAX,
     MIN,
     PRIMAL_INFEASIBLE,
+    START_BLEND,
     STOPPED_EARLY,
     SolverOptions,
     StandardSdp,
@@ -278,9 +279,6 @@ def _player2_start(res1) -> tuple:
     return xv, np.concatenate([x[0][np.triu_indices(n)], *x[1:5]]), sv
 
 
-_START_BLEND = 1e-3  # weight of the uniform strategy in _player1_start's point
-
-
 def _player1_start(pair: SdpPair, M: float, X, y) -> tuple:
     """Player 1's iterate (x, y, s) built from a primal-dual point (X, y) of
     the pair, the duality of :func:`_player2_start` read the other way round.
@@ -302,11 +300,11 @@ def _player1_start(pair: SdpPair, M: float, X, y) -> tuple:
 
     def blend(k):
         """(X, y, 1, 0...) / tau with k scalars, blended toward I / (n + m + k)."""
-        u = _START_BLEND / (n + m + k)
-        Xb = (1.0 - _START_BLEND) / tau * X + u * np.eye(n)
-        yb = (1.0 - _START_BLEND) / tau * y + u
+        u = START_BLEND / (n + m + k)
+        Xb = (1.0 - START_BLEND) / tau * X + u * np.eye(n)
+        yb = (1.0 - START_BLEND) / tau * y + u
         scalars = np.full(k, u)
-        scalars[0] += (1.0 - _START_BLEND) / tau
+        scalars[0] += (1.0 - START_BLEND) / tau
         return Xb, yb, scalars
 
     X1, y1, ts1 = blend(2)
@@ -316,8 +314,8 @@ def _player1_start(pair: SdpPair, M: float, X, y) -> tuple:
     K = P.T @ np.concatenate([X1.ravel(), y1, ts1])
     L = P @ np.concatenate([X2.ravel(), y2, ts2])
     KX, LX = K[:d].reshape(n, n), L[:d].reshape(n, n)
-    v1 = min(np.linalg.eigvalsh(KX)[0], K[d:].min()) - _START_BLEND
-    v2 = max(np.linalg.eigvalsh(LX)[-1], L[d:].max()) + _START_BLEND
+    v1 = min(np.linalg.eigvalsh(KX)[0], K[d:].min()) - START_BLEND
+    v2 = max(np.linalg.eigvalsh(LX)[-1], L[d:].max()) + START_BLEND
     x = [X1, y1, ts1[:1], ts1[1:], [v1], KX - v1 * np.eye(n), K[d:-1] - v1, K[-1:] - v1]
     s = [v2 * np.eye(n) - LX, v2 - L[d:-2], v2 - L[-2:-1], v2 - L[-1:], [0.0], X2, y2, ts2]
     return x, np.concatenate([X2[np.triu_indices(n)], y2, ts2, [-v2]]), s

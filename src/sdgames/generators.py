@@ -11,7 +11,7 @@ import numpy as np
 
 from .model import SdpPair, SymMat
 
-MAX_SIZE = 16
+MAX_SIZE = 32
 
 
 def _check_size(n: int, m: int) -> None:

@@ -33,6 +33,7 @@ MAX = "max"
 _STEP_FRACTION = 0.98  # least fraction of the step to the cone boundary taken
 _DIVERGENCE_THRESHOLD = 1e8  # iterate norm, relative to the data scale, that stops a solve
 _PRECISION_MERIT = 1e-6  # best merit below which rounding limits a solve: refine its directions
+START_BLEND = 1e-3  # fraction by which a warm start is blended off the cone boundary
 
 
 @dataclass(frozen=True)

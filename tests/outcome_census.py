@@ -16,6 +16,7 @@ auxiliary point and the widest bracket per reported kind.  The exit status is
 
     python tests/outcome_census.py          # n = m in {2, 3, 4, 6, 8, 12}
     python tests/outcome_census.py --fast   # n = m in {2, 3, 4}
+    python tests/outcome_census.py --large  # n = m in {16, 24, 32}, about 15 s
     python tests/outcome_census.py --stalls # game-p1 iterations without a stop test
     python tests/outcome_census.py --sweep  # the kind per pair and fixed M
 
@@ -29,6 +30,11 @@ changes results (fewer solves, another linear solve) compares the kind, M and
 width columns and the iteration totals with its parent's.  BLAS runs on one
 thread, as in ``tests/solve_digest.py``.  Not collected by pytest;
 ``tests/test_reduction.py`` checks the kinds of the fast ladder.
+
+``--large`` instead runs ``random_slater`` and ``random_unbounded`` at
+n = m in {16, 24, 32}, seed 1, and prints the same table: the sizes where a
+pair takes seconds and a solve that stops short of Optimal shows, which the
+default ladder does not reach.  CI does not run it.
 
 ``--stalls`` instead runs ``solve_game`` without a stop test on
 ``random_unbounded(n, n, s)``, n in {6, 8, 10}, s in 100-111, at M = 10, and
@@ -88,6 +94,7 @@ from solve_digest import recording, role  # noqa: E402
 SEEDS = (1, 2, 3)
 SIZES = (2, 3, 4, 6, 8, 12)
 FAST_SIZES = (2, 3, 4)
+LARGE_SIZES = (16, 24, 32)
 ROLES = ("primal-aux", "refined-aux", "game-p1", "game-p2")
 GENERATORS = (
     (random_slater, STRONGLY_OPTIMAL),
@@ -105,6 +112,12 @@ def instances(sizes=SIZES) -> list:
     for gen, expected in GENERATORS:
         out += [(gen(n, n, seed), expected) for n in sizes for seed in SEEDS]
     return out
+
+
+def large_instances() -> list:
+    """(pair, expected kind) for ``random_slater`` and ``random_unbounded`` at
+    n = m in LARGE_SIZES, seed 1."""
+    return [(gen(n, n, 1), expected) for gen, expected in GENERATORS[:2] for n in LARGE_SIZES]
 
 
 def census(cases) -> list:
@@ -237,7 +250,11 @@ def main(argv=None) -> int:
         if false_optimal:
             print(f"\n{false_optimal} runs reported StronglyOptimal on a pair expected otherwise")
         return 1 if raised or false_optimal else 0
-    rows = census(instances(FAST_SIZES if "--fast" in argv else SIZES))
+    if "--large" in argv:
+        cases = large_instances()
+    else:
+        cases = instances(FAST_SIZES if "--fast" in argv else SIZES)
+    rows = census(cases)
     print(f"{'instance':26s} {'expected':20s} {'reported':20s} {'M':>6s} "
           + " ".join(f"{k:>11s}" for k in ROLES) + f" {'stopped':>7s} {'start':>5s} {'width':>9s} {'wall_s':>7s}")
     for r in rows:

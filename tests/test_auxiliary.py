@@ -9,12 +9,14 @@ from sdgames import auxiliary
 from sdgames.auxiliary import (
     ATTAINED,
     SUSPECTED_UNATTAINED,
+    _as_refined,
+    _probe_start,
     build_primal_aux,
     build_refined_aux,
     solve_aux,
 )
 from sdgames.bounds import ARBITRARY, practical_bound_M
-from sdgames.generators import khachiyan_pair, random_slater, random_unbounded
+from sdgames.generators import khachiyan_pair, random_dual_unbounded, random_slater, random_unbounded
 from sdgames.model import (
     SdpPair,
     SymMat,
@@ -114,8 +116,8 @@ class TestSolveAux:
     def test_unconverged_probe_falls_back_to_main_solve(
         self, bounded_pair, monkeypatch, probe_status
     ):
-        def solve_with_failing_probe(problem, opts=None):
-            res = solve(problem, opts)
+        def solve_with_failing_probe(problem, opts=None, **kwargs):
+            res = solve(problem, opts, **kwargs)
             if problem.name.endswith("-refined-aux"):
                 res.status = probe_status
             return res
@@ -131,8 +133,8 @@ class TestSolveAux:
         assert names == ["bounded-primal-aux", "bounded-refined-aux"]
 
     def test_stopped_main_solve_with_small_residuals_is_trusted(self, bounded_pair, monkeypatch):
-        def solve_stopped_short(problem, opts=None):
-            res = solve(problem, opts)
+        def solve_stopped_short(problem, opts=None, **kwargs):
+            res = solve(problem, opts, **kwargs)
             res.status = MAX_ITERATIONS if problem.name.endswith("-primal-aux") else NUMERICAL_FAILURE
             return res
 
@@ -148,8 +150,8 @@ class TestSolveAux:
         "field, value", [("primal_infeas", 1e-6), ("dual_infeas", 1e-6), ("value", 1e-3)]
     )
     def test_stopped_main_solve_needs_small_residuals(self, bounded_pair, monkeypatch, field, value):
-        def solve_stopped_short(problem, opts=None):
-            res = solve(problem, opts)
+        def solve_stopped_short(problem, opts=None, **kwargs):
+            res = solve(problem, opts, **kwargs)
             if problem.name.endswith("-primal-aux"):
                 res.status = MAX_ITERATIONS
                 setattr(res, field, value)
@@ -163,8 +165,8 @@ class TestSolveAux:
     def test_failed_main_solve_plays_at_M_one(self, bounded_pair, monkeypatch):
         # a NumericalFailure main solve goes through the same residual gate
         # as any stopped one; here it fails the gate, so M = 1
-        def solve_failed(problem, opts=None):
-            res = solve(problem, opts)
+        def solve_failed(problem, opts=None, **kwargs):
+            res = solve(problem, opts, **kwargs)
             res.status = NUMERICAL_FAILURE
             if problem.name.endswith("-primal-aux"):
                 res.primal_infeas = 1e-6
@@ -182,23 +184,90 @@ def _recorded_solve_aux(monkeypatch, pair, inner=solve):
     those SDPs in call order."""
     names = []
 
-    def recorded(problem, opts=None):
+    def recorded(problem, opts=None, **kwargs):
         names.append(problem.name)
-        return inner(problem, opts)
+        return inner(problem, opts, **kwargs)
 
     monkeypatch.setattr(auxiliary, "solve", recorded)
     return solve_aux(pair), names
 
 
 def _both_probes(pair):
-    """The tight and the loose refined-aux probe solve_aux would make, with their caps."""
-    pf = pair.to_float()
-    w_star = solve(build_primal_aux(pf), SolverOptions(tol=1e-9, max_iters=300)).value
-    delta = 1e-4 * (1.0 + abs(w_star))
+    """The tight and the loose refined-aux probe solve_aux would make, from the
+    same starts, with their caps and the primal auxiliary SDP."""
+    base = build_primal_aux(pair.to_float())
+    first = solve(base, SolverOptions(tol=1e-9, max_iters=300))
+    delta = 1e-4 * (1.0 + abs(first.value))
     probe_opts = SolverOptions(tol=1e-7, max_iters=300)
-    caps = (w_star + delta / 10.0, w_star + delta)
-    tight, loose = (solve(build_refined_aux(pf, cap), probe_opts) for cap in caps)
-    return tight, loose, caps
+    caps = (first.value + delta / 10.0, first.value + delta)
+    start = _probe_start(*_as_refined(first), caps[0])
+    tight = solve(build_refined_aux(base, caps[0]), probe_opts, start=start)
+    start = _probe_start(tight.primal, tight.dual, tight.dual_slack, caps[1])
+    loose = solve(build_refined_aux(base, caps[1]), probe_opts, start=start)
+    return tight, loose, caps, base
+
+
+def _residuals(problem, x, y, s):
+    """b - A x and c - A'y - s of ``problem`` at the iterate (x, y, s) given as
+    blocks, and bounds on the rounding error of each of their entries."""
+    flat = problem.structure.flat
+    A, xf, sf = problem.A, flat(x), flat(s)
+    rounding_p = 1e-12 * (np.abs(problem.b) + np.abs(A) @ np.abs(xf))
+    rounding_d = 1e-12 * (np.abs(problem.objective) + np.abs(A.T) @ np.abs(y) + np.abs(sf))
+    return problem.b - A @ xf, problem.objective - A.T @ y - sf, rounding_p, rounding_d
+
+
+def _probe_pairs(corpus):
+    """The corpus and random pairs of every kind at n = m in {2, 3, 4, 6}, seeds 1-3."""
+    gens = (random_slater, random_unbounded, random_dual_unbounded)
+    return [pair for pair, _ in corpus.values()] + [
+        gen(n, n, s) for gen in gens for n in (2, 3, 4, 6) for s in (1, 2, 3)
+    ]
+
+
+class TestProbeStart:
+    def test_start_is_strictly_inside_the_cone(self, corpus):
+        for pair in _probe_pairs(corpus):
+            first = solve(build_primal_aux(pair.to_float()), SolverOptions(tol=1e-9, max_iters=300))
+            x, _, s = _probe_start(*_as_refined(first), first.value + 1e-5 * (1.0 + abs(first.value)))
+            for v in (*x, *s):
+                if v.ndim == 2:
+                    np.linalg.cholesky(v)  # raises unless positive definite
+                else:
+                    assert np.all(v > 0), pair.name
+
+    def test_unblended_start_keeps_the_main_residuals(self, corpus):
+        for pair in _probe_pairs(corpus):
+            base = build_primal_aux(pair.to_float())
+            first = solve(base, SolverOptions(tol=1e-9, max_iters=300))
+            cap = first.value + 1e-5 * (1.0 + abs(first.value))
+            refined = build_refined_aux(base, cap)
+            x, y, s = _as_refined(first)
+            x[-1] = cap - x[4]
+            r_p, r_d, err_p, err_d = _residuals(refined, x, y, s)
+            main_p, main_d, _, _ = _residuals(base, first.primal, first.dual, first.dual_slack)
+            d = base.structure.dim
+            assert np.all(np.abs(r_d[:d] - main_d) <= err_d[:d]), pair.name
+            assert r_d[d:] == 0.0
+            assert np.all(np.abs(r_p[:-1] - main_p) <= err_p[:-1]), pair.name
+            assert abs(r_p[-1]) <= err_p[-1]
+
+    def test_probe_starts_choose_the_same_M_as_cold_probes(self, corpus, monkeypatch):
+        # the start changes only the probes' iterate path: with the probes
+        # started cold, solve_aux reports the same flag and the same M
+        pairs = _probe_pairs(corpus)
+        warm = [practical_bound_M(pair) for pair in pairs]
+
+        def cold_probes(problem, opts=None, start=None, **kwargs):
+            if problem.name.endswith("-refined-aux"):
+                start = None
+            return solve(problem, opts, start=start, **kwargs)
+
+        monkeypatch.setattr(auxiliary, "solve", cold_probes)
+        for pair, M in zip(pairs, warm):
+            cold = practical_bound_M(pair)
+            assert M.derived_from.attained_flag == cold.derived_from.attained_flag, pair.name
+            assert M.value == cold.value, pair.name
 
 
 class TestProbeBound:
@@ -211,10 +280,10 @@ class TestProbeBound:
         ]
         checked = 0
         for pair in pairs:
-            tight, loose, (tight_cap, loose_cap) = _both_probes(pair)
+            tight, loose, (tight_cap, loose_cap), base = _both_probes(pair)
             if tight.status != OPTIMAL or loose.status != OPTIMAL:
                 continue
-            b_loose = build_refined_aux(pair.to_float(), loose_cap).b
+            b_loose = build_refined_aux(base, loose_cap).b
             lower = float(b_loose @ tight.dual)
             assert lower <= loose.value + 1e-7 * (1.0 + abs(loose.value)), pair.name
             assert lower == pytest.approx(
@@ -230,7 +299,7 @@ class TestProbeBound:
 
     def test_loose_probe_runs_when_the_bound_leaves_growth_open(self, monkeypatch):
         pair = khachiyan_pair(3, 2)
-        tight, loose, (tight_cap, loose_cap) = _both_probes(pair)
+        tight, loose, (tight_cap, loose_cap), _ = _both_probes(pair)
         lower = tight.dual_objective + (loose_cap - tight_cap) * tight.dual[-1]
         assert tight.value > 2.0 * lower + 1.0
         assert tight.value <= 2.0 * loose.value + 1.0

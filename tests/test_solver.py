@@ -929,6 +929,7 @@ class TestInvariants:
 
         monkeypatch.setattr(_Ipm, "_scalings", checked)
         solve_aux(bounded_pair)
+        solve_aux(random_slater(4, 4, 1))
         solve_game(random_slater(4, 4, 1), 10.0, game_opts)
         # rows given with non-symmetric matrix parts, of which StandardSdp keeps
         # the symmetric part; s is still symmetrized after each step
