@@ -19,7 +19,7 @@ ATTAINED = "Attained"
 SUSPECTED_UNATTAINED = "SuspectedUnattained"
 
 _MAIN_OPTS = SolverOptions(tol=1e-9, max_iters=300)  # the auxiliary SDP's solve
-_PROBE_OPTS = SolverOptions(tol=1e-7, max_iters=300)  # the two refined-aux probes
+_PROBE_OPTS = SolverOptions(tol=1e-7, max_iters=300)  # the refined-aux probe
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +104,8 @@ def _as_refined(res: SolveResult) -> tuple:
 
 
 def _probe_start(x: list, y: np.ndarray, s: list, w_cap: float) -> tuple:
-    """The start (x, y, s) of a refined-aux probe at cap ``w_cap`` from a
-    refined-aux iterate.
+    """The start (x, y, s) of the refined-aux probe at cap ``w_cap`` from a
+    refined-aux iterate, such as the main solve's read by :func:`_as_refined`.
 
     q moves to w_cap - w, so x keeps the iterate's primal residual on every
     row but the cap row, which it meets exactly; x is left otherwise as it
@@ -129,33 +129,27 @@ def _extract(res: SolveResult):
 def solve_aux(pair: SdpPair) -> AuxSolution:
     """Solve the primal auxiliary SDP and pick a small optimal point if one exists.
 
-    The near-optimal face is probed at two shrinking caps on w, minimizing
-    tr(X) + 1'y: if the minimal point stays bounded as the cap tightens, the
-    infimum is reported as attained at that point (or at the main solve's,
-    when that is optimal and no larger); if it grows roughly inversely with
-    the cap, the instance is flagged SuspectedUnattained.  The tight probe
-    runs first.  The two probes differ only in the cap entry of b, so the
-    tight probe's dual is feasible for the loose one, and by weak duality
-    b_loose'y bounds the loose probe's value from below; when that bound
-    already shows no growth the loose probe is skipped.  It runs only when
-    the tight probe is optimal and the bound leaves the growth test open.
+    One probe of the near-optimal face, at the cap w* + delta/10 on w,
+    minimizes tr(X) + 1'y.  If it converges to a point within the norm cap,
+    the infimum is reported as attained at that point (or at the main
+    solve's, when that is optimal and no larger); a converged probe whose
+    point exceeds the cap flags the instance SuspectedUnattained.
 
-    A probe that does not converge says nothing about growth.  The main
+    A probe that does not converge says nothing about attainment.  The main
     solve's point is then reported as attained when it is bounded and
     usable: optimal, or stopped short (NumericalFailure too) with
     |w*| <= 1e-7 * (1 + max |data|) and primal and dual infeasibility at
     most 1e-8.  That relaxed gate applies only here; the choice between the
-    main solve's and the tight probe's point on the attained branch still
-    asks for an optimal main solve.  The flag is heuristic: it never
-    certifies non-attainment.
+    main solve's and the probe's point on the attained branch still asks
+    for an optimal main solve.  The flag is heuristic: it never certifies
+    non-attainment.
 
-    The main solve runs to tol 1e-9 and the probes to 1e-7, each within 300
-    iterations, whatever tolerance the game solves use.  The primal
-    auxiliary SDP is built once and each probe adds its cap row to it.  The
-    tight probe starts at the main solve's iterate read in its SDP
-    (:func:`_as_refined`), the loose one at the tight probe's final iterate,
-    each moved to its cap by :func:`_probe_start`.  The start changes only
-    the probes' iterate path, not their options or convergence test.
+    The main solve runs to tol 1e-9 and the probe to 1e-7, each within 300
+    iterations, whatever tolerance the game solves use.  The probe adds its
+    cap row to the primal auxiliary SDP and starts at the main solve's
+    iterate read in its SDP (:func:`_as_refined`), moved to its cap by
+    :func:`_probe_start`.  The start changes only the probe's iterate path,
+    not its options or convergence test.
     """
     pf = pair.to_float()
     base = build_primal_aux(pf)
@@ -164,27 +158,18 @@ def solve_aux(pair: SdpPair) -> AuxSolution:
     scale = 1.0 + pf.max_abs_entry()
     norm_cap = 1e6 * scale
     delta = 1e-4 * (1.0 + abs(w_star))
-    tight_cap, loose_cap = w_star + delta / 10.0, w_star + delta
-    start = _probe_start(*_as_refined(first), tight_cap)
-    tight = solve(build_refined_aux(base, tight_cap), _PROBE_OPTS, start=start)
-    probed = tight.status == OPTIMAL
-    grows = False
-    if probed:
-        # b_loose'y <= loose.value; the cap is the last entry of b
-        loose_lower = tight.dual_objective + (loose_cap - tight_cap) * tight.dual[-1]
-        if tight.value > 2.0 * loose_lower + 1.0:
-            start = _probe_start(tight.primal, tight.dual, tight.dual_slack, loose_cap)
-            loose = solve(build_refined_aux(base, loose_cap), _PROBE_OPTS, start=start)
-            probed = loose.status == OPTIMAL
-            grows = tight.value > 2.0 * loose.value + 1.0
+    cap = w_star + delta / 10.0
+    start = _probe_start(*_as_refined(first), cap)
+    probe = solve(build_refined_aux(base, cap), _PROBE_OPTS, start=start)
+    probed = probe.status == OPTIMAL
     first_small = bv_norm_inf(first.primal[:3]) <= norm_cap
-    if probed and not grows and bv_norm_inf(tight.primal[:3]) <= norm_cap:
-        X, y, _ = _extract(tight)
+    if probed and bv_norm_inf(probe.primal[:3]) <= norm_cap:
+        X, y, _ = _extract(probe)
         if first.status == OPTIMAL and first_small:
             # the direct solution is preferable when it is just as small
             Xf, yf, _ = _extract(first)
             g_first = float(np.trace(Xf.array) + np.sum(yf))
-            if g_first <= tight.value + 0.1:
+            if g_first <= probe.value + 0.1:
                 X, y = Xf, yf
         return AuxSolution(X=X, y=y, w=w_star, attained_flag=ATTAINED, solve_status=first.status)
     X, y, w = _extract(first)

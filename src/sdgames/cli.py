@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import certified_bound_M, aux_dimensions, ceil_lg, eta_bar, input_bitsize, practical_bound_M
-from .direct import solve_both
+from .direct import DIRECT_OPTS, solve_both
+from .game import GAME_OPTS
 from .generators import example_corpus, khachiyan_pair, random_slater, random_unbounded
 from .model import (
     EXACT,
@@ -37,7 +38,7 @@ from .reduction import (
     PipelineConfig,
     run_pipeline,
 )
-from .solver import DUAL_INFEASIBLE, PRIMAL_INFEASIBLE, SolverOptions
+from .solver import DUAL_INFEASIBLE, PRIMAL_INFEASIBLE
 
 # errors a command reports with exit code 1 instead of a traceback
 _FILE_ERRORS = (OSError, ValueError, RuntimeError)
@@ -287,7 +288,7 @@ def cmd_verify(args) -> int:
 
 def cmd_solve(args) -> int:
     pair, _ = load_problem(Path(args.input))
-    res = solve_both(pair, SolverOptions(tol=args.tol, max_iters=500))
+    res = solve_both(pair, replace(DIRECT_OPTS, tol=args.tol))
     doc = {}
     for side in ("primal", "dual"):
         status = res[f"{side}_status"]
@@ -315,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="problem file or directory of problem files")
     p.add_argument("--M", type=_bound_arg, default="auto",
                    help="solution bound: 'auto' or a finite number of at least 1")
-    p.add_argument("--tol", type=_finite_positive, default=1e-10,
-                   help="tolerance of the game solves (default 1e-10); the auxiliary "
-                   "solves behind --M auto keep 1e-9, their probes 1e-7")
+    p.add_argument("--tol", type=_finite_positive, default=GAME_OPTS.tol,
+                   help="tolerance of the game solves (default %(default)g); the auxiliary "
+                   "solves behind --M auto keep their own")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None, help="directory for report files")
     p.set_defaults(func=cmd_reduce)
@@ -342,12 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidate", help="candidate file, or a reduce report when --kind is omitted")
     p.add_argument("--kind", choices=["optimal", "primal-dir", "dual-dir"],
                    help="omitted: the report's outcome gives the kind")
-    p.add_argument("--tol", type=_finite_positive, default=1e-6)
+    p.add_argument("--tol", type=_finite_positive, default=PipelineConfig.verify_tol)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="solve the primal and dual directly")
     p.add_argument("input")
-    p.add_argument("--tol", type=_finite_positive, default=1e-9)
+    p.add_argument("--tol", type=_finite_positive, default=DIRECT_OPTS.tol)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
     return ap

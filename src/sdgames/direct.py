@@ -3,13 +3,13 @@ used to cross-check the game route."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .blocks import BlockStructure, diag_block, matrix_block, matrix_equality
 from .model import SdpPair, SymMat
 from .solver import MAX, MIN, OPTIMAL, PRIMAL_INFEASIBLE, SolverOptions, StandardSdp, solve
+
+DIRECT_OPTS = SolverOptions(tol=1e-9, max_iters=500)  # the direct solves' default options
 
 
 def primal_sdp(pair: SdpPair) -> StandardSdp:
@@ -94,7 +94,7 @@ def detect_primal_face(pair: SdpPair):
     return Q, sub, False
 
 
-def solve_both(pair: SdpPair, opts: Optional[SolverOptions] = None) -> dict:
+def solve_both(pair: SdpPair, opts: SolverOptions = DIRECT_OPTS) -> dict:
     """Solve the pair's primal and dual directly.
 
     The primal route first applies the exact implied-equality face reduction
@@ -102,19 +102,15 @@ def solve_both(pair: SdpPair, opts: Optional[SolverOptions] = None) -> dict:
     the dual route is solved as stated.  Values are best estimates even when a
     run stops short of full optimality.
     """
-    opts = opts or SolverOptions(tol=1e-9, max_iters=500)
     pf = pair.to_float()
     Q, sub, infeasible = detect_primal_face(pf)
     if infeasible:
-        pstatus, pvalue, pres = PRIMAL_INFEASIBLE, float("nan"), None
+        pstatus, pvalue = PRIMAL_INFEASIBLE, float("nan")
     elif Q is not None and (sub is None or Q.shape[1] == 0):
         # the face collapsed: X = 0 (or unconstrained on a null face)
-        pstatus, pvalue, pres = OPTIMAL, 0.0, None
-    elif Q is not None:
-        pres = solve(primal_sdp(sub), opts)
-        pstatus, pvalue = pres.status, pres.value
+        pstatus, pvalue = OPTIMAL, 0.0
     else:
-        pres = solve(primal_sdp(pf), opts)
+        pres = solve(primal_sdp(pf if Q is None else sub), opts)
         pstatus, pvalue = pres.status, pres.value
     dres = solve(dual_sdp(pf), opts)
     return {
@@ -122,7 +118,4 @@ def solve_both(pair: SdpPair, opts: Optional[SolverOptions] = None) -> dict:
         "primal_value": pvalue,
         "dual_status": dres.status,
         "dual_value": dres.value,
-        "primal_result": pres,
-        "dual_result": dres,
-        "face_basis": Q,
     }

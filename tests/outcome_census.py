@@ -34,7 +34,10 @@ thread, as in ``tests/solve_digest.py``.  Not collected by pytest;
 ``--large`` instead runs ``random_slater`` and ``random_unbounded`` at
 n = m in {16, 24, 32}, seed 1, and prints the same table: the sizes where a
 pair takes seconds and a solve that stops short of Optimal shows, which the
-default ladder does not reach.  CI does not run it.
+default ladder does not reach.  It is the only ladder where the main
+auxiliary solve of a pair with a strongly optimal pair stops short
+(``slater-n24-m24-s1`` ends MaxIterations), so that the attainment probe's
+point, not the main solve's, gives M.
 
 ``--stalls`` instead runs ``solve_game`` without a stop test on
 ``random_unbounded(n, n, s)``, n in {6, 8, 10}, s in 100-111, at M = 10, and

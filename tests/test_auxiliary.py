@@ -129,7 +129,6 @@ class TestSolveAux:
         assert aux.attained_flag == ATTAINED
         assert np.array_equal(aux.X.array, 0.5 * (first.primal[0] + first.primal[0].T))
         assert np.array_equal(aux.y, first.primal[2])
-        # an unconverged tight probe settles the outcome: the loose one never runs
         assert names == ["bounded-primal-aux", "bounded-refined-aux"]
 
     def test_stopped_main_solve_with_small_residuals_is_trusted(self, bounded_pair, monkeypatch):
@@ -192,21 +191,6 @@ def _recorded_solve_aux(monkeypatch, pair, inner=solve):
     return solve_aux(pair), names
 
 
-def _both_probes(pair):
-    """The tight and the loose refined-aux probe solve_aux would make, from the
-    same starts, with their caps and the primal auxiliary SDP."""
-    base = build_primal_aux(pair.to_float())
-    first = solve(base, SolverOptions(tol=1e-9, max_iters=300))
-    delta = 1e-4 * (1.0 + abs(first.value))
-    probe_opts = SolverOptions(tol=1e-7, max_iters=300)
-    caps = (first.value + delta / 10.0, first.value + delta)
-    start = _probe_start(*_as_refined(first), caps[0])
-    tight = solve(build_refined_aux(base, caps[0]), probe_opts, start=start)
-    start = _probe_start(tight.primal, tight.dual, tight.dual_slack, caps[1])
-    loose = solve(build_refined_aux(base, caps[1]), probe_opts, start=start)
-    return tight, loose, caps, base
-
-
 def _residuals(problem, x, y, s):
     """b - A x and c - A'y - s of ``problem`` at the iterate (x, y, s) given as
     blocks, and bounds on the rounding error of each of their entries."""
@@ -253,7 +237,7 @@ class TestProbeStart:
             assert abs(r_p[-1]) <= err_p[-1]
 
     def test_probe_starts_choose_the_same_M_as_cold_probes(self, corpus, monkeypatch):
-        # the start changes only the probes' iterate path: with the probes
+        # the start changes only the probe's iterate path: with the probe
         # started cold, solve_aux reports the same flag and the same M
         pairs = _probe_pairs(corpus)
         warm = [practical_bound_M(pair) for pair in pairs]
@@ -270,43 +254,33 @@ class TestProbeStart:
             assert M.value == cold.value, pair.name
 
 
-class TestProbeBound:
-    def test_tight_dual_bounds_the_loose_probe(self, corpus):
-        # the probes differ only in the cap entry of b, so the tight probe's dual
-        # is feasible for the loose one: weak duality bounds the loose value below
-        pairs = [pair for pair, _ in corpus.values()]
-        pairs += [
-            gen(n, n, s) for gen in (random_slater, random_unbounded) for n in (2, 3, 4, 6) for s in (1, 2, 3)
-        ]
-        checked = 0
-        for pair in pairs:
-            tight, loose, (tight_cap, loose_cap), base = _both_probes(pair)
-            if tight.status != OPTIMAL or loose.status != OPTIMAL:
-                continue
-            b_loose = build_refined_aux(base, loose_cap).b
-            lower = float(b_loose @ tight.dual)
-            assert lower <= loose.value + 1e-7 * (1.0 + abs(loose.value)), pair.name
-            assert lower == pytest.approx(
-                tight.dual_objective + (loose_cap - tight_cap) * tight.dual[-1], abs=1e-12
-            )
-            checked += 1
-        assert checked >= len(pairs) - 2  # the two corpus pairs without an attained optimum
-
-    def test_loose_probe_skipped_when_the_bound_settles_growth(self, bounded_pair, monkeypatch):
-        aux, names = _recorded_solve_aux(monkeypatch, bounded_pair)
-        assert names == ["bounded-primal-aux", "bounded-refined-aux"]
-        assert aux.attained_flag == ATTAINED
-
-    def test_loose_probe_runs_when_the_bound_leaves_growth_open(self, monkeypatch):
-        pair = khachiyan_pair(3, 2)
-        tight, loose, (tight_cap, loose_cap), _ = _both_probes(pair)
-        lower = tight.dual_objective + (loose_cap - tight_cap) * tight.dual[-1]
-        assert tight.value > 2.0 * lower + 1.0
-        assert tight.value <= 2.0 * loose.value + 1.0
+class TestOneProbe:
+    @pytest.mark.parametrize("n, tau, M", [(2, 3, 14.0), (3, 1, 7.0), (3, 2, 7.0), (3, 3, 7.0)])
+    def test_khachiyan_pairs_make_one_probe(self, monkeypatch, n, tau, M):
+        # one refined-aux solve gives these chains' flag and M
+        pair = khachiyan_pair(n, tau)
         aux, names = _recorded_solve_aux(monkeypatch, pair)
         prefix = pair.name + "-"
-        assert names == [prefix + "primal-aux"] + [prefix + "refined-aux"] * 2
+        assert names == [prefix + "primal-aux", prefix + "refined-aux"]
         assert aux.attained_flag == ATTAINED
+        bound = practical_bound_M(pair)
+        assert bound.derived_from.attained_flag == ATTAINED
+        assert bound.value == M
+
+    def test_converged_probe_beyond_the_norm_cap_is_unattained(self, bounded_pair, monkeypatch):
+        def solve_with_large_probe(problem, opts=None, **kwargs):
+            res = solve(problem, opts, **kwargs)
+            if problem.name.endswith("-refined-aux"):
+                assert res.status == OPTIMAL
+                res.primal[0] = 1e12 * res.primal[0]
+            return res
+
+        aux, names = _recorded_solve_aux(monkeypatch, bounded_pair, solve_with_large_probe)
+        assert names == ["bounded-primal-aux", "bounded-refined-aux"]
+        assert aux.attained_flag == SUSPECTED_UNATTAINED
+        M = practical_bound_M(bounded_pair)
+        assert M.value == 1.0 and M.mode == ARBITRARY
+        assert M.derived_from.attained_flag == SUSPECTED_UNATTAINED
 
 
 class TestStrictPrimalUnbounded:
