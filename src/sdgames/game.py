@@ -390,10 +390,7 @@ def solve_game(
     2's solve starts where player 1's ended and keeps its own options and
     convergence test; it runs only the iterations that point still lacks,
     one or two after a converged player 1.  It starts cold when player 1
-    ended with a Farkas status, whose iterate diverged.  The solver would
-    also start cold if its presolve dropped a row, but every row of either
-    program except the trace row has a slack entry of its own, so all rows
-    are kept.
+    ended with a Farkas status, whose iterate diverged.
 
     ``point = (X, y)``, a primal-dual point of the pair such as the auxiliary
     solve's, starts player 1 at :func:`_player1_start`'s iterate instead of

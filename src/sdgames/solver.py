@@ -58,6 +58,9 @@ class StandardSdp:
     0.5 (a + a'), which leaves <a, X> unchanged for symmetric X and a symmetric
     block bit for bit; otherwise the dual residual c - A'y - s would keep an
     antisymmetric part that no symmetric s cancels.
+
+    ``A`` is used as given, so it must have full row rank: each builder gives
+    every row but at most one, which is nonzero, a column no other row uses.
     """
 
     structure: BlockStructure
@@ -129,27 +132,6 @@ def _step_to_boundary(emin: float) -> float:
     return -1.0 / emin if emin < -1e-14 else np.inf
 
 
-def _gram_schmidt_rows(A: np.ndarray, tol: np.ndarray):
-    """Indices of the rows of A kept and dropped by Gram-Schmidt: row j is kept
-    when its distance from the span of the kept rows before it exceeds tol[j]."""
-    Q = np.zeros_like(A)  # orthonormal basis of the kept rows, first r rows
-    r = 0
-    keep: List[int] = []
-    dropped: List[int] = []
-    for j in range(A.shape[0]):
-        v = A[j].copy()
-        for _ in range(2):  # reorthogonalize once against rounding
-            v -= Q[:r].T @ (Q[:r] @ v)
-        nv = np.linalg.norm(v)
-        if nv > tol[j]:
-            Q[r] = v / nv
-            r += 1
-            keep.append(j)
-        else:
-            dropped.append(j)
-    return keep, dropped
-
-
 class _ConeScaling:
     """Nesterov-Todd scaling of a (g, k, k) stack of matrix blocks for one
     iteration: per block, R with R^-1 X R^-T = R' S R = diag(lam), and W = R R'."""
@@ -200,16 +182,14 @@ class _Ipm:
         sign = 1.0 if problem.sense == MIN else -1.0
         blocks = list(structure)
         d = structure.dim
-        self.A = problem.A
         self.beta = problem.b.copy()
         self.warnings: List[str] = []
         self.nu = structure.cone_dim
-        self._presolve()
-        self.p = self.A.shape[0]
+        self.p = problem.num_constraints
         # permute the columns once into the flat order: matrix blocks, orthant, free
         order = sorted(range(len(blocks)), key=lambda i: (MATRIX, DIAG, FREE).index(blocks[i].kind))
         self.perm = np.concatenate([np.arange(d)[structure.slices[i]] for i in order])
-        self.A = self.A[:, self.perm]
+        self.A = problem.A[:, self.perm]
         # (flat slice, g, k) per maximal run of g consecutive matrix blocks of
         # order k: the cone kernels make one batched call per run
         self.stacks = []
@@ -253,41 +233,6 @@ class _Ipm:
         u[self.perm] = v
         return self.structure.split(u)
 
-    def _presolve(self):
-        """Drop linearly dependent constraint rows; flag inconsistent duplicates."""
-        A = self.A
-        p, d = A.shape
-        tol = 1e-10 * (1.0 + np.linalg.norm(A, axis=1))
-        # while rows < j are independent, |R_jj| of A' = QR is the distance of
-        # row j from their span, so one QR settles a matrix of full row rank.
-        # After a dependent row, R_jj no longer measures that distance.
-        if p <= d and np.all(np.abs(np.diagonal(np.linalg.qr(A.T, mode="r"))) > tol):
-            keep, dropped = list(range(p)), []
-        else:
-            keep, dropped = _gram_schmidt_rows(A, tol)
-        self.kept_rows = keep
-        self.dropped_rows = dropped
-        self.inconsistent = False
-        if dropped:
-            A_keep = A[keep]
-            b_keep = self.beta[keep]
-            for j in dropped:
-                coeff, *_ = np.linalg.lstsq(A_keep.T, A[j], rcond=None)
-                if abs(self.beta[j] - coeff @ b_keep) > 1e-8 * (1.0 + np.abs(self.beta).max()):
-                    self.inconsistent = True
-            self.warnings.append(
-                f"presolve removed {len(dropped)} linearly dependent constraint row(s)"
-            )
-            self.A = A_keep
-            self.beta = b_keep
-
-    def _expand_dual(self, y: np.ndarray) -> np.ndarray:
-        if not self.dropped_rows:
-            return y
-        full = np.zeros(len(self.kept_rows) + len(self.dropped_rows))
-        full[self.kept_rows] = y
-        return full
-
     def _residuals(self, x, y, s):
         return self.beta - self.A @ x, self.c - self.A.T @ y - s
 
@@ -323,11 +268,11 @@ class _Ipm:
         nt, w2 = scalings
         p = self.p
         S = (self.A_o * w2) @ self.A_o.T
-        for Ai, sc in zip(self.A_stacks, nt):
+        for (_, _, k), Ai, sc in zip(self.stacks, self.A_stacks, nt):
             waw = sc.W @ Ai @ sc.W
             # one GEMM per block keeps the sum over blocks in a fixed order
             for b in range(Ai.shape[1]):
-                S += Ai[:, b].reshape(p, -1) @ waw[:, b].reshape(p, -1).T
+                S += Ai[:, b].reshape(p, k * k) @ waw[:, b].reshape(p, k * k).T
         return S
 
     def _solve_augmented(self, rhs, refine):
@@ -391,10 +336,7 @@ class _Ipm:
     def run(self, stop: Optional[Callable[[list], bool]] = None, start=None) -> SolveResult:
         opts = self.opts
         nc = self.ncone
-        if self.inconsistent:
-            d = self.A.shape[1]
-            return self._result(PRIMAL_INFEASIBLE, np.zeros(d), np.zeros(self.p), np.zeros(d), 0)
-        if start is None or self.dropped_rows:
+        if start is None:
             x = self.beta_scale * self.e
             s = x.copy()
             y = np.zeros(self.p)
@@ -406,7 +348,6 @@ class _Ipm:
             if y.shape != (self.p,):
                 raise ValueError("the start's y does not conform to the constraints")
         best = (np.inf, x, y, s)
-        it = 0
         status = MAX_ITERATIONS
         ray = None
         for it in range(1, opts.max_iters + 1):
@@ -499,7 +440,7 @@ class _Ipm:
         return SolveResult(
             status=status,
             primal=self._blocks(x),
-            dual=self._expand_dual(y),
+            dual=y,
             dual_slack=self._blocks(s),
             gap=pobj - dobj,
             iterations=iterations,
@@ -530,9 +471,8 @@ def solve(
     place of the scaled identity, laid out as ``primal``, ``dual`` and
     ``dual_slack`` of a :class:`SolveResult`: x and s strictly inside the
     cone and one y per constraint row.  Its matrix blocks are symmetrized and
-    s is taken as 0 on the free scalars, as in every iterate.  The solve
-    starts cold when presolve drops a row, as y then no longer matches the
-    rows kept.  The convergence test is the same from any start, so a start
-    near the solution only saves iterations.
+    s is taken as 0 on the free scalars, as in every iterate.  The
+    convergence test is the same from any start, so a start near the
+    solution only saves iterations.
     """
     return _Ipm(problem, opts or SolverOptions()).run(stop, start)

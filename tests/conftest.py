@@ -7,6 +7,8 @@ import pytest
 from sdgames.game import GAME_OPTS
 from sdgames.generators import example_corpus
 
+import outcome_census
+
 
 def _corpus_dict():
     return {pair.name: (pair, meta) for pair, meta in example_corpus()}
@@ -40,6 +42,11 @@ def unattained_pair(corpus):
 @pytest.fixture(scope="session")
 def duality_gap_pair(corpus):
     return corpus["duality_gap"][0]
+
+
+@pytest.fixture(scope="session")
+def scaled_pair():
+    return outcome_census.scaled_pair()
 
 
 @pytest.fixture(scope="session")

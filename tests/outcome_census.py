@@ -46,8 +46,9 @@ those solves reach max_iters: player 1's iterations at the precision limit,
 which the pipeline's stop test hides.
 
 ``--sweep`` instead runs ``run_pipeline`` at each fixed M in {1, 3, 1e4,
-1e6, 1e8, 1e10} on the corpus and six random pairs, and prints one row per
-pair: the kind at each M, or the class of the exception the run raised.  A
+1e6, 1e8, 1e10} on the corpus, six random pairs and :func:`scaled_pair`,
+and prints one row per pair: the kind at each M, or the class of the
+exception the run raised.  A
 tree that changes routing or solves compares this table with its parent's;
 it takes about 2 s and exits 1 when any cell holds an exception, since
 ``run_pipeline`` reports numerical trouble as an outcome and never raises on
@@ -73,6 +74,8 @@ import time  # noqa: E402
 from collections import Counter  # noqa: E402
 from functools import partial  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 from sdgames.game import GAME_OPTS, solve_game  # noqa: E402
 from sdgames.generators import (  # noqa: E402
     example_corpus,
@@ -82,6 +85,7 @@ from sdgames.generators import (  # noqa: E402
     random_slater,
     random_unbounded,
 )
+from sdgames.model import SdpPair, SymMat  # noqa: E402
 from sdgames.reduction import (  # noqa: E402
     DUAL_UNBOUNDED_CERT,
     INCONCLUSIVE,
@@ -201,9 +205,16 @@ SWEEP_MS = (1.0, 3.0, 1e4, 1e6, 1e8, 1e10)
 KINDS = (STRONGLY_OPTIMAL, PRIMAL_UNBOUNDED_CERT, DUAL_UNBOUNDED_CERT, INCONCLUSIVE)
 
 
+def scaled_pair() -> SdpPair:
+    """A_1 = A_2 = 1e12 I, C = I, b = (1, 2) at n = 2: both sides strictly
+    feasible, with data far from unit scale."""
+    A = SymMat.from_array(1e12 * np.eye(2))
+    return SdpPair(C=SymMat.from_array(np.eye(2)), A=(A, A), b=(1.0, 2.0), name="scaled-1e12")
+
+
 def sweep() -> list:
     """(name, expected kind, [kind or exception class at each M in SWEEP_MS])
-    for the corpus and six random pairs."""
+    for the corpus, six random pairs and :func:`scaled_pair`."""
     cases = [(pair, meta["expected_outcome"]) for pair, meta in example_corpus()] + [
         (random_slater(4, 4, 1), STRONGLY_OPTIMAL),
         (random_unbounded(4, 4, 1), PRIMAL_UNBOUNDED_CERT),
@@ -211,6 +222,7 @@ def sweep() -> list:
         (random_slater(8, 8, 1), STRONGLY_OPTIMAL),
         (random_slater(12, 12, 2), STRONGLY_OPTIMAL),
         (random_unbounded(8, 8, 1), PRIMAL_UNBOUNDED_CERT),
+        (scaled_pair(), STRONGLY_OPTIMAL),
     ]
     rows = []
     for pair, expected in cases:

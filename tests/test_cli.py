@@ -26,6 +26,7 @@ from sdgames.probio import (
     save_problem,
 )
 from sdgames.bounds import certified_bound_M
+from sdgames.direct import solve_both
 from sdgames.reduction import PipelineConfig, run_pipeline
 
 
@@ -513,6 +514,17 @@ class TestSolveAndBound:
         # PrimalInfeasibleDetected is about the pair's dual
         assert main(["solve", str(corpus_dir / f"{name}.json")]) == 0
         assert capsys.readouterr().out.splitlines() == lines
+
+    def test_scaled_pair_solves_on_both_sides(self, scaled_pair, tmp_path, capsys):
+        # both sides are strictly feasible, with data far from unit scale
+        res = solve_both(scaled_pair)
+        assert (res["primal_status"], res["dual_status"]) == ("Optimal", "Optimal")
+        path = tmp_path / "scaled.json"
+        save_problem(path, scaled_pair)
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "infeasible" not in out
+        assert out.splitlines()[0].startswith("primal: Optimal  value=")
 
     def test_bound_practical(self, corpus_dir, capsys):
         assert main(["bound", str(corpus_dir / "bounded.json"), "--practical"]) == 0

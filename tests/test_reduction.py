@@ -428,6 +428,14 @@ def test_slater_pair_at_huge_M_is_strongly_optimal():
     )
 
 
+@pytest.mark.parametrize("bound_mode", ["practical", 1.0, 10.0])
+def test_scaled_pair_reports_an_outcome(scaled_pair, bound_mode):
+    # run_pipeline never raises on numerics; both sides of the pair are
+    # strictly feasible, so no certificate may be reported
+    out = run_pipeline(scaled_pair, PipelineConfig(bound_mode=bound_mode))
+    assert out.kind in (STRONGLY_OPTIMAL, INCONCLUSIVE)
+
+
 def test_outcome_census_fast_ladder_reports_expected_kinds():
     # the fast ladder of tests/outcome_census.py: corpus, small Khachiyan pairs
     # and every random family at n <= 4; each pair runs all four solver roles
@@ -464,9 +472,10 @@ def test_outcome_census_sweep_exits_1_when_a_run_raises(monkeypatch, capsys):
 
 
 def test_outcome_census_sweep_exits_1_on_a_false_strongly_optimal(monkeypatch, capsys):
-    # every sweep row but the three random_slater pairs and corpus bounded
-    # expects another kind, so a run that always reports StronglyOptimal
-    # fails the gate on those rows and one that never does passes it
+    # every sweep row but the three random_slater pairs, the scaled pair and
+    # corpus bounded expects another kind, so a run that always reports
+    # StronglyOptimal fails the gate on those rows and one that never does
+    # passes it
     class Ran:
         kind = INCONCLUSIVE
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sdgames import solver
-from sdgames.auxiliary import build_primal_aux, solve_aux
+from sdgames import direct, solver
+from sdgames.auxiliary import build_primal_aux, build_refined_aux, solve_aux
 from sdgames.blocks import (
     MATRIX,
     BlockStructure,
@@ -16,8 +16,9 @@ from sdgames.blocks import (
     matrix_block,
     matrix_equality,
 )
-from sdgames.game import solve_game
-from sdgames.generators import random_slater
+from sdgames.bounds import khachiyan_instance
+from sdgames.game import game_sdp_player1, game_sdp_player2, solve_game
+from sdgames.generators import example_corpus, random_dual_unbounded, random_slater, random_unbounded
 from sdgames.reduction import run_pipeline
 from sdgames.solver import (
     DUAL_INFEASIBLE,
@@ -401,17 +402,6 @@ class TestStart:
         for a, b in zip([*r.primal, r.dual, *r.dual_slack], [*cold.primal, cold.dual, *cold.dual_slack]):
             assert np.array_equal(a, b)
 
-    def test_start_ignored_when_presolve_drops_a_row(self):
-        st = BlockStructure([diag_block(2)])
-        rows = [
-            ([np.array([1.0, 1.0])], 2.0),
-            ([np.array([2.0, 2.0])], 4.0),
-            ([np.array([1.0, -1.0])], 0.0),
-        ]
-        prob = _sdp(st, [np.array([1.0, 1.0])], rows)
-        start = ([np.array([3.0, 0.5])], np.array([1.0, -2.0, 0.5]), [np.array([0.1, 7.0])])
-        assert solve_digest._solve_bytes(solve(prob, start=start)) == solve_digest._solve_bytes(solve(prob))
-
     def test_start_needs_one_multiplier_per_row(self):
         prob = _random_feasible_block_sdp(np.random.default_rng(4))
         cold = solve(prob)
@@ -478,7 +468,11 @@ class TestCertificates:
 
 
 class TestPresolve:
+    # the solver uses the rows as given; these tests pin how it behaves on
+    # hand-built rows of deficient rank
+
     def test_dependent_rows_removed_with_warning(self):
+        # consistent dependent rows solve to the value, one multiplier per row
         st = BlockStructure([diag_block(2)])
         rows = [
             ([np.array([1.0, 1.0])], 2.0),
@@ -488,7 +482,7 @@ class TestPresolve:
         prob = _sdp(st, [np.array([1.0, 1.0])], rows)
         r = solve(prob)
         assert r.status == OPTIMAL
-        assert any("dependent" in w for w in r.warnings)
+        assert r.value == pytest.approx(2.0, abs=1e-7)
         assert r.dual.shape == (3,)
 
     def test_inconsistent_duplicate_is_infeasible(self):
@@ -500,6 +494,60 @@ class TestPresolve:
         prob = _sdp(st, [np.array([1.0])], rows)
         r = solve(prob)
         assert r.status == PRIMAL_INFEASIBLE
+
+    def test_inconsistent_rows_never_solve_optimal(self):
+        rng = np.random.default_rng(109)
+        cases = [prob for prob, _, inconsistent in _dependent_row_cases(rng, False) if inconsistent]
+        assert len(cases) == 9
+        for prob in cases:
+            with np.errstate(all="ignore"):
+                r = solve(prob)
+            assert r.status != OPTIMAL
+            assert r.dual.shape == (prob.num_constraints,)
+
+    def test_no_rows(self):
+        # min tr X + 1'd over (matrix(3), diag(2)) with no constraint rows
+        st = BlockStructure([matrix_block(3), diag_block(2)])
+        prob = StandardSdp(st, st.flat([np.eye(3), np.ones(2)]), np.zeros((0, st.dim)), np.zeros(0))
+        r = solve(prob)
+        assert r.status == OPTIMAL
+        assert r.value == pytest.approx(0.0, abs=1e-7)
+        assert r.dual.shape == (0,)
+
+
+def _built_sdps(pair):
+    """Every SDP the package builds for ``pair``."""
+    pf = pair.to_float()
+    base = build_primal_aux(pf)
+    yield base
+    for cap in (-1.0, 0.0, 1e3):
+        yield build_refined_aux(base, cap)
+    for M in (1.0, 10.0):
+        yield game_sdp_player1(pf, M)
+        yield game_sdp_player2(pf, M)
+    yield direct.primal_sdp(pf)
+    yield direct.dual_sdp(pf)
+
+
+class TestFullRowRank:
+    # the solver uses the rows as built: every builder gives each row but at
+    # most one a column of its own, so its rows are independent
+
+    @pytest.mark.parametrize(
+        "pair",
+        [pair for pair, _ in example_corpus()]
+        + [gen(n, n, seed) for gen in (random_slater, random_unbounded, random_dual_unbounded)
+           for n in (2, 4) for seed in (1, 2)],
+        ids=lambda pair: pair.name,
+    )
+    def test_every_built_sdp_has_full_row_rank(self, pair):
+        for prob in _built_sdps(pair):
+            assert np.linalg.matrix_rank(prob.A) == prob.num_constraints, prob.name
+
+    @pytest.mark.parametrize("n, tau", [(1, 1), (2, 2), (3, 1), (3, 3)])
+    def test_khachiyan_instance_has_full_row_rank(self, n, tau):
+        prob, _ = khachiyan_instance(n, tau)
+        assert np.linalg.matrix_rank(prob.A) == prob.num_constraints
 
 
 def _random_mixed_sdp(rng, n_indep=6, n_dep=3, consistent=True):
@@ -541,40 +589,16 @@ def _random_point(rng, st, symmetric=True):
     return x
 
 
-def _reference_presolve(problem):
-    """One-vector-at-a-time Gram-Schmidt on svec rows."""
-    rows_vec = np.array([svec(problem.structure, problem.structure.split(a)) for a in problem.A])
-    beta = problem.b
-    keep, basis, dropped = [], [], []
-    for j in range(rows_vec.shape[0]):
-        v = rows_vec[j].copy()
-        for _ in range(2):
-            for q in basis:
-                v -= (q @ v) * q
-        nv = np.linalg.norm(v)
-        if nv > 1e-10 * (1.0 + np.linalg.norm(rows_vec[j])):
-            basis.append(v / nv)
-            keep.append(j)
-        else:
-            dropped.append(j)
-    inconsistent = False
-    for j in dropped:
-        coeff, *_ = np.linalg.lstsq(rows_vec[keep].T, rows_vec[j], rcond=None)
-        if abs(beta[j] - coeff @ beta[keep]) > 1e-8 * (1.0 + np.abs(beta).max()):
-            inconsistent = True
-    return keep, dropped, inconsistent
-
-
 class TestConstraintOperator:
     def test_apply_A_matches_row_loop(self):
         rng = np.random.default_rng(101)
         for _ in range(5):
             prob = _random_mixed_sdp(rng)
             ipm = _Ipm(prob, SolverOptions())
-            kept = [prob.structure.split(prob.A[j]) for j in ipm.kept_rows]
+            rows = [prob.structure.split(a) for a in prob.A]
             for symmetric in (True, False):
                 x = _random_point(rng, prob.structure, symmetric)
-                ref = np.array([bv_inner(list(a), x) for a in kept])
+                ref = np.array([bv_inner(list(a), x) for a in rows])
                 assert np.allclose(ipm.A @ ipm._flat(x), ref, rtol=1e-13, atol=1e-12)
 
     def test_adjoint_identity(self):
@@ -596,10 +620,10 @@ class TestConstraintOperator:
             ipm = _Ipm(prob, SolverOptions())
             x = _random_point(rng, prob.structure)
             s = _random_point(rng, prob.structure)
-            kept = [prob.structure.split(prob.A[j]) for j in ipm.kept_rows]
+            rows = [prob.structure.split(a) for a in prob.A]
             ref = np.zeros((ipm.p, ipm.p))
             for i, b in enumerate(prob.structure):
-                a = np.array([row[i] for row in kept])
+                a = np.array([row[i] for row in rows])
                 if b.kind == "matrix":
                     W = _ConeScaling(x[i][None], s[i][None]).W[0]
                     waw = np.einsum("pq,lqr,rs->lps", W, a, W)
@@ -678,21 +702,8 @@ class TestConstraintOperator:
                 assert ap == pytest.approx(ref_p, rel=1e-9)
                 assert ad == pytest.approx(ref_d, rel=1e-9)
 
-    @pytest.mark.parametrize("consistent", [True, False])
-    def test_presolve_matches_gram_schmidt(self, consistent):
-        rng = np.random.default_rng(109)
-        for prob, n_dropped, inconsistent_expected in _presolve_cases(rng, consistent):
-            ipm = _Ipm(prob, SolverOptions())
-            keep, dropped, inconsistent = _reference_presolve(prob)
-            assert ipm.kept_rows == keep
-            assert ipm.dropped_rows == dropped
-            assert len(dropped) == n_dropped
-            assert ipm.inconsistent == inconsistent == inconsistent_expected
-            assert ipm.p == len(keep)
-            assert np.array_equal(ipm.beta, prob.b[keep])
 
-
-def _presolve_cases(rng, consistent):
+def _dependent_row_cases(rng, consistent):
     """(problem, number of dependent rows, whether they are inconsistent)."""
     for _ in range(5):
         yield _random_mixed_sdp(rng, consistent=consistent), 3, not consistent
@@ -717,8 +728,7 @@ def _presolve_cases(rng, consistent):
     yield _sdp(st, obj, [zero, indep[0], dup] + indep[1:]), 2, not consistent
     # no rows at all
     yield StandardSdp(st, st.flat(obj), np.zeros((0, st.dim)), np.zeros(0)), 0, False
-    # sparse rows after a dependent row: an independent row may lie in the
-    # direction a QR of A' adds for the dependent one
+    # sparse rows: a dependent row, then an independent one
     st = BlockStructure([diag_block(2)])
     rows = [
         ([np.array(a)], rhs)
