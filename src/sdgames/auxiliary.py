@@ -29,6 +29,7 @@ class AuxSolution:
     w: float
     attained_flag: str
     solve_status: str = OPTIMAL
+    floor: float = -np.inf  # a tr(X) + 1'y that M must dominate besides (X, y)'s own
 
 
 def _aux_structure(n: int, m: int) -> BlockStructure:
@@ -135,6 +136,13 @@ def solve_aux(pair: SdpPair) -> AuxSolution:
     solve's, when that is optimal and no larger); a converged probe whose
     point exceeds the cap flags the instance SuspectedUnattained.
 
+    The cap relaxes the dual's psd constraint by w too, so the probe's point
+    can undercut every auxiliary optimum in tr(X) + 1'y.  When the probe's
+    point is reported although the main solve is optimal, within the norm
+    cap and has |w*| <= 1e-7 * (1 + max |data|), so that it predicts a
+    strongly optimal pair, ``floor`` carries the main solve's tr(X) + 1'y
+    for the practical bound to dominate.
+
     A probe that does not converge says nothing about attainment.  The main
     solve's point is then reported as attained when it is bounded and
     usable: optimal, or stopped short (NumericalFailure too) with
@@ -163,18 +171,21 @@ def solve_aux(pair: SdpPair) -> AuxSolution:
     probe = solve(build_refined_aux(base, cap), _PROBE_OPTS, start=start)
     probed = probe.status == OPTIMAL
     first_small = bv_norm_inf(first.primal[:3]) <= norm_cap
+    w_small = abs(w_star) <= 1e-7 * scale
     if probed and bv_norm_inf(probe.primal[:3]) <= norm_cap:
         X, y, _ = _extract(probe)
+        floor = -np.inf
         if first.status == OPTIMAL and first_small:
-            # the direct solution is preferable when it is just as small
             Xf, yf, _ = _extract(first)
             g_first = float(np.trace(Xf.array) + np.sum(yf))
             if g_first <= probe.value + 0.1:
+                # the direct solution is preferable when it is just as small
                 X, y = Xf, yf
-        return AuxSolution(X=X, y=y, w=w_star, attained_flag=ATTAINED, solve_status=first.status)
+            elif w_small:
+                floor = g_first
+        return AuxSolution(X=X, y=y, w=w_star, attained_flag=ATTAINED, solve_status=first.status,
+                           floor=floor)
     X, y, w = _extract(first)
-    usable = first.status == OPTIMAL or (
-        abs(w_star) <= 1e-7 * scale and max(first.primal_infeas, first.dual_infeas) <= 1e-8
-    )
+    usable = first.status == OPTIMAL or (w_small and max(first.primal_infeas, first.dual_infeas) <= 1e-8)
     flag = ATTAINED if usable and first_small and not probed else SUSPECTED_UNATTAINED
     return AuxSolution(X=X, y=y, w=w, attained_flag=flag, solve_status=first.status)

@@ -1,5 +1,4 @@
-"""Exact bitsize accounting, KKT dimension formulas, coordinate/solution bounds,
-and the Khachiyan worst-case family.
+"""Exact bitsize accounting, KKT dimension formulas and coordinate/solution bounds.
 
 All bound formulas are evaluated in exact integer arithmetic; the certified
 solution bound is reported only as a base-2 exponent since its numeric value
@@ -16,9 +15,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .auxiliary import ATTAINED, AuxSolution, solve_aux
-from .blocks import BlockStructure, free_scalar, matrix_block
 from .model import EXACT, SdpPair
-from .solver import MIN, StandardSdp
 
 CERTIFIED = "Certified"
 PRACTICAL = "Practical"
@@ -117,27 +114,26 @@ def eta1(N: int, tau: int) -> int:
 
 
 def aux_dimensions(n: int, m: int) -> Tuple[int, int, int, int]:
-    """(nbar, mbar, Nbar, pbar) of the auxiliary SDP's standard reformulation."""
+    """(nbar, mbar, Nbar, pbar) of the auxiliary SDP's standard reformulation,
+    whose KKT system has the sizes of :func:`kkt_dimensions` at (nbar, mbar)."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
     nbar = 2 * n + 2 * m + 2
     mbar = m + n * (n + 1) // 2 + 1
-    Nbar = nbar * (nbar + 1) + mbar
-    pbar = mbar + nbar * (nbar + 1) // 2 + nbar * nbar
-    return nbar, mbar, Nbar, pbar
+    kkt = kkt_dimensions(nbar, mbar)
+    return nbar, mbar, kkt.N, kkt.p
 
 
 def eta_bar(n: int, m: int, tau0: int) -> int:
     """Coordinate-bound exponent for the auxiliary SDP.
 
     Evaluates (Nbar^2-Nbar)/2 + 2*Nbar + Nbar(taubar1+Nbar+2)2^(Nbar-1)
-    with taubar1 = tau0 + Nbar + lg(pbar), exactly as printed (note the
-    linear 2*Nbar term, unlike the 2^N term of eta1).
+    with taubar1 = tau0 + Nbar + lg(pbar), the :func:`squared_height` of the
+    auxiliary KKT system, exactly as printed (note the linear 2*Nbar term,
+    unlike the 2^N term of eta1).
     """
-    if tau0 < 1:
-        raise ValueError("tau0 must be at least 1")
     _, _, Nbar, pbar = aux_dimensions(n, m)
-    taubar1 = tau0 + Nbar + ceil_lg(pbar)
+    taubar1 = squared_height(tau0, Nbar, pbar)
     return (Nbar * Nbar - Nbar) // 2 + 2 * Nbar + Nbar * (taubar1 + Nbar + 2) * 2 ** (Nbar - 1)
 
 
@@ -157,44 +153,15 @@ def certified_bound_M(pair: SdpPair) -> SolutionBoundM:
 def practical_bound_M(pair: SdpPair) -> SolutionBoundM:
     """Numeric solution bound from a solved auxiliary SDP.
 
-    Attained: M = ceil(tr(X*) + 1'y* + 1) + 1.  Suspected unattained: any
-    positive constant is admissible; M = 1.
+    Attained: M = ceil(tr(X*) + 1'y* + 1) + 1, with tr(X*) + 1'y* raised to
+    the auxiliary solution's floor (:func:`solve_aux`: the main solve's point
+    on pairs predicted bounded).  Suspected unattained: any positive constant
+    is admissible; M = 1.
     """
     aux = solve_aux(pair)
     if aux.attained_flag == ATTAINED:
-        g = float(np.trace(aux.X.array) + np.sum(aux.y)) + 1.0
+        g = max(float(np.trace(aux.X.array) + np.sum(aux.y)), aux.floor) + 1.0
         value = float(math.ceil(g - 1e-6)) + 1.0
         return SolutionBoundM(mode=PRACTICAL, value=value, derived_from=aux)
     return SolutionBoundM(mode=ARBITRARY, value=1.0, derived_from=aux)
 
-
-def khachiyan_instance(n: int, tau: int) -> Tuple[StandardSdp, Fraction]:
-    """Chain SDP min x_n s.t. [[x_i, x_{i-1}], [x_{i-1}, B]] psd, x_0 = 1/2.
-
-    B = 2^tau.  Returns the block SDP (n 2x2 matrix blocks plus scalar
-    variables) and the closed-form optimum 2^(-(tau+1)2^n + tau), whose
-    bitsize is exponential in n.
-    """
-    if n < 1 or tau < 1:
-        raise ValueError("n and tau must be positive")
-    B = float(2**tau)
-    st = BlockStructure([free_scalar() for _ in range(n + 1)] + [matrix_block(2) for _ in range(n)])
-    rows = np.zeros((3 * n + 1, st.dim))
-    rhs = np.zeros(3 * n + 1)
-    x = st.split(rows)
-    # x_0 = 1/2, then per link i: X_i = [[x_i, x_{i-1}], [x_{i-1}, B]]
-    x[0][0] = 1.0
-    rhs[0] = 0.5
-    for i in range(1, n + 1):
-        r = 3 * i - 2
-        Xi = x[n + i]
-        Xi[r, 0, 0] = 1.0
-        x[i][r] = -1.0
-        Xi[r + 1, 0, 1] = Xi[r + 1, 1, 0] = 1.0
-        x[i - 1][r + 1] = -2.0
-        Xi[r + 2, 1, 1] = 1.0
-        rhs[r + 2] = B
-    obj = np.zeros(st.dim)
-    st.view(obj, n)[:] = 1.0
-    optimum = Fraction(1, 2 ** ((tau + 1) * 2**n - tau))
-    return StandardSdp(st, obj, rows, rhs, sense=MIN, name=f"khachiyan-n{n}-tau{tau}"), optimum

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import certified_bound_M, aux_dimensions, ceil_lg, eta_bar, input_bitsize, practical_bound_M
+from .bounds import aux_dimensions, certified_bound_M, eta_bar, input_bitsize, practical_bound_M, squared_height
 from .direct import DIRECT_OPTS, solve_both
 from .game import GAME_OPTS
 from .generators import example_corpus, khachiyan_pair, random_slater, random_unbounded
@@ -176,7 +176,7 @@ def cmd_bound(args) -> int:
             print("certified bound needs exact rational/integer data", file=sys.stderr)
             return 1
         tau0 = input_bitsize(pair).tau0
-        taubar1 = tau0 + Nbar + ceil_lg(pbar)
+        taubar1 = squared_height(tau0, Nbar, pbar)
         eb = eta_bar(pair.n, pair.m, tau0)
         M = certified_bound_M(pair)
         print(f"tau0        : {tau0}")

@@ -77,6 +77,8 @@ def khachiyan_pair(n: int, tau: int) -> SdpPair:
     Block i of the optimal completion holds [[x_i, x_{i-1}], [x_{i-1}, B]];
     one-sided inequalities suffice because the chain is monotone: the
     objective pins every slack at the optimum.  Integer data throughout.
+    With B = 2^tau and x_0 = 1/2 the optimum is 2^-((tau+1) 2^n - tau),
+    whose bitsize is exponential in n.
     """
     if n < 1 or tau < 1:
         raise ValueError("n and tau must be positive")

@@ -17,6 +17,7 @@ auxiliary point and the widest bracket per reported kind.  The exit status is
     python tests/outcome_census.py          # n = m in {2, 3, 4, 6, 8, 12}
     python tests/outcome_census.py --fast   # n = m in {2, 3, 4}
     python tests/outcome_census.py --large  # n = m in {16, 24, 32}, about 15 s
+    python tests/outcome_census.py --khachiyan  # khachiyan_pair(n, tau), about 0.5 s
     python tests/outcome_census.py --stalls # game-p1 iterations without a stop test
     python tests/outcome_census.py --sweep  # the kind per pair and fixed M
 
@@ -38,6 +39,12 @@ default ladder does not reach.  It is the only ladder where the main
 auxiliary solve of a pair with a strongly optimal pair stops short
 (``slater-n24-m24-s1`` ends MaxIterations), so that the attainment probe's
 point, not the main solve's, gives M.
+
+``--khachiyan`` instead runs ``khachiyan_pair(n, tau)`` for n in 1..4 and
+tau in 1..6 and prints the same table.  Both sides of every chain are
+strictly feasible, so each is expected StronglyOptimal; the optimum
+2^-((tau+1) 2^n - tau) shrinks doubly exponentially in n, and the practical
+M grows with 2^tau.
 
 ``--stalls`` instead runs ``solve_game`` without a stop test on
 ``random_unbounded(n, n, s)``, n in {6, 8, 10}, s in 100-111, at M = 10, and
@@ -125,6 +132,11 @@ def large_instances() -> list:
     """(pair, expected kind) for ``random_slater`` and ``random_unbounded`` at
     n = m in LARGE_SIZES, seed 1."""
     return [(gen(n, n, 1), expected) for gen, expected in GENERATORS[:2] for n in LARGE_SIZES]
+
+
+def khachiyan_chains() -> list:
+    """(pair, expected kind) for ``khachiyan_pair(n, tau)``, n in 1..4, tau in 1..6."""
+    return [(khachiyan_pair(n, tau), STRONGLY_OPTIMAL) for n in range(1, 5) for tau in range(1, 7)]
 
 
 def census(cases) -> list:
@@ -267,6 +279,8 @@ def main(argv=None) -> int:
         return 1 if raised or false_optimal else 0
     if "--large" in argv:
         cases = large_instances()
+    elif "--khachiyan" in argv:
+        cases = khachiyan_chains()
     else:
         cases = instances(FAST_SIZES if "--fast" in argv else SIZES)
     rows = census(cases)

@@ -15,12 +15,11 @@ from sdgames.bounds import (
     ceil_lg,
     eta1,
     eta_bar,
-    khachiyan_instance,
     kkt_dimensions,
     practical_bound_M,
     squared_height,
 )
-from sdgames.direct import solve_both
+from sdgames.direct import primal_sdp, solve_both
 from sdgames.game import (
     normalized_strategy1,
     normalized_strategy2,
@@ -29,7 +28,7 @@ from sdgames.game import (
     response_matrix_L,
     solve_game,
 )
-from sdgames.generators import random_diagonal, random_slater, random_unbounded
+from sdgames.generators import khachiyan_pair, random_diagonal, random_slater, random_unbounded
 from sdgames.model import (
     DualPoint,
     PrimalPoint,
@@ -127,18 +126,14 @@ def test_criterion_4_duality_gap(duality_gap_pair):
 
 
 def test_criterion_5_khachiyan_family():
-    for n, tau in [(1, 1), (1, 2), (2, 2)]:
-        prob, opt = khachiyan_instance(n, tau)
-        r = solve(prob, SolverOptions(tol=1e-12, max_iters=400))
-        rel = abs(r.value - float(opt)) / float(opt)
+    for n, tau in [(1, 1), (1, 2), (2, 2), (3, 2)]:
+        opt = 2.0 ** -((tau + 1) * 2**n - tau)
+        r = solve(primal_sdp(khachiyan_pair(n, tau)), SolverOptions(tol=1e-12, max_iters=400))
+        rel = abs(r.value - opt) / opt
         _report(
             5, f"khachiyan ({n},{tau}): relative error <= 1e-3",
             rel <= 1e-3, f"rel={rel:.2e}",
         )
-    prob, opt = khachiyan_instance(3, 2)
-    r = solve(prob, SolverOptions(tol=1e-12, max_iters=400))
-    ok = r.value <= 2.0 * float(opt) + 1e-9  # below reliable tolerance; bound only
-    _report(5, "khachiyan (3,2): value <= 2x closed form + 1e-9", ok, f"val={r.value:.3e}")
 
 
 def test_criterion_6_formula_suite():

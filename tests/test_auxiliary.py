@@ -255,7 +255,7 @@ class TestProbeStart:
 
 
 class TestOneProbe:
-    @pytest.mark.parametrize("n, tau, M", [(2, 3, 14.0), (3, 1, 7.0), (3, 2, 7.0), (3, 3, 7.0)])
+    @pytest.mark.parametrize("n, tau, M", [(2, 3, 19.0), (3, 1, 9.0), (3, 2, 15.0), (3, 3, 26.0)])
     def test_khachiyan_pairs_make_one_probe(self, monkeypatch, n, tau, M):
         # one refined-aux solve gives these chains' flag and M
         pair = khachiyan_pair(n, tau)

@@ -1,5 +1,5 @@
 """Bitsize accounting, KKT/auxiliary dimension formulas, bound exponents, and
-the Khachiyan family."""
+the Khachiyan chain's closed-form optimum."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sdgames import direct, generators
 from sdgames.bounds import (
     ARBITRARY,
     CERTIFIED,
@@ -20,12 +21,13 @@ from sdgames.bounds import (
     eta1,
     eta_bar,
     input_bitsize,
-    khachiyan_instance,
     kkt_dimensions,
     practical_bound_M,
     squared_height,
 )
+from sdgames.generators import khachiyan_pair
 from sdgames.model import SdpPair, SymMat
+from sdgames.reduction import STRONGLY_OPTIMAL, run_pipeline
 from sdgames.solver import SolverOptions, solve
 
 
@@ -149,10 +151,25 @@ class TestPracticalBound:
         M = practical_bound_M(both_infeasible_pair)
         assert M.value == 2.0
 
+    @pytest.mark.parametrize(
+        "n, tau, M", [(1, 6, 67.0), (2, 3, 19.0), (2, 4, 35.0), (2, 5, 67.0), (2, 6, 129.0)]
+    )
+    def test_khachiyan_M_dominates_the_main_aux_point(self, n, tau, M):
+        # the refined-aux probe's point undercuts every auxiliary optimum on
+        # these chains; M from the main solve's point admits the strongly optimal pair
+        pair = khachiyan_pair(n, tau)
+        assert practical_bound_M(pair).value == M
+        assert run_pipeline(pair).kind == STRONGLY_OPTIMAL
+
     def test_unattained_arbitrary(self, unattained_pair):
         M = practical_bound_M(unattained_pair)
         assert M.mode == ARBITRARY
         assert M.value == 1.0
+
+
+def _chain_optimum(n: int, tau: int) -> Fraction:
+    """The closed-form optimum 2^-((tau+1) 2^n - tau) of ``khachiyan_pair(n, tau)``."""
+    return Fraction(1, 2 ** ((tau + 1) * 2**n - tau))
 
 
 class TestKhachiyan:
@@ -161,22 +178,33 @@ class TestKhachiyan:
         [(1, 1, Fraction(1, 8)), (2, 2, Fraction(1, 2**10)), (3, 1, Fraction(1, 2**15))],
     )
     def test_closed_form(self, n, tau, expected):
-        _, opt = khachiyan_instance(n, tau)
-        assert opt == expected
+        # the completion with blocks [[x_i, x_(i-1)], [x_(i-1), B]], x_0 = 1/2
+        # and x_i = x_(i-1)^2 / B, is psd and feasible and attains the closed form
+        assert _chain_optimum(n, tau) == expected
+        pair = khachiyan_pair(n, tau)
+        B = 2**tau
+        x = [Fraction(1, 2)]
+        for _ in range(n):
+            x.append(x[-1] ** 2 / B)
+        X = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+        for i in range(1, n + 1):
+            p, q = 2 * i - 2, 2 * i - 1
+            X[p][p], X[p][q], X[q][p], X[q][q] = x[i], x[i - 1], x[i - 1], Fraction(B)
+            assert x[i] * B - x[i - 1] ** 2 == 0
+
+        def inner(M):
+            return sum(a * v for row_a, row_x in zip(M.rows(), X) for a, v in zip(row_a, row_x))
+
+        assert all(inner(Ai) >= bi for Ai, bi in zip(pair.A, pair.b))
+        assert inner(pair.C) == expected
 
     @pytest.mark.parametrize("n,tau", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_solver_reproduces_closed_form(self, n, tau):
-        prob, opt = khachiyan_instance(n, tau)
+        prob = direct.primal_sdp(khachiyan_pair(n, tau))
         r = solve(prob, SolverOptions(tol=1e-12, max_iters=400))
-        assert r.value == pytest.approx(float(opt), rel=1e-3)
-
-    def test_structure(self):
-        prob, _ = khachiyan_instance(3, 1)
-        kinds = [b.kind for b in prob.structure]
-        assert kinds.count("free") == 4
-        assert kinds.count("matrix") == 3
-        assert prob.num_constraints == 10
+        assert r.value == pytest.approx(float(_chain_optimum(n, tau)), rel=1e-3)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            khachiyan_instance(0, 1)
+        for n, tau in [(0, 1), (1, 0), (generators.MAX_SIZE // 2 + 1, 1)]:
+            with pytest.raises(ValueError):
+                khachiyan_pair(n, tau)

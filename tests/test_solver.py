@@ -16,9 +16,14 @@ from sdgames.blocks import (
     matrix_block,
     matrix_equality,
 )
-from sdgames.bounds import khachiyan_instance
 from sdgames.game import game_sdp_player1, game_sdp_player2, solve_game
-from sdgames.generators import example_corpus, random_dual_unbounded, random_slater, random_unbounded
+from sdgames.generators import (
+    example_corpus,
+    khachiyan_pair,
+    random_dual_unbounded,
+    random_slater,
+    random_unbounded,
+)
 from sdgames.reduction import run_pipeline
 from sdgames.solver import (
     DUAL_INFEASIBLE,
@@ -336,11 +341,9 @@ class TestExamples:
         assert np.allclose(r.primal[0], E11, atol=1e-6)
 
     def test_khachiyan_2_2_value(self):
-        from sdgames.bounds import khachiyan_instance
-
-        prob, opt = khachiyan_instance(2, 2)
-        r = solve(prob, SolverOptions(tol=1e-12, max_iters=400))
-        assert r.value == pytest.approx(float(opt), rel=1e-3)
+        # the chain's optimum 2^-((tau+1) 2^n - tau) at n = tau = 2
+        r = solve(direct.primal_sdp(khachiyan_pair(2, 2)), SolverOptions(tol=1e-12, max_iters=400))
+        assert r.value == pytest.approx(2.0**-10, rel=1e-3)
 
     def test_gap_consistency(self):
         r = solve(_scalar_lp(1.0, 1.0, 1.0))
@@ -537,17 +540,13 @@ class TestFullRowRank:
         "pair",
         [pair for pair, _ in example_corpus()]
         + [gen(n, n, seed) for gen in (random_slater, random_unbounded, random_dual_unbounded)
-           for n in (2, 4) for seed in (1, 2)],
+           for n in (2, 4) for seed in (1, 2)]
+        + [khachiyan_pair(n, tau) for n, tau in [(1, 1), (2, 2), (3, 1), (3, 3)]],
         ids=lambda pair: pair.name,
     )
     def test_every_built_sdp_has_full_row_rank(self, pair):
         for prob in _built_sdps(pair):
             assert np.linalg.matrix_rank(prob.A) == prob.num_constraints, prob.name
-
-    @pytest.mark.parametrize("n, tau", [(1, 1), (2, 2), (3, 1), (3, 3)])
-    def test_khachiyan_instance_has_full_row_rank(self, n, tau):
-        prob, _ = khachiyan_instance(n, tau)
-        assert np.linalg.matrix_rank(prob.A) == prob.num_constraints
 
 
 def _random_mixed_sdp(rng, n_indep=6, n_dep=3, consistent=True):
