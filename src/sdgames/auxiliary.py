@@ -30,6 +30,7 @@ class AuxSolution:
     attained_flag: str
     solve_status: str = OPTIMAL
     floor: float = -np.inf  # a tr(X) + 1'y that M must dominate besides (X, y)'s own
+    predicts_bounded: bool = False  # w near 0: a strongly optimal pair exists (see solve_aux)
 
 
 def _aux_structure(n: int, m: int) -> BlockStructure:
@@ -123,8 +124,8 @@ def _probe_start(x: list, y: np.ndarray, s: list, w_cap: float) -> tuple:
 
 
 def _extract(res: SolveResult):
-    X, _, y, _, w = res.primal[:5]
-    return SymMat.from_array(X, symmetrize=True), np.array(y, dtype=float), float(w[0])
+    X, _, y = res.primal[:3]
+    return SymMat.from_array(X, symmetrize=True), np.array(y, dtype=float)
 
 
 def solve_aux(pair: SdpPair) -> AuxSolution:
@@ -136,21 +137,21 @@ def solve_aux(pair: SdpPair) -> AuxSolution:
     solve's, when that is optimal and no larger); a converged probe whose
     point exceeds the cap flags the instance SuspectedUnattained.
 
-    The cap relaxes the dual's psd constraint by w too, so the probe's point
-    can undercut every auxiliary optimum in tr(X) + 1'y.  When the probe's
-    point is reported although the main solve is optimal, within the norm
-    cap and has |w*| <= 1e-7 * (1 + max |data|), so that it predicts a
-    strongly optimal pair, ``floor`` carries the main solve's tr(X) + 1'y
-    for the practical bound to dominate.
+    ``predicts_bounded``, |w*| <= 1e-7 * (1 + max |data|), is the pipeline's
+    one prediction that a strongly optimal pair exists.  The cap relaxes the
+    dual's psd constraint by w too, so the probe's point can undercut every
+    auxiliary optimum in tr(X) + 1'y.  When the probe's point is reported
+    although the main solve is optimal, within the norm cap and predicts a
+    bounded pair, ``floor`` carries the main solve's tr(X) + 1'y for the
+    practical bound to dominate.
 
     A probe that does not converge says nothing about attainment.  The main
     solve's point is then reported as attained when it is bounded and
-    usable: optimal, or stopped short (NumericalFailure too) with
-    |w*| <= 1e-7 * (1 + max |data|) and primal and dual infeasibility at
-    most 1e-8.  That relaxed gate applies only here; the choice between the
-    main solve's and the probe's point on the attained branch still asks
-    for an optimal main solve.  The flag is heuristic: it never certifies
-    non-attainment.
+    usable: optimal, or stopped short (NumericalFailure too) with a bounded
+    prediction and primal and dual infeasibility at most 1e-8.  That relaxed
+    gate applies only here; the choice between the main solve's and the
+    probe's point on the attained branch still asks for an optimal main
+    solve.  The flag is heuristic: it never certifies non-attainment.
 
     The main solve runs to tol 1e-9 and the probe to 1e-7, each within 300
     iterations, whatever tolerance the game solves use.  The probe adds its
@@ -172,20 +173,21 @@ def solve_aux(pair: SdpPair) -> AuxSolution:
     probed = probe.status == OPTIMAL
     first_small = bv_norm_inf(first.primal[:3]) <= norm_cap
     w_small = abs(w_star) <= 1e-7 * scale
+    floor = -np.inf
     if probed and bv_norm_inf(probe.primal[:3]) <= norm_cap:
-        X, y, _ = _extract(probe)
-        floor = -np.inf
+        X, y = _extract(probe)
+        flag = ATTAINED
         if first.status == OPTIMAL and first_small:
-            Xf, yf, _ = _extract(first)
+            Xf, yf = _extract(first)
             g_first = float(np.trace(Xf.array) + np.sum(yf))
             if g_first <= probe.value + 0.1:
                 # the direct solution is preferable when it is just as small
                 X, y = Xf, yf
             elif w_small:
                 floor = g_first
-        return AuxSolution(X=X, y=y, w=w_star, attained_flag=ATTAINED, solve_status=first.status,
-                           floor=floor)
-    X, y, w = _extract(first)
-    usable = first.status == OPTIMAL or (w_small and max(first.primal_infeas, first.dual_infeas) <= 1e-8)
-    flag = ATTAINED if usable and first_small and not probed else SUSPECTED_UNATTAINED
-    return AuxSolution(X=X, y=y, w=w, attained_flag=flag, solve_status=first.status)
+    else:
+        X, y = _extract(first)
+        usable = first.status == OPTIMAL or (w_small and max(first.primal_infeas, first.dual_infeas) <= 1e-8)
+        flag = ATTAINED if usable and first_small and not probed else SUSPECTED_UNATTAINED
+    return AuxSolution(X=X, y=y, w=w_star, attained_flag=flag, solve_status=first.status, floor=floor,
+                       predicts_bounded=w_small)

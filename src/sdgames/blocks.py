@@ -68,7 +68,7 @@ class BlockStructure:
         d = 0
         for b in self.blocks:
             shapes.append((b.size, b.size) if b.kind == MATRIX else (b.size,))
-            slices.append(slice(d, d + int(np.prod(shapes[-1]))))
+            slices.append(slice(d, d + (b.size * b.size if b.kind == MATRIX else b.size)))
             d = slices[-1].stop
         object.__setattr__(self, "shapes", tuple(shapes))
         object.__setattr__(self, "slices", tuple(slices))

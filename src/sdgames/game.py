@@ -331,7 +331,7 @@ def game_sdp_player2(pair: SdpPair, M: float) -> StandardSdp:
     return _response_sdp(pair, payoff_matrix(pair, M), -1.0, MIN, "game-p2")
 
 
-def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float, accepted: dict):
+def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float):
     """Stop test for player 1's solve: the iterate's strategy s1 has t <= tol,
     lambda_min(K(s1)) > 0 and ``certifies(s1)`` returns a true value.
 
@@ -339,25 +339,23 @@ def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float, accepted
     come first: they cost no eigenvalue call.  The iterates that pass them
     build P for K(s1) anew; a P held through the solve would raise its peak
     memory.  lambda_min(K(s1)) > 0 proves the value positive, so at value 0
-    ``certifies`` is never asked.  The accepted iterate leaves s1,
-    lambda_min(K(s1)) and what ``certifies`` returned in ``accepted``.
+    ``certifies`` is never asked.  An accepted iterate returns (s1,
+    lambda_min(K(s1)), what ``certifies`` returned), any other None.
     """
 
-    def stop(blocks) -> bool:
+    def stop(blocks):
         X, y, (t,), (u,), (v,) = blocks[:5]
         if v <= 0 or t > tol * (np.trace(X) + np.sum(y) + t + u):
-            return False
+            return None
         try:
             s1 = normalized_strategy1(X, y, t, u)
         except ValueError:  # an iterate rounded off the cone
-            return False
+            return None
         lower = best_response_value_p2(pair, M, s1)
         if lower <= 0:
-            return False
-        certificate = certifies(s1)
-        if certificate:
-            accepted.update(s1=s1, lower=lower, certificate=certificate)
-        return bool(certificate)
+            return None
+        checks = certifies(s1)
+        return (s1, lower, checks) if checks else None
 
     return stop
 
@@ -376,10 +374,11 @@ def solve_game(
 
     With ``certifies``, a test of player 1's strategy, player 1's solve stops
     at the first iterate whose normalized strategy s1 has t <= tol,
-    lambda_min(K(s1)) > 0 and ``certifies(s1)`` true; that value is kept as
-    ``GameSolution.certificate``.  Any such s1 proves the value positive,
-    optimal or not; ``lower`` is then its bound, below the value by up to a
-    few 1e-5.  Player 2 then only closes the bracket from above, so its solve
+    lambda_min(K(s1)) > 0 and ``certifies(s1)`` true; the solve's
+    ``certificate`` brings back s1, lambda_min(K(s1)) and that value, which
+    is kept as ``GameSolution.certificate``.  Any such s1 proves the value
+    positive, optimal or not; ``lower`` is then its bound, below the value
+    by up to a few 1e-5.  Player 2 then only closes the bracket from above, so its solve
     stops at tolerance max(opts.tol, tol): upper = lambda_max(L(s2)) is
     certified for any s2, and a bracket already some 1e-5 wide cannot show
     the extra digits.  Every other solve uses ``opts``.
@@ -402,12 +401,11 @@ def solve_game(
     if M <= 0:
         raise ValueError("the solution bound must be positive")
     pf = pair.to_float()
-    accepted: dict = {}
-    stop = None if certifies is None else _certifying_iterate(pf, M, certifies, tol, accepted)
+    stop = None if certifies is None else _certifying_iterate(pf, M, certifies, tol)
     start = None if point is None else _player1_start(pf, M, *point)
     res1 = solve(game_sdp_player1(pf, M), opts, stop=stop, start=start)
     if res1.status == STOPPED_EARLY:
-        s1, lower, certificate = accepted["s1"], accepted["lower"], accepted["certificate"]
+        s1, lower, certificate = res1.certificate
         opts2 = replace(opts, tol=max(opts.tol, tol))
     else:
         s1 = normalized_strategy1(res1.primal[0], res1.primal[1], res1.primal[2][0], res1.primal[3][0])

@@ -146,10 +146,11 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     inform too: ``diagnostics["game_status"]`` holds both, and a note marks
     a NumericalFailure.
 
-    Under the practical bound, when the auxiliary optimum w* is within
-    ``verify_tol * (1 + max |data|)`` of 0, the auxiliary point predicts a
-    strongly optimal pair, and player 1's game solve starts there (see
-    :func:`solve_game`'s ``point``); every other solve starts cold.
+    Under the practical bound, when the auxiliary solution predicts a
+    strongly optimal pair (``AuxSolution.predicts_bounded``, decided by
+    :func:`~sdgames.auxiliary.solve_aux` alone), player 1's game solve
+    starts at the auxiliary point (see :func:`solve_game`'s ``point``);
+    every other solve starts cold, whatever ``verify_tol`` is.
     ``diagnostics["game_start"]`` records which: ``"aux"`` or ``"cold"``.
 
     The first player's game solve stops at the first iterate whose strategy
@@ -168,8 +169,7 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     M = M_used.value
     tol = config.verify_tol
     aux = M_used.derived_from
-    # the aux point starts player 1 only where it predicts a strongly optimal pair
-    warm = M_used.mode == PRACTICAL and abs(aux.w) <= tol * (1.0 + pf.max_abs_entry())
+    warm = M_used.mode == PRACTICAL and aux.predicts_bounded
     point = (aux.X.array, aux.y) if warm else None
     game = solve_game(pf, M, config.solver_opts, _certifies(pf, tol), tol, point=point)
     v, lower, upper = game.value, game.lower, game.upper

@@ -107,7 +107,7 @@ class SolveResult:
     primal_infeas: float
     dual_infeas: float
     warnings: List[str] = field(default_factory=list)
-    certificate: Optional[object] = None
+    certificate: Optional[object] = None  # what the stop test returned, on StoppedEarly
 
 
 def _chol(a: np.ndarray) -> np.ndarray:
@@ -314,26 +314,27 @@ class _Ipm:
             scaled.append(t)
         return _step_to_boundary(ep), _step_to_boundary(ed), scaled
 
-    def _check_infeasibility(self, x, y, s):
-        """Best-effort Farkas-ray detection once iterates diverge."""
+    def _check_infeasibility(self, x, y, s) -> Optional[str]:
+        """Best-effort Farkas-ray detection once iterates diverge: a final status or None."""
         xnorm = float(abs(x).max())
         if xnorm > 1e6 * self.scale:
             q = x / xnorm
             feas = abs(self.A @ q).max() if self.p else 0.0
             if self.c @ q < -1e-6 and feas <= 1e-6:
-                return DUAL_INFEASIBLE, q
+                return DUAL_INFEASIBLE
         ynorm = float(abs(y).max()) if y.size else 0.0
         zn = max(ynorm, float(abs(s).max()))
         if zn > 1e6 * self.scale:
             yhat = y / zn
             resid = float(abs(self.A.T @ yhat + s / zn).max())
             if float(self.beta @ yhat) > 1e-6 and resid <= 1e-6:
-                return PRIMAL_INFEASIBLE, yhat
+                return PRIMAL_INFEASIBLE
         if max(xnorm, zn) > _DIVERGENCE_THRESHOLD * self.scale:
-            return MAX_ITERATIONS, None
-        return None, None
+            self.warnings.append("iterates diverged without a usable Farkas ray")
+            return MAX_ITERATIONS
+        return None
 
-    def run(self, stop: Optional[Callable[[list], bool]] = None, start=None) -> SolveResult:
+    def run(self, stop: Optional[Callable[[list], object]] = None, start=None) -> SolveResult:
         opts = self.opts
         nc = self.ncone
         if start is None:
@@ -349,7 +350,7 @@ class _Ipm:
                 raise ValueError("the start's y does not conform to the constraints")
         best = (np.inf, x, y, s)
         status = MAX_ITERATIONS
-        ray = None
+        certificate = None
         for it in range(1, opts.max_iters + 1):
             r_p, r_d = self._residuals(x, y, s)
             pobj = float(self.c @ x)
@@ -363,17 +364,14 @@ class _Ipm:
             if self._converged(pinf, dinf, pobj, dobj, compl):
                 status = OPTIMAL
                 break
-            if stop is not None and stop(self._blocks(x)):
+            payload = None if stop is None else stop(self._blocks(x))
+            if payload:
                 self.warnings.append(f"stopped early: the stop test accepted iteration {it}")
-                status = STOPPED_EARLY
+                status, certificate = STOPPED_EARLY, payload
                 break
-            det, det_ray = self._check_infeasibility(x, y, s)
-            if det == MAX_ITERATIONS:
-                self.warnings.append("iterates diverged without a usable Farkas ray")
-                status = MAX_ITERATIONS
-                break
+            det = self._check_infeasibility(x, y, s)
             if det is not None:
-                status, ray = det, det_ray
+                status = det
                 break
             try:
                 scalings = self._scalings(x, s)
@@ -427,16 +425,14 @@ class _Ipm:
         # so falling back to it never makes a solve Optimal
         if status in (MAX_ITERATIONS, NUMERICAL_FAILURE) and best[0] < np.inf:
             _, x, y, s = best
-        return self._result(status, x, y, s, it, ray)
+        return self._result(status, x, y, s, it, certificate)
 
-    def _result(self, status, x, y, s, iterations, ray=None) -> SolveResult:
+    def _result(self, status, x, y, s, iterations, certificate) -> SolveResult:
         r_p, r_d = self._residuals(x, y, s)
         pobj = float(self.c @ x)
         dobj = float(self.beta @ y)
         pinf, dinf = self._infeasibilities(r_p, r_d)
         sign = 1.0 if self.sense == MIN else -1.0
-        if status == DUAL_INFEASIBLE:
-            ray = self._blocks(ray)
         return SolveResult(
             status=status,
             primal=self._blocks(x),
@@ -450,22 +446,24 @@ class _Ipm:
             primal_infeas=pinf,
             dual_infeas=dinf,
             warnings=list(self.warnings),
-            certificate=ray,
+            certificate=certificate,
         )
 
 
 def solve(
     problem: StandardSdp,
     opts: Optional[SolverOptions] = None,
-    stop: Optional[Callable[[list], bool]] = None,
+    stop: Optional[Callable[[list], object]] = None,
     start: Optional[tuple] = None,
 ) -> SolveResult:
     """Solve a standard-form block SDP; deterministic for fixed inputs and options.
 
     ``stop(primal_blocks)``, when given, sees the primal iterate of every
     iteration that has not converged, as a block list in the layout of
-    ``problem.structure``.  When it returns True the solve ends with that
-    iterate (not the best one seen) and the status ``StoppedEarly``.
+    ``problem.structure``.  When it returns a true value the solve ends with
+    that iterate (not the best one seen) and the status ``StoppedEarly``, and
+    the value comes back as ``SolveResult.certificate``, else None.  A Farkas
+    status carries no ray: the result holds the diverged iterate.
 
     ``start = (x_blocks, y, s_blocks)``, when given, is the initial iterate in
     place of the scaled identity, laid out as ``primal``, ``dual`` and

@@ -328,7 +328,7 @@ class TestEarlyStop:
 
 class TestAuxStart:
     """Player 1's game solve starts at the auxiliary point when the practical
-    bound's w* is within verify_tol of 0, and cold otherwise."""
+    bound's auxiliary solution predicts a bounded pair, and cold otherwise."""
 
     def test_stalled_slater_pair_converges_from_the_aux_point(self):
         # player 1 ran 69 iterations to the precision limit here from a cold start
@@ -340,8 +340,10 @@ class TestAuxStart:
     @pytest.mark.parametrize(
         "pair, config",
         [(random_slater(4, 4, 1), PipelineConfig(bound_mode=10.0)),
-         (random_unbounded(4, 4, 1), PipelineConfig())],
-        ids=["fixed-M", "unbounded-practical"],
+         (random_unbounded(4, 4, 1), PipelineConfig()),
+         # w* / (1 + max |data|) is 5.3e-2: a loose verify_tol does not move the start
+         (random_dual_unbounded(4, 4, 2), PipelineConfig(verify_tol=0.1))],
+        ids=["fixed-M", "unbounded-practical", "loose-verify-tol"],
     )
     def test_other_pairs_start_cold(self, monkeypatch, pair, config):
         starts = []

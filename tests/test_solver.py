@@ -76,18 +76,6 @@ def _random_feasible_block_sdp(rng, n=3, d=2, m=4):
     return _sdp(st, [Cm, cd], rows)
 
 
-def solve_with_certificate(problem: StandardSdp, opts=None):
-    """Like :func:`solve`, but an infeasibility outcome carries its improving ray
-    in the corresponding primal/dual field."""
-    res = solve(problem, opts)
-    if res.certificate is not None:
-        if res.status == DUAL_INFEASIBLE:
-            res.primal = res.certificate
-        elif res.status == PRIMAL_INFEASIBLE:
-            res.dual = np.asarray(res.certificate)
-    return res
-
-
 def svec(structure: BlockStructure, v) -> np.ndarray:
     """Isometric scalarization: stacks blocks, off-diagonals scaled by sqrt(2).
 
@@ -373,6 +361,14 @@ class TestStopTest:
         # the accepted iterate itself, not the best-merit one
         assert all(np.array_equal(a, b) for a, b in zip(r.primal, seen[-1]))
 
+    def test_stop_returns_its_payload_as_the_certificate(self):
+        prob = _random_feasible_block_sdp(np.random.default_rng(3))
+        payload = object()
+        r = solve(prob, stop=lambda blocks: payload)
+        assert (r.status, r.iterations) == (STOPPED_EARLY, 1)
+        assert r.certificate is payload
+        assert solve(prob).certificate is None
+
     def test_rejecting_stop_changes_nothing(self):
         prob = _random_feasible_block_sdp(np.random.default_rng(3))
         calls = []
@@ -442,25 +438,14 @@ class TestRefinementGate:
 
 class TestCertificates:
     def test_infeasible_scalar(self):
-        r = solve_with_certificate(_scalar_lp(0.0, 1.0, -1.0))
+        r = solve(_scalar_lp(0.0, 1.0, -1.0))
         assert r.status == PRIMAL_INFEASIBLE
-        # the Farkas ray certifies: beta'y > 0 with -a'y in the cone dual
-        y = float(np.atleast_1d(r.dual)[0])
-        assert -1.0 * y > 0
 
     def test_infeasible_dual_program_of_both_infeasible_pair(self, both_infeasible_pair):
         from sdgames.direct import dual_sdp
 
-        r = solve_with_certificate(dual_sdp(both_infeasible_pair.to_float()))
+        r = solve(dual_sdp(both_infeasible_pair.to_float()))
         assert r.status != OPTIMAL
-
-    def test_feasible_problem_matches_solve(self):
-        rng = np.random.default_rng(8)
-        prob = _random_feasible_block_sdp(rng)
-        r1 = solve(prob)
-        r2 = solve_with_certificate(prob)
-        assert r1.status == r2.status == OPTIMAL
-        assert r1.value == r2.value
 
     def test_unbounded_detection(self):
         # min -x s.t. 0*x = 0, x >= 0 is unbounded below
