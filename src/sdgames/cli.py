@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,9 +109,7 @@ def _reduce_one(path: Path, args) -> tuple:
     pair, metadata = load_problem(path)
     t0 = time.perf_counter()
     bound_mode = "practical" if args.M == "auto" else args.M
-    # run_pipeline's own solver options, so that reduce and the library agree
-    opts = replace(PipelineConfig().solver_opts, tol=args.tol)
-    outcome = run_pipeline(pair, PipelineConfig(solver_opts=opts, bound_mode=bound_mode))
+    outcome = run_pipeline(pair, PipelineConfig(game_tol=args.tol, bound_mode=bound_mode))
     timings = {"total_s": time.perf_counter() - t0}
     report = report_to_dict(outcome, timings)
     if pair.mode == EXACT:
@@ -186,31 +183,27 @@ def cmd_bound(args) -> int:
     return 0
 
 
+# each single-pair kind of gen: its builder, its file stem and its metadata
+_GEN_KINDS = {
+    "khachiyan": (lambda a: khachiyan_pair(a.n, a.tau), "khachiyan_n{n}_tau{tau}", None),
+    "random-slater": (lambda a: random_slater(a.n, a.m, a.seed), "random_slater_n{n}_m{m}_s{seed}",
+                      {"expected_outcome": STRONGLY_OPTIMAL}),
+    "random-unbounded": (lambda a: random_unbounded(a.n, a.m, a.seed), "random_unbounded_n{n}_m{m}_s{seed}",
+                         {"expected_outcome": PRIMAL_UNBOUNDED_CERT}),
+}
+
+
 def cmd_gen(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if args.kind == "khachiyan":
-        pair = khachiyan_pair(args.n, args.tau)
-        p = out_dir / f"khachiyan_n{args.n}_tau{args.tau}.json"
-        save_problem(p, pair)
-        written.append(p)
-    elif args.kind == "random-slater":
-        pair = random_slater(args.n, args.m, args.seed)
-        p = out_dir / f"random_slater_n{args.n}_m{args.m}_s{args.seed}.json"
-        save_problem(p, pair, {"expected_outcome": "StronglyOptimal"})
-        written.append(p)
-    elif args.kind == "random-unbounded":
-        pair = random_unbounded(args.n, args.m, args.seed)
-        p = out_dir / f"random_unbounded_n{args.n}_m{args.m}_s{args.seed}.json"
-        save_problem(p, pair, {"expected_outcome": "PrimalUnboundedCert"})
-        written.append(p)
-    elif args.kind == "example-corpus":
-        for pair, meta in example_corpus():
-            p = out_dir / f"{pair.name}.json"
-            save_problem(p, pair, meta)
-            written.append(p)
-    for p in written:
+    if args.kind == "example-corpus":
+        generated = [(pair, pair.name, meta) for pair, meta in example_corpus()]
+    else:
+        build, stem, meta = _GEN_KINDS[args.kind]
+        generated = [(build(args), stem.format(**vars(args)), meta)]
+    for pair, stem, meta in generated:
+        p = out_dir / f"{stem}.json"
+        save_problem(p, pair, meta)
         print(p)
     return 0
 
@@ -285,7 +278,7 @@ def cmd_verify(args) -> int:
 
 def cmd_solve(args) -> int:
     pair, _ = load_problem(Path(args.input))
-    res = solve_both(pair, replace(DIRECT_OPTS, tol=args.tol))
+    res = solve_both(pair, args.tol)
     doc = {}
     for side in ("primal", "dual"):
         status = res[f"{side}_status"]
@@ -327,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("gen", help="generate problem files")
-    p.add_argument("kind", choices=["khachiyan", "random-slater", "random-unbounded", "example-corpus"])
+    p.add_argument("kind", choices=[*_GEN_KINDS, "example-corpus"])
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--tau", type=int, default=1)
@@ -340,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidate", help="candidate file, or a reduce report when --kind is omitted")
     p.add_argument("--kind", choices=["optimal", "primal-dir", "dual-dir"],
                    help="omitted: the report's outcome gives the kind")
-    p.add_argument("--tol", type=_finite_positive, default=PipelineConfig.verify_tol)
+    p.add_argument("--tol", type=_finite_positive, default=PipelineConfig.verify_tol,
+                   help="check tolerance (default %(default)g, reduce's own); a direction check "
+                   "also asks its objective to clear it, so a larger --tol can fail a direction")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve", help="solve the primal and dual directly")

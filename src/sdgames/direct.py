@@ -9,7 +9,7 @@ from .blocks import BlockStructure, diag_block, matrix_block, matrix_equality
 from .model import SdpPair, SymMat
 from .solver import MAX, MIN, OPTIMAL, PRIMAL_INFEASIBLE, SolverOptions, StandardSdp, solve
 
-DIRECT_OPTS = SolverOptions(tol=1e-9, max_iters=500)  # the direct solves' default options
+DIRECT_OPTS = SolverOptions(tol=1e-9, max_iters=500)  # solve_both's default tol, and its max_iters
 
 
 def primal_sdp(pair: SdpPair) -> StandardSdp:
@@ -94,15 +94,15 @@ def detect_primal_face(pair: SdpPair):
     return Q, sub, False
 
 
-def solve_both(pair: SdpPair, opts: SolverOptions = DIRECT_OPTS) -> dict:
-    """Solve the pair's primal and dual directly.
+def solve_both(pair: SdpPair, tol: float = DIRECT_OPTS.tol) -> dict:
+    """Solve the pair's primal and dual directly, each to ``tol``.
 
     The primal route first applies the exact implied-equality face reduction
     so that its reported value is the true infimum even across a duality gap;
     the dual route is solved as stated.  Values are best estimates even when a
     run stops short of full optimality.
     """
-    pf = pair.to_float()
+    pf, opts = pair.to_float(), SolverOptions(tol=tol, max_iters=DIRECT_OPTS.max_iters)
     Q, sub, infeasible = detect_primal_face(pf)
     if infeasible:
         pstatus, pvalue = PRIMAL_INFEASIBLE, float("nan")

@@ -317,7 +317,8 @@ def check_primal_direction(pair: SdpPair, W: SymMat, tol: float) -> dict:
 
     ``ok``: W psd, <A_i, W> >= 0 for all i and <C, W> < 0, a Farkas
     certificate that the dual is infeasible.  ``strict``: also <A_i, W> > 0.
-    The linear margins are tol * (1 + max |data|).
+    The linear margins are tol * (1 + max |data|); ``tol`` is also the margin
+    <C, W> must clear, so a larger ``tol`` is not uniformly looser.
     """
     if W.dim != pair.n:
         raise ValueError("direction dimension does not match the pair")
@@ -340,7 +341,8 @@ def check_dual_direction(pair: SdpPair, y, tol: float) -> dict:
     ``ok``: y >= 0, sum_i y_i A_i <= 0 (Loewner) and b'y > 0, a Farkas
     certificate that the primal is infeasible.  ``strict``: also
     sum_i y_i A_i negative definite.  The margins are tol * (1 + max |y|) for
-    y >= 0 and tol * (1 + max |data|) for the rest.
+    y >= 0 and tol * (1 + max |data|) for the rest; ``tol`` is also the
+    margin b'y must clear, so a larger ``tol`` is not uniformly looser.
     """
     yv = np.asarray([float(v) for v in y], dtype=float)
     if yv.shape[0] != pair.m:

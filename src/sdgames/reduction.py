@@ -12,8 +12,8 @@ certificate; whether it is also strict is recorded in its check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -26,23 +26,25 @@ from .model import (
     check_primal_direction,
     check_strongly_optimal,
 )
-from .solver import NUMERICAL_FAILURE, SolverOptions
+from .solver import NUMERICAL_FAILURE
 
 STRONGLY_OPTIMAL = "StronglyOptimal"
 PRIMAL_UNBOUNDED_CERT = "PrimalUnboundedCert"
 DUAL_UNBOUNDED_CERT = "DualUnboundedCert"
 INCONCLUSIVE = "Inconclusive"
 
+VERIFY_TOL = 1e-6  # every check of a run, its certificate stop test, player 2 after an early stop
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    solver_opts: SolverOptions = GAME_OPTS
+    game_tol: float = GAME_OPTS.tol
     bound_mode: Union[str, float] = "practical"
-    verify_tol: float = 1e-6
+    verify_tol: ClassVar[float] = VERIFY_TOL
 
     def __post_init__(self):
-        if not 0 < self.verify_tol < np.inf:
-            raise ValueError("verification tolerance must be finite and positive")
+        if not 0 < self.game_tol < np.inf:
+            raise ValueError("game_tol must be finite and positive")
         if isinstance(self.bound_mode, str):
             if self.bound_mode != "practical":
                 raise ValueError("bound_mode is 'practical' or a fixed numeric value")
@@ -150,15 +152,16 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     strongly optimal pair (``AuxSolution.predicts_bounded``, decided by
     :func:`~sdgames.auxiliary.solve_aux` alone), player 1's game solve
     starts at the auxiliary point (see :func:`solve_game`'s ``point``);
-    every other solve starts cold, whatever ``verify_tol`` is.
-    ``diagnostics["game_start"]`` records which: ``"aux"`` or ``"cold"``.
+    every other solve starts cold.  ``diagnostics["game_start"]`` records
+    which: ``"aux"`` or ``"cold"``.
 
     The first player's game solve stops at the first iterate whose strategy
     passes the certificate checks with zero margin.  That certificate is
     already verified and is reported at once, without a bounded attempt; its
     bracket is that iterate's and can be some 1e-5 wide, since the second
     player's solve then only closes it from above and stops at
-    ``verify_tol``.
+    ``VERIFY_TOL``, the tolerance of every check.  The game solves run to
+    ``config.game_tol`` within ``GAME_OPTS.max_iters`` iterations.
     """
     config = config or PipelineConfig()
     pf = pair.to_float()
@@ -167,11 +170,11 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     else:
         M_used = SolutionBoundM(mode=ARBITRARY, value=float(config.bound_mode))
     M = M_used.value
-    tol = config.verify_tol
     aux = M_used.derived_from
     warm = M_used.mode == PRACTICAL and aux.predicts_bounded
     point = (aux.X.array, aux.y) if warm else None
-    game = solve_game(pf, M, config.solver_opts, _certifies(pf, tol), tol, point=point)
+    opts = replace(GAME_OPTS, tol=config.game_tol)
+    game = solve_game(pf, M, opts, _certifies(pf, VERIFY_TOL), VERIFY_TOL, point=point)
     v, lower, upper = game.value, game.lower, game.upper
     diagnostics = {
         "value_lower": lower,
@@ -192,7 +195,7 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
         except ValueError as exc:
             out.notes.append(f"bounded-branch recovery failed: {exc}")
         else:
-            out.verification["optimal"] = check_strongly_optimal(pf, X, y, tol)
+            out.verification["optimal"] = check_strongly_optimal(pf, X, y, VERIFY_TOL)
             if out.verification["optimal"]["ok"]:
                 out.kind = STRONGLY_OPTIMAL
                 out.X_opt = X
@@ -206,7 +209,7 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     else:
         out.notes.append(f"game value bracket [{lower:.3g}, {upper:.3g}] straddles 0")
     # u = v, when only the bracket is known
-    structure_ok = lower - tol <= game.s1.u <= upper + tol and game.s1.t <= tol
+    structure_ok = lower - VERIFY_TOL <= game.s1.u <= upper + VERIFY_TOL and game.s1.t <= VERIFY_TOL
     if not structure_ok:
         out.notes.append(
             "optimal strategy violates the unbounded-regime structure (t'=0, u=v); "
@@ -214,7 +217,7 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
         )
     try:
         # an early-stopped player 1 already ran these checks on this s1
-        checks = game.certificate or recover_certificate(game.s1, pf, tol)
+        checks = game.certificate or recover_certificate(game.s1, pf, VERIFY_TOL)
     except ValueError as exc:
         out.notes.append(f"certificate recovery failed: {exc}")
         return out

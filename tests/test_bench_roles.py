@@ -8,17 +8,20 @@ role would then give the benchmark a metric set short of the one
 ``BENCHMARK.json`` names.  This test runs the workloads' first two passes at
 the benchmark's default seed, and the ``cli_batch`` files through
 ``sdgames reduce``, with the benchmark's own span recorder, and fails where a
-role is missing.
+role is missing.  It also runs the benchmark's correctness check,
+``run.report_ok``, on a report that must pass and one that must fail.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from sdgames import cli, reduction
+from sdgames.probio import report_to_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,3 +69,11 @@ def test_cli_batch_runs_every_role(tmp_path, capsys):
 
     # run.py gives cli_batch no bypassed role
     assert set(run.KNOWN_ROLES) <= _roles(work)
+
+
+def test_report_ok_accepts_a_report_and_rejects_a_changed_X(bounded_pair):
+    # the JSON round trip of a report, as the benchmark checks it
+    report = json.loads(json.dumps(report_to_dict(reduction.run_pipeline(bounded_pair))))
+    assert run.report_ok(bounded_pair, report, reduction.STRONGLY_OPTIMAL)
+    report["X"][0][0] += 1.0
+    assert not run.report_ok(bounded_pair, report, reduction.STRONGLY_OPTIMAL)

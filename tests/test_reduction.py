@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import sdgames
 from sdgames import cli, reduction
 from sdgames.auxiliary import ATTAINED, solve_aux
 from sdgames.bounds import practical_bound_M
-from sdgames.game import GameSolution, Strategy1, Strategy2, solve_game
+from sdgames.game import GAME_OPTS, GameSolution, Strategy1, Strategy2, solve_game
 from sdgames.generators import random_diagonal, random_dual_unbounded, random_slater, random_unbounded
 from sdgames.model import (
     DualPoint,
@@ -126,14 +127,21 @@ class TestAuxValueRelation:
 
 class TestPipelineConfig:
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_verify_tol_must_be_finite_and_positive(self, bad):
-        with pytest.raises(ValueError, match="finite and positive"):
-            PipelineConfig(verify_tol=bad)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_numeric_bound_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="finite and positive"):
             PipelineConfig(bound_mode=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_game_tol_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="^game_tol must be finite and positive"):
+            PipelineConfig(game_tol=bad)
+
+    def test_two_settings_and_a_fixed_verification_tolerance(self):
+        assert [f.name for f in fields(PipelineConfig)] == ["game_tol", "bound_mode"]
+        assert PipelineConfig().verify_tol == PipelineConfig.verify_tol == 1e-6
+        assert PipelineConfig(bound_mode=10.0).game_tol == GAME_OPTS.tol
+        with pytest.raises(TypeError):
+            PipelineConfig(verify_tol=0.1)
 
     @pytest.mark.parametrize("bad", [0.5, 1.0 - 1e-12])
     def test_numeric_bound_below_one_is_rejected_by_name(self, bad):
@@ -275,7 +283,7 @@ class TestEarlyStop:
         report.write_text(json.dumps(report_to_dict(out)))
         assert cli.main(["verify", str(problem), str(report)]) == 0
         assert capsys.readouterr().out.startswith("PASS (Farkas certificate, ")
-        full = solve_game(pair, 10.0, config.solver_opts)
+        full = solve_game(pair, 10.0, GAME_OPTS)
         assert abs(json.loads(report.read_text())["game_value"] - full.value) <= 1e-5
 
     def test_accepted_strategy_is_not_worked_out_again(self, monkeypatch):
@@ -341,9 +349,9 @@ class TestAuxStart:
         "pair, config",
         [(random_slater(4, 4, 1), PipelineConfig(bound_mode=10.0)),
          (random_unbounded(4, 4, 1), PipelineConfig()),
-         # w* / (1 + max |data|) is 5.3e-2: a loose verify_tol does not move the start
-         (random_dual_unbounded(4, 4, 2), PipelineConfig(verify_tol=0.1))],
-        ids=["fixed-M", "unbounded-practical", "loose-verify-tol"],
+         # w* / (1 + max |data|) is 5.3e-2, far above solve_aux's bounded prediction
+         (random_dual_unbounded(4, 4, 2), PipelineConfig())],
+        ids=["fixed-M", "unbounded-practical", "dual-unbounded-practical"],
     )
     def test_other_pairs_start_cold(self, monkeypatch, pair, config):
         starts = []
