@@ -28,8 +28,8 @@ class AuxSolution:
     y: np.ndarray
     w: float
     attained_flag: str
+    size: float  # the tr(X) + 1'y that M must dominate (see solve_aux)
     solve_status: str = OPTIMAL
-    floor: float = -np.inf  # a tr(X) + 1'y that M must dominate besides (X, y)'s own
     predicts_bounded: bool = False  # w near 0: a strongly optimal pair exists (see solve_aux)
 
 
@@ -138,12 +138,14 @@ def solve_aux(pair: SdpPair) -> AuxSolution:
     point exceeds the cap flags the instance SuspectedUnattained.
 
     ``predicts_bounded``, |w*| <= 1e-7 * (1 + max |data|), is the pipeline's
-    one prediction that a strongly optimal pair exists.  The cap relaxes the
-    dual's psd constraint by w too, so the probe's point can undercut every
-    auxiliary optimum in tr(X) + 1'y.  When the probe's point is reported
-    although the main solve is optimal, within the norm cap and predicts a
-    bounded pair, ``floor`` carries the main solve's tr(X) + 1'y for the
-    practical bound to dominate.
+    one prediction that a strongly optimal pair exists.
+
+    ``size`` is the tr(X) + 1'y that the practical bound must dominate: the
+    reported point's own, raised to the main solve's when the probe's point
+    is reported although the main solve is optimal, within the norm cap and
+    predicts a bounded pair.  The cap relaxes the dual's psd constraint by w
+    too, so the probe's point can undercut every auxiliary optimum in
+    tr(X) + 1'y.
 
     A probe that does not converge says nothing about attainment.  The main
     solve's point is then reported as attained when it is bounded and
@@ -189,5 +191,6 @@ def solve_aux(pair: SdpPair) -> AuxSolution:
         X, y = _extract(first)
         usable = first.status == OPTIMAL or (w_small and max(first.primal_infeas, first.dual_infeas) <= 1e-8)
         flag = ATTAINED if usable and first_small and not probed else SUSPECTED_UNATTAINED
-    return AuxSolution(X=X, y=y, w=w_star, attained_flag=flag, solve_status=first.status, floor=floor,
+    size = max(float(np.trace(X.array) + np.sum(y)), floor)
+    return AuxSolution(X=X, y=y, w=w_star, attained_flag=flag, size=size, solve_status=first.status,
                        predicts_bounded=w_small)

@@ -1,8 +1,9 @@
 """Exact bitsize accounting, KKT dimension formulas and coordinate/solution bounds.
 
-All bound formulas are evaluated in exact integer arithmetic; the certified
-solution bound is reported only as a base-2 exponent since its numeric value
-overflows any float for nontrivial sizes.
+All bound formulas are evaluated in exact integer arithmetic.  The certified
+solution bound is reported only as its base-2 exponent, since its value
+overflows any float for nontrivial sizes; a game plays a numeric
+:class:`SolutionBoundM`.
 """
 
 from __future__ import annotations
@@ -12,25 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
-import numpy as np
-
 from .auxiliary import ATTAINED, AuxSolution, solve_aux
 from .model import EXACT, SdpPair
 
-CERTIFIED = "Certified"
 PRACTICAL = "Practical"
 ARBITRARY = "Arbitrary"
-
-
-@dataclass(frozen=True)
-class BitsizeProfile:
-    """Uniform bitsize bound tau0 over the integer-cleared problem data."""
-
-    tau0: int
-
-    def __post_init__(self):
-        if self.tau0 < 1:
-            raise ValueError("tau0 must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -42,20 +29,20 @@ class KktDimensions:
 
 @dataclass(frozen=True, eq=False)
 class SolutionBoundM:
-    """A constant M dominating tr(X*) + 1'y* + 1 for some auxiliary optimum."""
+    """A constant M dominating tr(X*) + 1'y* + 1 for some auxiliary optimum:
+    ``Practical``, read off the auxiliary solve ``derived_from``, or
+    ``Arbitrary``, any finite M of at least 1, which is admissible when no auxiliary
+    optimum is attained or when the caller fixes M."""
 
     mode: str
     value: float
-    certified_log2: Optional[int] = None
     derived_from: Optional[AuxSolution] = None
 
     def __post_init__(self):
-        if self.mode not in (CERTIFIED, PRACTICAL, ARBITRARY):
+        if self.mode not in (PRACTICAL, ARBITRARY):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == CERTIFIED and self.certified_log2 is None:
-            raise ValueError("certified mode requires the exponent")
-        if self.mode != CERTIFIED and not self.value >= 1.0:
-            raise ValueError("numeric solution bounds must be at least 1")
+        if not 1.0 <= self.value < math.inf:
+            raise ValueError("solution bounds must be finite and at least 1")
 
 
 def ceil_lg(v: int) -> int:
@@ -65,22 +52,23 @@ def ceil_lg(v: int) -> int:
     return (v - 1).bit_length()
 
 
-def bitsize_from_entries(entries: Iterable) -> BitsizeProfile:
-    """tau0 over a collection of rationals, after jointly clearing denominators."""
+def bitsize_from_entries(entries: Iterable) -> int:
+    """The uniform bitsize bound tau0 >= 1 of a collection of rationals, after
+    jointly clearing denominators."""
     fracs = [Fraction(e) for e in entries]
     if not fracs:
-        return BitsizeProfile(tau0=1)
+        return 1
     lcm = 1
     for f in fracs:
         lcm = math.lcm(lcm, f.denominator)
     ints = [abs(int(f * lcm)) for f in fracs]
     nz = [v for v in ints if v]
     if not nz:
-        return BitsizeProfile(tau0=1)
-    return BitsizeProfile(tau0=1 + max(ceil_lg(v) for v in nz))
+        return 1
+    return 1 + max(ceil_lg(v) for v in nz)
 
 
-def input_bitsize(pair: SdpPair) -> BitsizeProfile:
+def input_bitsize(pair: SdpPair) -> int:
     """tau0 of an exact-rational pair; denominators are cleared jointly first."""
     if pair.mode != EXACT:
         raise ValueError("bitsize is undefined for float-mode data")
@@ -137,31 +125,27 @@ def eta_bar(n: int, m: int, tau0: int) -> int:
     return (Nbar * Nbar - Nbar) // 2 + 2 * Nbar + Nbar * (taubar1 + Nbar + 2) * 2 ** (Nbar - 1)
 
 
-def certified_bound_M(pair: SdpPair) -> SolutionBoundM:
-    """Certified solution bound M = (n+m) 2^etabar1 + 1, reported as an exponent.
+def certified_bound_M(pair: SdpPair) -> int:
+    """The exponent k of the certified solution bound M = (n+m) 2^etabar1 + 1 <= 2^k.
 
-    The numeric value overflows binary64 for all nontrivial sizes, so the
-    float field is an infinity sentinel; pipelines must use a practical bound
-    for computation.
+    M itself overflows binary64 for all nontrivial sizes, so only k is
+    returned; a game plays the practical bound (:func:`practical_bound_M`) or
+    a fixed M.
     """
-    tau0 = input_bitsize(pair).tau0
-    e = eta_bar(pair.n, pair.m, tau0)
-    log2 = e + ceil_lg(pair.n + pair.m) + 1
-    return SolutionBoundM(mode=CERTIFIED, value=math.inf, certified_log2=log2)
+    e = eta_bar(pair.n, pair.m, input_bitsize(pair))
+    return e + ceil_lg(pair.n + pair.m) + 1
 
 
 def practical_bound_M(pair: SdpPair) -> SolutionBoundM:
     """Numeric solution bound from a solved auxiliary SDP.
 
-    Attained: M = ceil(tr(X*) + 1'y* + 1) + 1, with tr(X*) + 1'y* raised to
-    the auxiliary solution's floor (:func:`solve_aux`: the main solve's point
-    on pairs predicted bounded).  Suspected unattained: any positive constant
-    is admissible; M = 1.
+    Attained: M = ceil(size + 1) + 1, with size the tr(X) + 1'y that
+    :func:`solve_aux` says M must dominate (``AuxSolution.size``).  Suspected
+    unattained: any positive constant is admissible; M = 1.
     """
     aux = solve_aux(pair)
     if aux.attained_flag == ATTAINED:
-        g = max(float(np.trace(aux.X.array) + np.sum(aux.y)), aux.floor) + 1.0
+        g = aux.size + 1.0
         value = float(math.ceil(g - 1e-6)) + 1.0
         return SolutionBoundM(mode=PRACTICAL, value=value, derived_from=aux)
     return SolutionBoundM(mode=ARBITRARY, value=1.0, derived_from=aux)
-

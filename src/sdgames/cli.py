@@ -92,8 +92,7 @@ def _print_report_text(name: str, report: dict) -> None:
     d = report["diagnostics"]
     bracket = f"[{d['value_lower']:.9g}, {d['value_upper']:.9g}]"
     print(f"game value  : {report['game_value']:.9g} in {bracket}")
-    mval = "inf" if M["value"] is None else f"{M['value']:g}"
-    print(f"M           : {mval} ({M['mode']})")
+    print(f"M           : {M['value']:g} ({M['mode']})")
     if M["certified_log2"] is not None:
         print(f"certified lg: {M['certified_log2']}")
     if report.get("implied_w_bar") is not None:
@@ -113,7 +112,7 @@ def _reduce_one(path: Path, args) -> tuple:
     timings = {"total_s": time.perf_counter() - t0}
     report = report_to_dict(outcome, timings)
     if pair.mode == EXACT:
-        report["M"]["certified_log2"] = str(certified_bound_M(pair).certified_log2)
+        report["M"]["certified_log2"] = str(certified_bound_M(pair))
     if metadata.get("expected_outcome"):
         report["expected_outcome"] = metadata["expected_outcome"]
     return outcome, report
@@ -172,14 +171,13 @@ def cmd_bound(args) -> int:
         if pair.mode != EXACT:
             print("certified bound needs exact rational/integer data", file=sys.stderr)
             return 1
-        tau0 = input_bitsize(pair).tau0
+        tau0 = input_bitsize(pair)
         taubar1 = squared_height(tau0, Nbar, pbar)
         eb = eta_bar(pair.n, pair.m, tau0)
-        M = certified_bound_M(pair)
         print(f"tau0        : {tau0}")
         print(f"taubar1     : {taubar1}")
         print(f"etabar1     : {eb}")
-        print(f"certified lg M: {M.certified_log2}")
+        print(f"certified lg M: {certified_bound_M(pair)}")
     return 0
 
 

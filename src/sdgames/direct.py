@@ -106,8 +106,8 @@ def solve_both(pair: SdpPair, tol: float = DIRECT_OPTS.tol) -> dict:
     Q, sub, infeasible = detect_primal_face(pf)
     if infeasible:
         pstatus, pvalue = PRIMAL_INFEASIBLE, float("nan")
-    elif Q is not None and (sub is None or Q.shape[1] == 0):
-        # the face collapsed: X = 0 (or unconstrained on a null face)
+    elif Q is not None and sub is None:
+        # the face collapsed: X = 0
         pstatus, pvalue = OPTIMAL, 0.0
     else:
         pres = solve(primal_sdp(pf if Q is None else sub), opts)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .blocks import BlockStructure, diag_block, free_scalar, matrix_block, matrix_equality
-from .model import SdpPair, SymMat, frobenius_inner, is_psd, max_eigenvalue, min_eigenvalue
+from .model import VERIFY_TOL, SdpPair, SymMat, frobenius_inner, is_psd, max_eigenvalue, min_eigenvalue
 from .solver import (
     DUAL_INFEASIBLE,
     MAX,
@@ -331,11 +331,11 @@ def game_sdp_player2(pair: SdpPair, M: float) -> StandardSdp:
     return _response_sdp(pair, payoff_matrix(pair, M), -1.0, MIN, "game-p2")
 
 
-def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float):
-    """Stop test for player 1's solve: the iterate's strategy s1 has t <= tol,
+def _certifying_iterate(pair: SdpPair, M: float, certifies):
+    """Stop test for player 1's solve: the iterate's strategy s1 has t <= VERIFY_TOL,
     lambda_min(K(s1)) > 0 and ``certifies(s1)`` returns a true value.
 
-    The primal blocks are (X, y, t, u, v, ...).  v > 0 and t <= tol * trace
+    The primal blocks are (X, y, t, u, v, ...).  v > 0 and t <= VERIFY_TOL * trace
     come first: they cost no eigenvalue call.  The iterates that pass them
     build P for K(s1) anew; a P held through the solve would raise its peak
     memory.  lambda_min(K(s1)) > 0 proves the value positive, so at value 0
@@ -345,7 +345,7 @@ def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float):
 
     def stop(blocks):
         X, y, (t,), (u,), (v,) = blocks[:5]
-        if v <= 0 or t > tol * (np.trace(X) + np.sum(y) + t + u):
+        if v <= 0 or t > VERIFY_TOL * (np.trace(X) + np.sum(y) + t + u):
             return None
         try:
             s1 = normalized_strategy1(X, y, t, u)
@@ -361,8 +361,7 @@ def _certifying_iterate(pair: SdpPair, M: float, certifies, tol: float):
 
 
 def solve_game(
-    pair: SdpPair, M: float, opts: SolverOptions = GAME_OPTS, certifies=None, tol: float = 1e-6,
-    point=None,
+    pair: SdpPair, M: float, opts: SolverOptions = GAME_OPTS, certifies=None, point=None,
 ) -> GameSolution:
     """Solve both player SDPs and return their strategies with the bracket
     lower = lambda_min(K(s1)) <= v <= upper = lambda_max(L(s2)).
@@ -373,13 +372,13 @@ def solve_game(
     kept as ``GameSolution.status``.
 
     With ``certifies``, a test of player 1's strategy, player 1's solve stops
-    at the first iterate whose normalized strategy s1 has t <= tol,
+    at the first iterate whose normalized strategy s1 has t <= VERIFY_TOL,
     lambda_min(K(s1)) > 0 and ``certifies(s1)`` true; the solve's
     ``certificate`` brings back s1, lambda_min(K(s1)) and that value, which
     is kept as ``GameSolution.certificate``.  Any such s1 proves the value
     positive, optimal or not; ``lower`` is then its bound, below the value
     by up to a few 1e-5.  Player 2 then only closes the bracket from above, so its solve
-    stops at tolerance max(opts.tol, tol): upper = lambda_max(L(s2)) is
+    stops at tolerance max(opts.tol, VERIFY_TOL): upper = lambda_max(L(s2)) is
     certified for any s2, and a bracket already some 1e-5 wide cannot show
     the extra digits.  Every other solve uses ``opts``.
 
@@ -401,12 +400,12 @@ def solve_game(
     if M <= 0:
         raise ValueError("the solution bound must be positive")
     pf = pair.to_float()
-    stop = None if certifies is None else _certifying_iterate(pf, M, certifies, tol)
+    stop = None if certifies is None else _certifying_iterate(pf, M, certifies)
     start = None if point is None else _player1_start(pf, M, *point)
     res1 = solve(game_sdp_player1(pf, M), opts, stop=stop, start=start)
     if res1.status == STOPPED_EARLY:
         s1, lower, certificate = res1.certificate
-        opts2 = replace(opts, tol=max(opts.tol, tol))
+        opts2 = replace(opts, tol=max(opts.tol, VERIFY_TOL))
     else:
         s1 = normalized_strategy1(res1.primal[0], res1.primal[1], res1.primal[2][0], res1.primal[3][0])
         lower, certificate, opts2 = best_response_value_p2(pf, M, s1), None, opts

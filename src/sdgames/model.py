@@ -110,7 +110,7 @@ class SymMat:
         return SymMat(self.array)
 
     def max_abs_entry(self) -> float:
-        return float(np.max(np.abs(self.array))) if self.dim else 0.0
+        return float(np.max(np.abs(self.array)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymMat):
@@ -184,9 +184,12 @@ class SdpPair:
     def mode(self) -> str:
         return self.C.mode
 
-    @property
+    @cached_property
     def b_array(self) -> np.ndarray:
-        return np.array([float(v) for v in self.b], dtype=float)
+        """b as one read-only float array."""
+        b = np.array([float(v) for v in self.b], dtype=float)
+        b.flags.writeable = False
+        return b
 
     @cached_property
     def A_stack(self) -> np.ndarray:
@@ -265,6 +268,11 @@ def dual_slack_matrix(pair: SdpPair, y) -> SymMat:
     if len(y) != pair.m:
         raise ValueError("multiplier vector has wrong length")
     return SymMat.from_array(pair.C.array - pair.apply_AT(y), symmetrize=True)
+
+
+# the tolerance of the checks below in a pipeline run, of player 1's
+# certificate stop test and of player 2's solve after an early stop
+VERIFY_TOL = 1e-6
 
 
 def check_strongly_optimal(pair: SdpPair, X: SymMat, y, tol: float) -> dict:

@@ -20,6 +20,7 @@ import numpy as np
 from .bounds import ARBITRARY, PRACTICAL, SolutionBoundM, practical_bound_M
 from .game import GAME_OPTS, Strategy1, Strategy2, solve_game
 from .model import (
+    VERIFY_TOL,
     SdpPair,
     SymMat,
     check_dual_direction,
@@ -32,8 +33,6 @@ STRONGLY_OPTIMAL = "StronglyOptimal"
 PRIMAL_UNBOUNDED_CERT = "PrimalUnboundedCert"
 DUAL_UNBOUNDED_CERT = "DualUnboundedCert"
 INCONCLUSIVE = "Inconclusive"
-
-VERIFY_TOL = 1e-6  # every check of a run, its certificate stop test, player 2 after an early stop
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,7 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     warm = M_used.mode == PRACTICAL and aux.predicts_bounded
     point = (aux.X.array, aux.y) if warm else None
     opts = replace(GAME_OPTS, tol=config.game_tol)
-    game = solve_game(pf, M, opts, _certifies(pf, VERIFY_TOL), VERIFY_TOL, point=point)
+    game = solve_game(pf, M, opts, _certifies(pf, VERIFY_TOL), point=point)
     v, lower, upper = game.value, game.lower, game.upper
     diagnostics = {
         "value_lower": lower,

@@ -112,6 +112,20 @@ class TestSolveAux:
         assert aux.attained_flag == SUSPECTED_UNATTAINED
         assert abs(aux.w) <= 1e-3
 
+    @pytest.mark.parametrize("tau, M", [(6, 67.0), (1, 5.0)])
+    def test_size_is_what_M_dominates(self, tau, M):
+        # on khachiyan_pair(1, 6) the probe's point undercuts the optimal main
+        # solve's in tr(X) + 1'y (54.88 against 64.01), so size is raised to
+        # the main solve's; on khachiyan_pair(1, 1) it is the point's own
+        bound = practical_bound_M(khachiyan_pair(1, tau))
+        aux = bound.derived_from
+        own = float(np.trace(aux.X.array) + np.sum(aux.y))
+        if tau == 6:
+            assert aux.size > own + 9
+        else:
+            assert aux.size == own
+        assert bound.value == M
+
     @pytest.mark.parametrize("probe_status", [MAX_ITERATIONS, NUMERICAL_FAILURE])
     def test_unconverged_probe_falls_back_to_main_solve(
         self, bounded_pair, monkeypatch, probe_status

@@ -12,8 +12,8 @@ import pytest
 from sdgames import direct, generators
 from sdgames.bounds import (
     ARBITRARY,
-    CERTIFIED,
     PRACTICAL,
+    SolutionBoundM,
     aux_dimensions,
     bitsize_from_entries,
     ceil_lg,
@@ -38,14 +38,14 @@ def _sym_dim(n: int) -> int:
 
 class TestBitsize:
     def test_small_entries(self, bounded_pair):
-        assert input_bitsize(bounded_pair).tau0 == 2
+        assert input_bitsize(bounded_pair) == 2
 
     def test_khachiyan_data_after_clearing(self):
         # raw chain data {B = 4, x0 = 1/2, 1}; clearing by 2 gives {8, 1, 2}
-        assert bitsize_from_entries([4, Fraction(1, 2), 1]).tau0 == 4
+        assert bitsize_from_entries([4, Fraction(1, 2), 1]) == 4
 
     def test_all_zero_data(self):
-        assert bitsize_from_entries([0, 0]).tau0 == 1
+        assert bitsize_from_entries([0, 0]) == 1
 
     def test_float_mode_rejected(self):
         pair = SdpPair(C=SymMat([[1.0]]), A=(SymMat([[1.0]]),), b=(1.0,))
@@ -113,25 +113,33 @@ class TestDimensionFormulas:
 class TestCertifiedBound:
     def test_smallest_case_exponent(self):
         pair = SdpPair(C=SymMat([[1]]), A=(SymMat([[1]]),), b=(1,))
-        M = certified_bound_M(pair)
-        assert M.mode == CERTIFIED
-        assert M.certified_log2 == eta_bar(1, 1, 1) + 2
-        assert math.isinf(M.value)
+        k = certified_bound_M(pair)
+        assert type(k) is int
+        assert k == eta_bar(1, 1, 1) + 2
 
     def test_bounded_example_exponent(self, bounded_pair):
-        M = certified_bound_M(bounded_pair)
-        assert M.certified_log2 == eta_bar(2, 1, 2) + 3
+        k = certified_bound_M(bounded_pair)
+        assert type(k) is int
+        assert k == eta_bar(2, 1, 2) + 3
 
     def test_certified_dominates_practical(self, bounded_pair, unbounded_pair):
         for pair in (bounded_pair, unbounded_pair):
-            cert = certified_bound_M(pair)
-            prac = practical_bound_M(pair)
-            assert cert.certified_log2 >= math.log2(prac.value)
+            assert certified_bound_M(pair) >= math.log2(practical_bound_M(pair).value)
 
     def test_float_mode_rejected(self):
         pair = SdpPair(C=SymMat([[1.0]]), A=(SymMat([[1.0]]),), b=(1.0,))
         with pytest.raises(ValueError):
             certified_bound_M(pair)
+
+
+class TestSolutionBoundM:
+    @pytest.mark.parametrize(
+        "mode, value",
+        [("Certified", 10.0), ("Certified", math.inf), (PRACTICAL, 0.5), (ARBITRARY, math.nan), (ARBITRARY, math.inf)],
+    )
+    def test_rejects_other_modes_and_values_below_1_or_infinite(self, mode, value):
+        with pytest.raises(ValueError):
+            SolutionBoundM(mode=mode, value=value)
 
 
 class TestPracticalBound:

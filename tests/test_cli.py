@@ -18,7 +18,6 @@ from sdgames.generators import example_corpus, random_unbounded
 from sdgames.model import SdpPair, SymMat
 from sdgames.probio import (
     ProblemFormatError,
-    bound_to_dict,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -162,11 +161,16 @@ class TestReportFormat:
         assert len(flags) == 15
         assert all(isinstance(v, bool) for _, _, v in flags), flags
 
-    def test_certified_exponent_as_decimal_string(self, bounded_pair):
-        doc = bound_to_dict(certified_bound_M(bounded_pair))
-        assert isinstance(doc["certified_log2"], str)
-        assert int(doc["certified_log2"]) > 10**20
-        assert doc["value"] is None  # the numeric value overflows binary64
+    def test_certified_exponent_as_decimal_string(self, corpus_dir, bounded_pair, tmp_path, capsys):
+        # reduce reports an exact pair's exponent as a decimal string, and none for float data
+        assert main(["reduce", str(corpus_dir / "bounded.json"), "--json"]) == 0
+        M = json.loads(capsys.readouterr().out)["M"]
+        assert M["certified_log2"] == str(certified_bound_M(bounded_pair))
+        assert int(M["certified_log2"]) > 10**20
+        assert main(["gen", "random-slater", "--n", "2", "--m", "2", "--seed", "3", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["reduce", str(next(tmp_path.glob("*.json"))), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["M"]["certified_log2"] is None
 
 
 class TestGen:

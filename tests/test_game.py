@@ -357,7 +357,7 @@ class TestSolveGame:
             seen.append(s1)
             return len(seen) == 2
 
-        g, solves = solves_of(pair, lambda: solve_game(pair, M, game_opts, certifies, 1e-6))
+        g, solves = solves_of(pair, lambda: solve_game(pair, M, game_opts, certifies))
         assert len(seen) == 2 and g.s1 is seen[-1] and g.s1.t <= 1e-6 and g.certificate is True
         for s1 in seen:
             assert s1.t <= 1e-6 and best_response_value_p2(pair, M, s1) > 0.5 / (M + 1)
@@ -375,7 +375,7 @@ class TestSolveGame:
         pair = random_slater(4, 4, 1)
         M = practical_bound_M(pair).value
         plain = solve_game(pair, M, game_opts)
-        g = solve_game(pair, M, game_opts, lambda s1: True, 1e-6)
+        g = solve_game(pair, M, game_opts, lambda s1: True)
         assert g.certificate is None
         for a, b in [(g.s2.X.array, plain.s2.X.array), (g.s2.y, plain.s2.y), (g.s2.t, plain.s2.t)]:
             assert np.array_equal(a, b)
@@ -384,7 +384,7 @@ class TestSolveGame:
         def certifies(s1):
             raise AssertionError("called on a pair with game value 0")
 
-        g = solve_game(bounded_pair, 3.0, game_opts, certifies, 1e-6)
+        g = solve_game(bounded_pair, 3.0, game_opts, certifies)
         assert abs(g.value) <= 1e-7
 
 

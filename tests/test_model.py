@@ -413,6 +413,13 @@ class TestConstraintOperator:
                 pair.A_stack[0, 0, 0] = 1.0
             assert pair.A_stack is pair.A_stack
 
+    def test_b_array_is_read_only_and_cached(self, pairs):
+        for pair in pairs:
+            assert np.array_equal(pair.b_array, [float(v) for v in pair.b])
+            with pytest.raises(ValueError):
+                pair.b_array[0] = 1.0
+            assert pair.b_array is pair.b_array
+
 
 class TestHashEqualityContract:
     def test_equal_symmats_across_modes_hash_equal(self):

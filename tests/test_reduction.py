@@ -189,7 +189,7 @@ class TestRouting:
 
     def _run(self, monkeypatch, pair, game, lower, upper):
         planted = GameSolution(game.s1, game.s2, lower, upper)
-        monkeypatch.setattr(reduction, "solve_game", lambda pf, M, opts, certifies, tol, point: planted)
+        monkeypatch.setattr(reduction, "solve_game", lambda pf, M, opts, certifies, point: planted)
         return run_pipeline(pair, PipelineConfig(bound_mode=1.0))
 
     def test_straddling_bracket_tries_both_branches(self, monkeypatch, unbounded_pair, game):
