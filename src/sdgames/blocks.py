@@ -6,6 +6,7 @@ diagonal (vector) blocks, and unconstrained free scalars.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
@@ -116,6 +117,18 @@ def bv_norm_inf(u) -> float:
     return max((float(np.max(np.abs(a))) if a.size else 0.0) for a in u)
 
 
+@functools.lru_cache(maxsize=32)
+def upper_triangle(n: int) -> tuple:
+    """(iu, ju, scale) of order n: the entries p <= q as ``np.triu_indices(n)``
+    orders them, and 1 on the diagonal, 2 off it.  The arrays are read-only:
+    every caller shares them."""
+    iu, ju = np.triu_indices(n)
+    scale = np.where(iu == ju, 1.0, 2.0)
+    for a in (iu, ju, scale):
+        a.flags.writeable = False
+    return iu, ju, scale
+
+
 def matrix_equality(structure: BlockStructure, terms: dict, slack: tuple, rhs=None) -> tuple:
     """(rows, rhs) of sum_k sum_j v_kj M_kj + sign * S = R over the entries p <= q.
 
@@ -125,8 +138,7 @@ def matrix_equality(structure: BlockStructure, terms: dict, slack: tuple, rhs=No
     """
     s, sign = slack
     n = structure.blocks[s].size
-    iu, ju = np.triu_indices(n)
-    scale = np.where(iu == ju, 1.0, 2.0)
+    iu, ju, scale = upper_triangle(n)
     rows = np.zeros((iu.size, structure.dim))
     for k, Ms in terms.items():
         structure.view(rows, k)[:] = scale[:, None] * np.reshape(Ms, (-1, n, n))[:, iu, ju].T

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .blocks import BlockStructure, diag_block, free_scalar, matrix_block, matrix_equality
+from .blocks import BlockStructure, diag_block, free_scalar, matrix_block, matrix_equality, upper_triangle
 from .model import VERIFY_TOL, SdpPair, SymMat, frobenius_inner, is_psd, max_eigenvalue, min_eigenvalue
 from .solver import (
     DUAL_INFEASIBLE,
@@ -273,10 +273,10 @@ def _player2_start(res1) -> tuple:
     matrix rows halved or doubled.
     """
     x, y, s = res1.primal, res1.dual, res1.dual_slack
-    n = x[0].shape[0]
     xv = [*s[5:8], [-y[-1]], *s[:4]]
     sv = [*x[5:8], [0.0], *x[:4]]
-    return xv, np.concatenate([x[0][np.triu_indices(n)], *x[1:5]]), sv
+    iu, ju, _ = upper_triangle(x[0].shape[0])
+    return xv, np.concatenate([x[0][iu, ju], *x[1:5]]), sv
 
 
 def _player1_start(pair: SdpPair, M: float, X, y) -> tuple:
@@ -318,7 +318,8 @@ def _player1_start(pair: SdpPair, M: float, X, y) -> tuple:
     v2 = max(np.linalg.eigvalsh(LX)[-1], L[d:].max()) + START_BLEND
     x = [X1, y1, ts1[:1], ts1[1:], [v1], KX - v1 * np.eye(n), K[d:-1] - v1, K[-1:] - v1]
     s = [v2 * np.eye(n) - LX, v2 - L[d:-2], v2 - L[-2:-1], v2 - L[-1:], [0.0], X2, y2, ts2]
-    return x, np.concatenate([X2[np.triu_indices(n)], y2, ts2, [-v2]]), s
+    iu, ju, _ = upper_triangle(n)
+    return x, np.concatenate([X2[iu, ju], y2, ts2, [-v2]]), s
 
 
 def game_sdp_player1(pair: SdpPair, M: float) -> StandardSdp:

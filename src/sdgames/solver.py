@@ -13,8 +13,9 @@ diagonal blocks as one nonnegative orthant, then the free scalars.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -170,6 +171,59 @@ class _ConeScaling:
         return self.R @ (psi / self.denom) @ self.R.swapaxes(-1, -2)
 
 
+class _Layout(NamedTuple):
+    """What a solve derives from its block structure alone, in the flat order
+    of :class:`_Ipm`.  The arrays are read-only: every solve of the structure
+    shares them."""
+
+    perm: np.ndarray  # flat column j is column perm[j] of the structure's layout
+    tr: np.ndarray  # v[tr] transposes every matrix block of v
+    # (flat slice, g, k) per maximal run of g consecutive matrix blocks of
+    # order k: the cone kernels make one batched call per run
+    stacks: tuple
+    ncone: int
+    orth: slice
+    free: slice
+    nu: int
+    e: np.ndarray
+    blocks: tuple  # (flat slice, shape) of each block, in the structure's order
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(structure: BlockStructure) -> _Layout:
+    """The flat layout of ``structure``, computed once per structure: equal
+    structures, such as the SDPs of every pair of one size, share it."""
+    blocks = list(structure)
+    d = structure.dim
+    # permute the columns once into the flat order: matrix blocks, orthant, free
+    order = sorted(range(len(blocks)), key=lambda i: (MATRIX, DIAG, FREE).index(blocks[i].kind))
+    perm = np.concatenate([np.arange(d)[structure.slices[i]] for i in order])
+    stacks = []
+    tr = np.arange(d)
+    views = [None] * len(blocks)
+    pos = 0
+    for i in order:
+        size = structure.slices[i].stop - structure.slices[i].start
+        views[i] = (slice(pos, pos + size), structure.shapes[i])
+        if blocks[i].kind == MATRIX:
+            k = blocks[i].size
+            tr[pos : pos + k * k] = pos + np.arange(k * k).reshape(k, k).T.ravel()
+            if stacks and stacks[-1][2] == k:
+                sl, g, _ = stacks[-1]
+                stacks[-1] = (slice(sl.start, pos + k * k), g + 1, k)
+            else:
+                stacks.append((slice(pos, pos + k * k), 1, k))
+        pos += size
+    ncone = d - sum(b.kind == FREE for b in blocks)
+    e = structure.flat(structure.identity())[perm]
+    for a in (perm, tr, e):
+        a.flags.writeable = False
+    return _Layout(
+        perm, tr, tuple(stacks), ncone, slice(stacks[-1][0].stop if stacks else 0, ncone),
+        slice(ncone, d), structure.cone_dim, e, tuple(views),
+    )
+
+
 class _Ipm:
     """One solve.  The iterate x, s is one float vector over the columns of the
     p x d constraint matrix A, ordered as the matrix blocks (each raveled),
@@ -180,34 +234,13 @@ class _Ipm:
         self.structure = structure = problem.structure
         self.sense = problem.sense
         sign = 1.0 if problem.sense == MIN else -1.0
-        blocks = list(structure)
-        d = structure.dim
         self.beta = problem.b.copy()
         self.warnings: List[str] = []
-        self.nu = structure.cone_dim
+        self.layout = lay = _layout(structure)
+        self.perm, self.tr, self.stacks, self.e = lay.perm, lay.tr, lay.stacks, lay.e
+        self.ncone, self.orth, self.free, self.nu = lay.ncone, lay.orth, lay.free, lay.nu
         self.p = problem.num_constraints
-        # permute the columns once into the flat order: matrix blocks, orthant, free
-        order = sorted(range(len(blocks)), key=lambda i: (MATRIX, DIAG, FREE).index(blocks[i].kind))
-        self.perm = np.concatenate([np.arange(d)[structure.slices[i]] for i in order])
         self.A = problem.A[:, self.perm]
-        # (flat slice, g, k) per maximal run of g consecutive matrix blocks of
-        # order k: the cone kernels make one batched call per run
-        self.stacks = []
-        self.tr = np.arange(d)  # v[self.tr] transposes every matrix block of v
-        pos = 0
-        for i in order:
-            if blocks[i].kind == MATRIX:
-                k = blocks[i].size
-                self.tr[pos : pos + k * k] = pos + np.arange(k * k).reshape(k, k).T.ravel()
-                if self.stacks and self.stacks[-1][2] == k:
-                    sl, g, _ = self.stacks[-1]
-                    self.stacks[-1] = (slice(sl.start, pos + k * k), g + 1, k)
-                else:
-                    self.stacks.append((slice(pos, pos + k * k), 1, k))
-            pos += structure.slices[i].stop - structure.slices[i].start
-        self.ncone = d - sum(b.kind == FREE for b in blocks)
-        self.orth = slice(self.stacks[-1][0].stop if self.stacks else 0, self.ncone)
-        self.free = slice(self.ncone, d)
         # augmented Newton matrix [[S, F], [F', 0]]; F is the free columns of A
         # and the Schur complement S is written into it at every iteration
         F = self.A[:, self.free]
@@ -218,7 +251,6 @@ class _Ipm:
         self.A_o = self.A[:, self.orth]
         self.A_stacks = [self.A[:, sl].reshape(self.p, g, k, k) for sl, g, k in self.stacks]
         self.c = sign * problem.objective[self.perm]
-        self.e = self._flat(structure.identity())
         self.beta_scale = 1.0 + (np.max(np.abs(self.beta)) if self.beta.size else 0.0)
         self.c_scale = 1.0 + float(np.max(np.abs(self.c)))
         self.scale = self.beta_scale + self.c_scale
@@ -228,10 +260,8 @@ class _Ipm:
         return self.structure.flat(v)[self.perm]
 
     def _blocks(self, v: np.ndarray) -> list:
-        """Flat vector -> block list."""
-        u = np.empty_like(v)
-        u[self.perm] = v
-        return self.structure.split(u)
+        """Flat vector -> block list of views of v."""
+        return [v[sl].reshape(shape) for sl, shape in self.layout.blocks]
 
     def _residuals(self, x, y, s):
         return self.beta - self.A @ x, self.c - self.A.T @ y - s
@@ -460,10 +490,12 @@ def solve(
 
     ``stop(primal_blocks)``, when given, sees the primal iterate of every
     iteration that has not converged, as a block list in the layout of
-    ``problem.structure``.  When it returns a true value the solve ends with
-    that iterate (not the best one seen) and the status ``StoppedEarly``, and
-    the value comes back as ``SolveResult.certificate``, else None.  A Farkas
-    status carries no ray: the result holds the diverged iterate.
+    ``problem.structure``.  The blocks are views of the live iterate, so the
+    test must not write into them.  When it returns a true value the solve
+    ends with that iterate (not the best one seen) and the status
+    ``StoppedEarly``, and the value comes back as
+    ``SolveResult.certificate``, else None.  A Farkas status carries no ray:
+    the result holds the diverged iterate.
 
     ``start = (x_blocks, y, s_blocks)``, when given, is the initial iterate in
     place of the scaled identity, laid out as ``primal``, ``dual`` and

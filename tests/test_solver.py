@@ -15,6 +15,7 @@ from sdgames.blocks import (
     free_scalar,
     matrix_block,
     matrix_equality,
+    upper_triangle,
 )
 from sdgames.game import game_sdp_player1, game_sdp_player2, solve_game
 from sdgames.generators import (
@@ -309,6 +310,18 @@ class TestMatrixEquality:
             assert np.all(row[0] == 0.0)
             assert bv_inner(row, x) == pytest.approx(w * lhs[p, q], rel=1e-12, abs=1e-12)
             assert beta == pytest.approx(w * R[p, q], rel=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_upper_triangle_is_the_shared_triu_pattern(self, n):
+        iu, ju, scale = upper_triangle(n)
+        ref_i, ref_j = np.triu_indices(n)
+        assert np.array_equal(iu, ref_i) and np.array_equal(ju, ref_j)
+        assert np.array_equal(scale, np.where(ref_i == ref_j, 1.0, 2.0))
+        assert upper_triangle(n)[0] is iu
+        for a in (iu, ju, scale):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+        assert upper_triangle.cache_info().maxsize is not None
 
 
 class TestExamples:
@@ -685,6 +698,45 @@ class TestConstraintOperator:
                 assert np.isfinite(ref_p) and np.isfinite(ref_d)
                 assert ap == pytest.approx(ref_p, rel=1e-9)
                 assert ad == pytest.approx(ref_d, rel=1e-9)
+
+
+def _scatter_split(ipm, v):
+    """Reference for ``_Ipm._blocks``: scatter the flat vector v into the
+    structure's column order, then split the copy into blocks."""
+    u = np.empty_like(v)
+    u[ipm.perm] = v
+    return ipm.structure.split(u)
+
+
+class TestLayout:
+    @pytest.mark.parametrize(
+        "pair", [pair for pair, _ in example_corpus()] + [random_slater(4, 4, 1)],
+        ids=lambda pair: pair.name,
+    )
+    def test_blocks_are_views_equal_to_the_scatter(self, pair):
+        rng = np.random.default_rng(5)
+        for prob in _built_sdps(pair):
+            ipm = _Ipm(prob, SolverOptions())
+            v = rng.normal(size=prob.structure.dim)
+            got, ref = ipm._blocks(v), _scatter_split(ipm, v)
+            assert [a.shape for a in got] == [a.shape for a in ref], prob.name
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref)), prob.name
+            assert all(np.shares_memory(a, v) for a in got), prob.name
+
+    def test_equal_structures_share_one_read_only_layout(self):
+        def build():
+            return BlockStructure([matrix_block(3), diag_block(2), free_scalar(), matrix_block(3)])
+
+        st1, st2 = build(), build()
+        assert st1 is not st2 and st1 == st2
+        rows = [(_random_point(np.random.default_rng(3), st1), 1.0)]
+        ipm1 = _Ipm(_sdp(st1, st1.split(np.ones(st1.dim)), rows), SolverOptions())
+        ipm2 = _Ipm(_sdp(st2, st2.split(np.zeros(st2.dim)), rows), SolverOptions())
+        assert ipm1.layout is ipm2.layout
+        for a in (ipm1.layout.perm, ipm1.layout.tr, ipm1.layout.e):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+        assert solver._layout.cache_info().maxsize is not None
 
 
 def _dependent_row_cases(rng, consistent):
