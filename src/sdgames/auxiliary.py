@@ -13,13 +13,13 @@ import numpy as np
 
 from .blocks import BlockStructure, bv_norm_inf, diag_block, matrix_block, matrix_equality
 from .model import SdpPair, SymMat
-from .solver import MIN, OPTIMAL, START_BLEND, SolveResult, SolverOptions, StandardSdp, solve
+from .solver import MIN, OPTIMAL, START_BLEND, SolveResult, StandardSdp, solve
 
 ATTAINED = "Attained"
 SUSPECTED_UNATTAINED = "SuspectedUnattained"
 
-_MAIN_OPTS = SolverOptions(tol=1e-9, max_iters=300)  # the auxiliary SDP's solve
-_PROBE_OPTS = SolverOptions(tol=1e-7, max_iters=300)  # the refined-aux probe
+_MAIN_TOL = 1e-9  # the auxiliary SDP's solve
+_PROBE_TOL = 1e-7  # the refined-aux probe
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +125,7 @@ def _probe_start(x: list, y: np.ndarray, s: list, w_cap: float) -> tuple:
 
 def _extract(res: SolveResult):
     X, _, y = res.primal[:3]
-    return SymMat.from_array(X, symmetrize=True), np.array(y, dtype=float)
+    return SymMat.from_array(X), np.array(y, dtype=float)
 
 
 def solve_aux(pair: SdpPair) -> AuxSolution:
@@ -155,23 +155,23 @@ def solve_aux(pair: SdpPair) -> AuxSolution:
     probe's point on the attained branch still asks for an optimal main
     solve.  The flag is heuristic: it never certifies non-attainment.
 
-    The main solve runs to tol 1e-9 and the probe to 1e-7, each within 300
-    iterations, whatever tolerance the game solves use.  The probe adds its
-    cap row to the primal auxiliary SDP and starts at the main solve's
-    iterate read in its SDP (:func:`_as_refined`), moved to its cap by
-    :func:`_probe_start`.  The start changes only the probe's iterate path,
-    not its options or convergence test.
+    The main solve runs to tol 1e-9 and the probe to 1e-7, each within
+    ``solver.MAX_ITERS`` iterations, whatever tolerance the game solves use.
+    The probe adds its cap row to the primal auxiliary SDP and starts at the
+    main solve's iterate read in its SDP (:func:`_as_refined`), moved to its
+    cap by :func:`_probe_start`.  The start changes only the probe's iterate path,
+    not its tolerance or convergence test.
     """
     pf = pair.to_float()
     base = build_primal_aux(pf)
-    first = solve(base, _MAIN_OPTS)
+    first = solve(base, _MAIN_TOL)
     w_star = first.value
     scale = 1.0 + pf.max_abs_entry()
     norm_cap = 1e6 * scale
     delta = 1e-4 * (1.0 + abs(w_star))
     cap = w_star + delta / 10.0
     start = _probe_start(*_as_refined(first), cap)
-    probe = solve(build_refined_aux(base, cap), _PROBE_OPTS, start=start)
+    probe = solve(build_refined_aux(base, cap), _PROBE_TOL, start=start)
     probed = probe.status == OPTIMAL
     first_small = bv_norm_inf(first.primal[:3]) <= norm_cap
     w_small = abs(w_star) <= 1e-7 * scale

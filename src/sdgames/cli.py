@@ -10,6 +10,7 @@ Exit codes for reduce: 0 strongly optimal, 2 unboundedness certificate,
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 import time
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import aux_dimensions, certified_bound_M, eta_bar, input_bitsize, practical_bound_M, squared_height
-from .direct import DIRECT_OPTS, solve_both
-from .game import GAME_OPTS
+from .direct import DIRECT_TOL, solve_both
+from .game import GAME_TOL
 from .generators import example_corpus, khachiyan_pair, random_slater, random_unbounded
 from .model import (
     EXACT,
@@ -104,6 +105,12 @@ def _print_report_text(name: str, report: dict) -> None:
         print(f"note        : {note}")
 
 
+def _decimal(k: int) -> str:
+    """``str(k)`` without the interpreter's cap on the digits of an int -> str
+    conversion, which a certified bound's exponent can exceed."""
+    return str(decimal.Decimal(k))
+
+
 def _reduce_one(path: Path, args) -> tuple:
     pair, metadata = load_problem(path)
     t0 = time.perf_counter()
@@ -112,7 +119,7 @@ def _reduce_one(path: Path, args) -> tuple:
     timings = {"total_s": time.perf_counter() - t0}
     report = report_to_dict(outcome, timings)
     if pair.mode == EXACT:
-        report["M"]["certified_log2"] = str(certified_bound_M(pair))
+        report["M"]["certified_log2"] = _decimal(certified_bound_M(pair))
     if metadata.get("expected_outcome"):
         report["expected_outcome"] = metadata["expected_outcome"]
     return outcome, report
@@ -176,8 +183,8 @@ def cmd_bound(args) -> int:
         eb = eta_bar(pair.n, pair.m, tau0)
         print(f"tau0        : {tau0}")
         print(f"taubar1     : {taubar1}")
-        print(f"etabar1     : {eb}")
-        print(f"certified lg M: {certified_bound_M(pair)}")
+        print(f"etabar1     : {_decimal(eb)}")
+        print(f"certified lg M: {_decimal(certified_bound_M(pair))}")
     return 0
 
 
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="problem file or directory of problem files")
     p.add_argument("--M", type=_bound_arg, default="auto",
                    help="solution bound: 'auto' or a finite number of at least 1")
-    p.add_argument("--tol", type=_finite_positive, default=GAME_OPTS.tol,
+    p.add_argument("--tol", type=_finite_positive, default=GAME_TOL,
                    help="tolerance of the game solves (default %(default)g); the auxiliary "
                    "solves behind --M auto keep their own")
     p.add_argument("--json", action="store_true")
@@ -338,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the primal and dual directly")
     p.add_argument("input")
-    p.add_argument("--tol", type=_finite_positive, default=DIRECT_OPTS.tol)
+    p.add_argument("--tol", type=_finite_positive, default=DIRECT_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solve)
     return ap

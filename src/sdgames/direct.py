@@ -7,9 +7,9 @@ import numpy as np
 
 from .blocks import BlockStructure, diag_block, matrix_block, matrix_equality
 from .model import SdpPair, SymMat
-from .solver import MAX, MIN, OPTIMAL, PRIMAL_INFEASIBLE, SolverOptions, StandardSdp, solve
+from .solver import MAX, MIN, OPTIMAL, PRIMAL_INFEASIBLE, StandardSdp, solve
 
-DIRECT_OPTS = SolverOptions(tol=1e-9, max_iters=500)  # solve_both's default tol, and its max_iters
+DIRECT_TOL = 1e-9  # solve_both's default tolerance
 
 
 def primal_sdp(pair: SdpPair) -> StandardSdp:
@@ -79,14 +79,14 @@ def detect_primal_face(pair: SdpPair):
     if Q.shape[1] == 0:
         return Q, None, bool(np.any(b[active] > tol))
     if active.size:
-        subA = tuple(SymMat.from_array(Ai, symmetrize=True) for Ai in A[active])
+        subA = tuple(SymMat.from_array(Ai) for Ai in A[active])
         subb = tuple(float(v) for v in b[active])
     else:
         # all constraints were implied equalities; keep one vacuous row
         subA = (SymMat.zeros(Q.shape[1]).to_float(),)
         subb = (-1.0,)
     sub = SdpPair(
-        C=SymMat.from_array(C, symmetrize=True),
+        C=SymMat.from_array(C),
         A=subA,
         b=subb,
         name=f"{pair.name or 'pair'}-faced",
@@ -94,7 +94,7 @@ def detect_primal_face(pair: SdpPair):
     return Q, sub, False
 
 
-def solve_both(pair: SdpPair, tol: float = DIRECT_OPTS.tol) -> dict:
+def solve_both(pair: SdpPair, tol: float = DIRECT_TOL) -> dict:
     """Solve the pair's primal and dual directly, each to ``tol``.
 
     The primal route first applies the exact implied-equality face reduction
@@ -102,7 +102,7 @@ def solve_both(pair: SdpPair, tol: float = DIRECT_OPTS.tol) -> dict:
     the dual route is solved as stated.  Values are best estimates even when a
     run stops short of full optimality.
     """
-    pf, opts = pair.to_float(), SolverOptions(tol=tol, max_iters=DIRECT_OPTS.max_iters)
+    pf = pair.to_float()
     Q, sub, infeasible = detect_primal_face(pf)
     if infeasible:
         pstatus, pvalue = PRIMAL_INFEASIBLE, float("nan")
@@ -110,9 +110,9 @@ def solve_both(pair: SdpPair, tol: float = DIRECT_OPTS.tol) -> dict:
         # the face collapsed: X = 0
         pstatus, pvalue = OPTIMAL, 0.0
     else:
-        pres = solve(primal_sdp(pf if Q is None else sub), opts)
+        pres = solve(primal_sdp(pf if Q is None else sub), tol)
         pstatus, pvalue = pres.status, pres.value
-    dres = solve(dual_sdp(pf), opts)
+    dres = solve(dual_sdp(pf), tol)
     return {
         "primal_status": pstatus,
         "primal_value": pvalue,

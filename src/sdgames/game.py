@@ -15,7 +15,7 @@ P; best responses are extreme eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .solver import (
     PRIMAL_INFEASIBLE,
     START_BLEND,
     STOPPED_EARLY,
-    SolverOptions,
     StandardSdp,
     solve,
 )
@@ -36,7 +35,7 @@ from .solver import (
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-7
 
-GAME_OPTS = SolverOptions(tol=1e-10, max_iters=300)  # the player SDPs' default solver options
+GAME_TOL = 1e-10  # the player SDPs' default solver tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +86,7 @@ class _BlockStrategy:
         total = float(sum(scalars, np.trace(Xa) + np.sum(y)))
         if total <= 0:
             raise ValueError("cannot normalize a zero strategy")
-        return cls(SymMat.from_array(Xa / total, symmetrize=True), y / total, *(v / total for v in scalars))
+        return cls(SymMat.from_array(Xa / total), y / total, *(v / total for v in scalars))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +190,7 @@ def _block_matrix(v: np.ndarray, n: int) -> SymMat:
     """diag(V, diag(w)) for v = (V raveled, w), V of order n."""
     B = np.diag(np.concatenate([np.zeros(n), v[n * n:]]))
     B[:n, :n] = v[:n * n].reshape(n, n)
-    return SymMat.from_array(B, symmetrize=True)
+    return SymMat.from_array(B)
 
 
 def response_matrix_K(pair: SdpPair, M: float, s1: Strategy1) -> SymMat:
@@ -362,7 +361,7 @@ def _certifying_iterate(pair: SdpPair, M: float, certifies):
 
 
 def solve_game(
-    pair: SdpPair, M: float, opts: SolverOptions = GAME_OPTS, certifies=None, point=None,
+    pair: SdpPair, M: float, tol: float = GAME_TOL, certifies=None, point=None,
 ) -> GameSolution:
     """Solve both player SDPs and return their strategies with the bracket
     lower = lambda_min(K(s1)) <= v <= upper = lambda_max(L(s2)).
@@ -379,14 +378,14 @@ def solve_game(
     is kept as ``GameSolution.certificate``.  Any such s1 proves the value
     positive, optimal or not; ``lower`` is then its bound, below the value
     by up to a few 1e-5.  Player 2 then only closes the bracket from above, so its solve
-    stops at tolerance max(opts.tol, VERIFY_TOL): upper = lambda_max(L(s2)) is
+    stops at tolerance max(tol, VERIFY_TOL): upper = lambda_max(L(s2)) is
     certified for any s2, and a bracket already some 1e-5 wide cannot show
-    the extra digits.  Every other solve uses ``opts``.
+    the extra digits.  Every other solve uses ``tol``.
 
     The two player SDPs are one primal-dual pair: each is the Lagrangian dual
     of the other, and player 1's primal-dual iterate with x and s swapped is
     a player-2 iterate with the same gap (:func:`_player2_start`).  So player
-    2's solve starts where player 1's ended and keeps its own options and
+    2's solve starts where player 1's ended and keeps its own tolerance and
     convergence test; it runs only the iterations that point still lacks,
     one or two after a converged player 1.  It starts cold when player 1
     ended with a Farkas status, whose iterate diverged.
@@ -403,16 +402,16 @@ def solve_game(
     pf = pair.to_float()
     stop = None if certifies is None else _certifying_iterate(pf, M, certifies)
     start = None if point is None else _player1_start(pf, M, *point)
-    res1 = solve(game_sdp_player1(pf, M), opts, stop=stop, start=start)
+    res1 = solve(game_sdp_player1(pf, M), tol, stop=stop, start=start)
     if res1.status == STOPPED_EARLY:
         s1, lower, certificate = res1.certificate
-        opts2 = replace(opts, tol=max(opts.tol, VERIFY_TOL))
+        tol2 = max(tol, VERIFY_TOL)
     else:
         s1 = normalized_strategy1(res1.primal[0], res1.primal[1], res1.primal[2][0], res1.primal[3][0])
-        lower, certificate, opts2 = best_response_value_p2(pf, M, s1), None, opts
+        lower, certificate, tol2 = best_response_value_p2(pf, M, s1), None, tol
     # a Farkas status means player 1's iterates diverged: start player 2 cold
     warm = res1.status not in (PRIMAL_INFEASIBLE, DUAL_INFEASIBLE)
-    res2 = solve(game_sdp_player2(pf, M), opts2, start=_player2_start(res1) if warm else None)
+    res2 = solve(game_sdp_player2(pf, M), tol2, start=_player2_start(res1) if warm else None)
     s2 = normalized_strategy2(res2.primal[0], res2.primal[1], res2.primal[2][0])
     return GameSolution(s1, s2, lower, best_response_value_p1(pf, M, s2), certificate,
                         (res1.status, res2.status))

@@ -120,8 +120,8 @@ def khachiyan_pair(n: int, tau: int) -> SdpPair:
 def _pair(C, A, b, name: str) -> SdpPair:
     """Pair of float data, each matrix replaced by its symmetric part."""
     return SdpPair(
-        C=SymMat.from_array(C, symmetrize=True),
-        A=tuple(SymMat.from_array(Ai, symmetrize=True) for Ai in A),
+        C=SymMat.from_array(C),
+        A=tuple(SymMat.from_array(Ai) for Ai in A),
         b=tuple(float(v) for v in b),
         name=name,
     )

@@ -71,12 +71,11 @@ class SymMat:
         self.mode = FLOAT
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, symmetrize: bool = False) -> "SymMat":
-        """Wrap a float array; ``symmetrize=True`` averages away asymmetry first."""
+    def from_array(cls, arr: np.ndarray) -> "SymMat":
+        """Wrap the symmetric part 0.5 (a + a') of a float array; a symmetric
+        array's entries are kept bit for bit."""
         arr = np.asarray(arr, dtype=float)
-        if symmetrize:
-            arr = 0.5 * (arr + arr.T)
-        return cls(arr)
+        return cls(0.5 * (arr + arr.T))
 
     @classmethod
     def identity(cls, n: int) -> "SymMat":
@@ -267,7 +266,7 @@ def dual_slack_matrix(pair: SdpPair, y) -> SymMat:
     """C - sum_i y_i A_i as a float symmetric matrix."""
     if len(y) != pair.m:
         raise ValueError("multiplier vector has wrong length")
-    return SymMat.from_array(pair.C.array - pair.apply_AT(y), symmetrize=True)
+    return SymMat.from_array(pair.C.array - pair.apply_AT(y))
 
 
 # the tolerance of the checks below in a pipeline run, of player 1's
@@ -357,7 +356,7 @@ def check_dual_direction(pair: SdpPair, y, tol: float) -> dict:
         raise ValueError("direction length does not match the pair")
     scale = 1.0 + pair.max_abs_entry()
     y_scale = 1.0 + float(np.max(np.abs(yv)))
-    lam = max_eigenvalue(SymMat.from_array(pair.apply_AT(yv), symmetrize=True))
+    lam = max_eigenvalue(SymMat.from_array(pair.apply_AT(yv)))
     val = float(pair.b_array @ yv)
     farkas = float(np.min(yv)) >= -tol * y_scale and val > tol * scale
     return {

@@ -12,13 +12,13 @@ certificate; whether it is also strict is recorded in its check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Union
 
 import numpy as np
 
 from .bounds import ARBITRARY, PRACTICAL, SolutionBoundM, practical_bound_M
-from .game import GAME_OPTS, Strategy1, Strategy2, solve_game
+from .game import GAME_TOL, Strategy1, Strategy2, solve_game
 from .model import (
     VERIFY_TOL,
     SdpPair,
@@ -37,7 +37,7 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    game_tol: float = GAME_OPTS.tol
+    game_tol: float = GAME_TOL
     bound_mode: Union[str, float] = "practical"
     verify_tol: ClassVar[float] = VERIFY_TOL
 
@@ -71,7 +71,7 @@ def recover_optimal(s2: Strategy2, tol: float):
     """Scale the second player's optimal strategy back to a primal/dual pair."""
     if s2.t <= tol:
         raise ValueError("t vanished; bounded-case recovery impossible")
-    X = SymMat.from_array(s2.X.array / s2.t, symmetrize=True)
+    X = SymMat.from_array(s2.X.array / s2.t)
     return X, s2.y / s2.t
 
 
@@ -160,7 +160,7 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     bracket is that iterate's and can be some 1e-5 wide, since the second
     player's solve then only closes it from above and stops at
     ``VERIFY_TOL``, the tolerance of every check.  The game solves run to
-    ``config.game_tol`` within ``GAME_OPTS.max_iters`` iterations.
+    ``config.game_tol`` within ``solver.MAX_ITERS`` iterations.
     """
     config = config or PipelineConfig()
     pf = pair.to_float()
@@ -172,8 +172,7 @@ def run_pipeline(pair: SdpPair, config: Optional[PipelineConfig] = None) -> Outc
     aux = M_used.derived_from
     warm = M_used.mode == PRACTICAL and aux.predicts_bounded
     point = (aux.X.array, aux.y) if warm else None
-    opts = replace(GAME_OPTS, tol=config.game_tol)
-    game = solve_game(pf, M, opts, _certifies(pf, VERIFY_TOL), point=point)
+    game = solve_game(pf, M, config.game_tol, _certifies(pf, VERIFY_TOL), point=point)
     v, lower, upper = game.value, game.lower, game.upper
     diagnostics = {
         "value_lower": lower,

@@ -35,18 +35,7 @@ _STEP_FRACTION = 0.98  # least fraction of the step to the cone boundary taken
 _DIVERGENCE_THRESHOLD = 1e8  # iterate norm, relative to the data scale, that stops a solve
 _PRECISION_MERIT = 1e-6  # best merit below which rounding limits a solve: refine its directions
 START_BLEND = 1e-3  # fraction by which a warm start is blended off the cone boundary
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    tol: float = 1e-8
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ValueError("tol must be finite and positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+MAX_ITERS = 300  # iteration cap of every solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +218,10 @@ class _Ipm:
     p x d constraint matrix A, ordered as the matrix blocks (each raveled),
     then every diag block as one nonnegative orthant, then the free scalars."""
 
-    def __init__(self, problem: StandardSdp, opts: SolverOptions):
-        self.opts = opts
+    def __init__(self, problem: StandardSdp, tol: float):
+        if not 0 < tol < np.inf:
+            raise ValueError("tol must be finite and positive")
+        self.tol = tol
         self.structure = structure = problem.structure
         self.sense = problem.sense
         sign = 1.0 if problem.sense == MIN else -1.0
@@ -273,7 +264,7 @@ class _Ipm:
     def _converged(self, pinf, dinf, pobj, dobj, compl) -> bool:
         """Both infeasibilities, and the gap or the complementarity relative to
         1 + |pobj| + |dobj|, are at most tol."""
-        tol = self.opts.tol
+        tol = self.tol
         denom = 1.0 + abs(pobj) + abs(dobj)
         return pinf <= tol and dinf <= tol and (abs(pobj - dobj) / denom <= tol or compl / denom <= tol)
 
@@ -365,7 +356,6 @@ class _Ipm:
         return None
 
     def run(self, stop: Optional[Callable[[list], object]] = None, start=None) -> SolveResult:
-        opts = self.opts
         nc = self.ncone
         if start is None:
             x = self.beta_scale * self.e
@@ -381,7 +371,7 @@ class _Ipm:
         best = (np.inf, x, y, s)
         status = MAX_ITERATIONS
         certificate = None
-        for it in range(1, opts.max_iters + 1):
+        for it in range(1, MAX_ITERS + 1):
             r_p, r_d = self._residuals(x, y, s)
             pobj = float(self.c @ x)
             dobj = float(self.beta @ y)
@@ -436,7 +426,7 @@ class _Ipm:
             # a feasible iterate backs off from the boundary only by the
             # predictor's predicted reduction mu_aff / mu, when that is below 0.02
             frac = _STEP_FRACTION
-            if pinf <= opts.tol and dinf <= opts.tol and mu > 0:
+            if pinf <= self.tol and dinf <= self.tol and mu > 0:
                 frac = max(frac, 1.0 - mu_aff / mu)
             ap = min(1.0, frac * ap)
             ad = min(1.0, frac * ad)
@@ -482,11 +472,12 @@ class _Ipm:
 
 def solve(
     problem: StandardSdp,
-    opts: Optional[SolverOptions] = None,
+    tol: float = 1e-8,
     stop: Optional[Callable[[list], object]] = None,
     start: Optional[tuple] = None,
 ) -> SolveResult:
-    """Solve a standard-form block SDP; deterministic for fixed inputs and options.
+    """Solve a standard-form block SDP to tolerance ``tol`` within
+    ``MAX_ITERS`` iterations; deterministic for fixed inputs.
 
     ``stop(primal_blocks)``, when given, sees the primal iterate of every
     iteration that has not converged, as a block list in the layout of
@@ -505,4 +496,4 @@ def solve(
     convergence test is the same from any start, so a start near the
     solution only saves iterations.
     """
-    return _Ipm(problem, opts or SolverOptions()).run(stop, start)
+    return _Ipm(problem, tol).run(stop, start)

@@ -1,10 +1,10 @@
-"""Shared fixtures: the worked-example corpus and common solver options."""
+"""Shared fixtures: the worked-example corpus and the game tolerance."""
 
 from __future__ import annotations
 
 import pytest
 
-from sdgames.game import GAME_OPTS
+from sdgames.game import GAME_TOL
 from sdgames.generators import example_corpus
 
 import outcome_census
@@ -50,5 +50,5 @@ def scaled_pair():
 
 
 @pytest.fixture(scope="session")
-def game_opts():
-    return GAME_OPTS
+def game_tol():
+    return GAME_TOL

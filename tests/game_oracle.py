@@ -20,7 +20,7 @@ def block_matrix(s) -> SymMat:
     scalars = [s.t, s.u] if isinstance(s, Strategy1) else [s.t]
     B = np.diag(np.concatenate([np.zeros(n), s.y, scalars]))
     B[:n, :n] = s.X.array
-    return SymMat.from_array(B, symmetrize=True)
+    return SymMat.from_array(B)
 
 
 def subgame_payoff(pair, z1, z2) -> float:

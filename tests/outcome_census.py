@@ -83,7 +83,7 @@ from functools import partial  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from sdgames.game import GAME_OPTS, solve_game  # noqa: E402
+from sdgames.game import GAME_TOL, solve_game  # noqa: E402
 from sdgames.generators import (  # noqa: E402
     example_corpus,
     khachiyan_pair,
@@ -101,7 +101,7 @@ from sdgames.reduction import (  # noqa: E402
     PipelineConfig,
     run_pipeline,
 )
-from sdgames.solver import OPTIMAL, STOPPED_EARLY  # noqa: E402
+from sdgames.solver import MAX_ITERS, OPTIMAL, STOPPED_EARLY  # noqa: E402
 
 from solve_digest import recording, role  # noqa: E402
 
@@ -209,7 +209,7 @@ def stalls() -> list:
         for n in (6, 8, 10):
             for seed in range(100, 112):
                 current[0] = pair = random_unbounded(n, n, seed)
-                solve_game(pair, 10.0, GAME_OPTS)
+                solve_game(pair, 10.0, GAME_TOL)
     return out
 
 
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
         its = stalls()
         print(f"{len(its)} game-p1 solves without a stop test: iterations {sum(its)} in total, "
               f"median {statistics.median(its):g}, max {max(its)}; "
-              f"{its.count(GAME_OPTS.max_iters)} end at max_iters = {GAME_OPTS.max_iters}")
+              f"{its.count(MAX_ITERS)} end at max_iters = {MAX_ITERS}")
         return 0
     if "--sweep" in argv:
         print(f"{'instance':26s} " + " ".join(f"{'M = ' + format(M, 'g'):>20s}" for M in SWEEP_MS))

@@ -86,8 +86,8 @@ def recording(on_solve):
     result)`` sees each solve as it returns."""
     original = solver.solve
 
-    def recorded(problem, opts=None, **kwargs):
-        res = original(problem, opts, **kwargs)
+    def recorded(problem, *args, **kwargs):
+        res = original(problem, *args, **kwargs)
         on_solve(problem, res)
         return res
 

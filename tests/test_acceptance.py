@@ -45,7 +45,7 @@ from sdgames.reduction import (
     aux_value_relation,
     run_pipeline,
 )
-from sdgames.solver import OPTIMAL, SolverOptions, StandardSdp, solve
+from sdgames.solver import OPTIMAL, StandardSdp, solve
 
 import weak_duality_oracle
 from game_oracle import block_matrix, subgame_payoff
@@ -75,8 +75,8 @@ def test_criterion_1_bounded_example(bounded_pair):
     _report(1, "bounded example: <C, X> = 1 +/- 1e-5", abs(obj - 1.0) <= 1e-5, f"obj={obj:.8f}")
 
 
-def test_criterion_2_unbounded_example(unbounded_pair, game_opts):
-    g = solve_game(unbounded_pair, 1.0, game_opts)
+def test_criterion_2_unbounded_example(unbounded_pair, game_tol):
+    g = solve_game(unbounded_pair, 1.0, game_tol)
     _report(
         2, "unbounded example: v = 1/3 +/- 1e-5",
         abs(g.value - 1.0 / 3.0) <= 1e-5, f"v={g.value:.8f}",
@@ -92,7 +92,7 @@ def test_criterion_2_unbounded_example(unbounded_pair, game_opts):
     _report(2, "unbounded example: strict primal direction verifies at 1e-6", ok_dir)
 
 
-def test_criterion_3_both_infeasible(both_infeasible_pair, game_opts):
+def test_criterion_3_both_infeasible(both_infeasible_pair, game_tol):
     out = run_pipeline(both_infeasible_pair, PipelineConfig(bound_mode=1.0))
     v = out.game_value
     _report(3, "both-infeasible: v = 1/3 +/- 1e-5", abs(v - 1.0 / 3.0) <= 1e-5, f"v={v:.8f}")
@@ -128,7 +128,7 @@ def test_criterion_4_duality_gap(duality_gap_pair):
 def test_criterion_5_khachiyan_family():
     for n, tau in [(1, 1), (1, 2), (2, 2), (3, 2)]:
         opt = 2.0 ** -((tau + 1) * 2**n - tau)
-        r = solve(primal_sdp(khachiyan_pair(n, tau)), SolverOptions(tol=1e-12, max_iters=400))
+        r = solve(primal_sdp(khachiyan_pair(n, tau)), 1e-12)
         rel = abs(r.value - opt) / opt
         _report(
             5, f"khachiyan ({n},{tau}): relative error <= 1e-3",
@@ -167,7 +167,7 @@ def test_criterion_6_formula_suite():
     _report(6, "eta_bar(1,1,1) equals 990 + 90 + 45*99*2^44 exactly", exact)
 
 
-def test_criterion_7_property_suites(bounded_pair, game_opts):
+def test_criterion_7_property_suites(bounded_pair, game_tol):
     rng = np.random.default_rng(1234)
     n, m = 2, 1
 
@@ -202,7 +202,7 @@ def test_criterion_7_property_suites(bounded_pair, game_opts):
         else:
             pair = random_diagonal(2 + i % 3, 2, 700 + i, kind="slater" if i % 2 else "unbounded")
         M = practical_bound_M(pair).value
-        vmin = min(vmin, solve_game(pair, M, game_opts).value)
+        vmin = min(vmin, solve_game(pair, M, game_tol).value)
     _report(7, "game value nonnegative on 30 random instances", vmin >= -1e-7, f"min v={vmin:.2e}")
 
     ok = True
@@ -236,7 +236,7 @@ def test_criterion_7_property_suites(bounded_pair, game_opts):
     for seed in range(10):
         pair = random_unbounded(2 + seed % 3, 1 + seed % 2, 300 + seed)
         M = practical_bound_M(pair).value
-        g = solve_game(pair, M, game_opts)
+        g = solve_game(pair, M, game_tol)
         ok &= abs(g.s1.u - g.value) <= 1e-6 and abs(g.s1.t) <= 1e-6
         out = run_pipeline(pair)
         ok &= out.kind in (PRIMAL_UNBOUNDED_CERT, DUAL_UNBOUNDED_CERT)

@@ -24,7 +24,7 @@ from sdgames.model import (
     check_primal_direction,
     max_eigenvalue,
 )
-from sdgames.solver import MAX_ITERATIONS, NUMERICAL_FAILURE, OPTIMAL, SolverOptions, solve
+from sdgames.solver import MAX_ITERATIONS, NUMERICAL_FAILURE, OPTIMAL, solve
 
 from aux_oracle import build_dual_aux
 from test_solver import bv_inner
@@ -43,16 +43,15 @@ class TestBuildPrimalAux:
         assert prob.num_constraints == 3
 
     def test_both_infeasible_aux_optimum(self, both_infeasible_pair):
-        r = solve(build_primal_aux(both_infeasible_pair), SolverOptions(tol=1e-9, max_iters=300))
+        r = solve(build_primal_aux(both_infeasible_pair), 1e-9)
         assert r.status == OPTIMAL
         assert r.value == pytest.approx(1.0, abs=1e-7)
 
 
 class TestBuildDualAux:
     def test_bounded_no_duality_gap(self, bounded_pair):
-        opts = SolverOptions(tol=1e-9, max_iters=300)
-        rp = solve(build_primal_aux(bounded_pair), opts)
-        rd = solve(build_dual_aux(bounded_pair), opts)
+        rp = solve(build_primal_aux(bounded_pair), 1e-9)
+        rd = solve(build_dual_aux(bounded_pair), 1e-9)
         assert rp.status == OPTIMAL and rd.status == OPTIMAL
         assert rp.value == pytest.approx(rd.value, abs=1e-6)
 
@@ -65,7 +64,7 @@ class TestBuildDualAux:
         A1 = bounded_pair.A[0].array
         C = bounded_pair.C.array
         tol = 1e-12
-        assert max_eigenvalue(SymMat.from_array(z * A1 - r * C, symmetrize=True)) <= tol
+        assert max_eigenvalue(SymMat.from_array(z * A1 - r * C)) <= tol
         assert float(np.tensordot(A1, W, 2)) - r * 1.0 >= -tol
         assert z + np.trace(W) + r <= 1.0 + tol
         # and its dual-auxiliary objective matches the attained optimum 0
@@ -130,15 +129,14 @@ class TestSolveAux:
     def test_unconverged_probe_falls_back_to_main_solve(
         self, bounded_pair, monkeypatch, probe_status
     ):
-        def solve_with_failing_probe(problem, opts=None, **kwargs):
-            res = solve(problem, opts, **kwargs)
+        def solve_with_failing_probe(problem, *args, **kwargs):
+            res = solve(problem, *args, **kwargs)
             if problem.name.endswith("-refined-aux"):
                 res.status = probe_status
             return res
 
         aux, names = _recorded_solve_aux(monkeypatch, bounded_pair, solve_with_failing_probe)
-        opts = SolverOptions(tol=1e-9, max_iters=300)
-        first = solve(build_primal_aux(bounded_pair.to_float()), opts)
+        first = solve(build_primal_aux(bounded_pair.to_float()), 1e-9)
         assert first.status == OPTIMAL
         assert aux.attained_flag == ATTAINED
         assert np.array_equal(aux.X.array, 0.5 * (first.primal[0] + first.primal[0].T))
@@ -146,13 +144,12 @@ class TestSolveAux:
         assert names == ["bounded-primal-aux", "bounded-refined-aux"]
 
     def test_stopped_main_solve_with_small_residuals_is_trusted(self, bounded_pair, monkeypatch):
-        def solve_stopped_short(problem, opts=None, **kwargs):
-            res = solve(problem, opts, **kwargs)
+        def solve_stopped_short(problem, *args, **kwargs):
+            res = solve(problem, *args, **kwargs)
             res.status = MAX_ITERATIONS if problem.name.endswith("-primal-aux") else NUMERICAL_FAILURE
             return res
 
-        opts = SolverOptions(tol=1e-9, max_iters=300)
-        first = solve(build_primal_aux(bounded_pair.to_float()), opts)
+        first = solve(build_primal_aux(bounded_pair.to_float()), 1e-9)
         assert abs(first.value) <= 1e-7 and max(first.primal_infeas, first.dual_infeas) <= 1e-8
         aux, names = _recorded_solve_aux(monkeypatch, bounded_pair, solve_stopped_short)
         assert names == ["bounded-primal-aux", "bounded-refined-aux"]
@@ -163,8 +160,8 @@ class TestSolveAux:
         "field, value", [("primal_infeas", 1e-6), ("dual_infeas", 1e-6), ("value", 1e-3)]
     )
     def test_stopped_main_solve_needs_small_residuals(self, bounded_pair, monkeypatch, field, value):
-        def solve_stopped_short(problem, opts=None, **kwargs):
-            res = solve(problem, opts, **kwargs)
+        def solve_stopped_short(problem, *args, **kwargs):
+            res = solve(problem, *args, **kwargs)
             if problem.name.endswith("-primal-aux"):
                 res.status = MAX_ITERATIONS
                 setattr(res, field, value)
@@ -178,8 +175,8 @@ class TestSolveAux:
     def test_failed_main_solve_plays_at_M_one(self, bounded_pair, monkeypatch):
         # a NumericalFailure main solve goes through the same residual gate
         # as any stopped one; here it fails the gate, so M = 1
-        def solve_failed(problem, opts=None, **kwargs):
-            res = solve(problem, opts, **kwargs)
+        def solve_failed(problem, *args, **kwargs):
+            res = solve(problem, *args, **kwargs)
             res.status = NUMERICAL_FAILURE
             if problem.name.endswith("-primal-aux"):
                 res.primal_infeas = 1e-6
@@ -197,9 +194,9 @@ def _recorded_solve_aux(monkeypatch, pair, inner=solve):
     those SDPs in call order."""
     names = []
 
-    def recorded(problem, opts=None, **kwargs):
+    def recorded(problem, *args, **kwargs):
         names.append(problem.name)
-        return inner(problem, opts, **kwargs)
+        return inner(problem, *args, **kwargs)
 
     monkeypatch.setattr(auxiliary, "solve", recorded)
     return solve_aux(pair), names
@@ -226,7 +223,7 @@ def _probe_pairs(corpus):
 class TestProbeStart:
     def test_start_is_strictly_inside_the_cone(self, corpus):
         for pair in _probe_pairs(corpus):
-            first = solve(build_primal_aux(pair.to_float()), SolverOptions(tol=1e-9, max_iters=300))
+            first = solve(build_primal_aux(pair.to_float()), 1e-9)
             x, _, s = _probe_start(*_as_refined(first), first.value + 1e-5 * (1.0 + abs(first.value)))
             for v in (*x, *s):
                 if v.ndim == 2:
@@ -237,7 +234,7 @@ class TestProbeStart:
     def test_unblended_start_keeps_the_main_residuals(self, corpus):
         for pair in _probe_pairs(corpus):
             base = build_primal_aux(pair.to_float())
-            first = solve(base, SolverOptions(tol=1e-9, max_iters=300))
+            first = solve(base, 1e-9)
             cap = first.value + 1e-5 * (1.0 + abs(first.value))
             refined = build_refined_aux(base, cap)
             x, y, s = _as_refined(first)
@@ -256,10 +253,10 @@ class TestProbeStart:
         pairs = _probe_pairs(corpus)
         warm = [practical_bound_M(pair) for pair in pairs]
 
-        def cold_probes(problem, opts=None, start=None, **kwargs):
+        def cold_probes(problem, *args, start=None, **kwargs):
             if problem.name.endswith("-refined-aux"):
                 start = None
-            return solve(problem, opts, start=start, **kwargs)
+            return solve(problem, *args, start=start, **kwargs)
 
         monkeypatch.setattr(auxiliary, "solve", cold_probes)
         for pair, M in zip(pairs, warm):
@@ -282,8 +279,8 @@ class TestOneProbe:
         assert bound.value == M
 
     def test_converged_probe_beyond_the_norm_cap_is_unattained(self, bounded_pair, monkeypatch):
-        def solve_with_large_probe(problem, opts=None, **kwargs):
-            res = solve(problem, opts, **kwargs)
+        def solve_with_large_probe(problem, *args, **kwargs):
+            res = solve(problem, *args, **kwargs)
             if problem.name.endswith("-refined-aux"):
                 assert res.status == OPTIMAL
                 res.primal[0] = 1e12 * res.primal[0]
@@ -342,11 +339,10 @@ class TestInvariants:
             assert -w < 0
 
     def test_primal_dual_aux_agree_on_attained(self, bounded_pair, unbounded_pair):
-        opts = SolverOptions(tol=1e-9, max_iters=300)
         for pair in (bounded_pair, unbounded_pair):
             aux = solve_aux(pair)
             assert aux.attained_flag == ATTAINED
-            rd = solve(build_dual_aux(pair), opts)
+            rd = solve(build_dual_aux(pair), 1e-9)
             assert rd.value == pytest.approx(aux.w, abs=1e-6)
 
     def test_strict_direction_implies_attained(self, unbounded_pair):

@@ -28,7 +28,7 @@ from sdgames.bounds import (
 from sdgames.generators import khachiyan_pair
 from sdgames.model import SdpPair, SymMat
 from sdgames.reduction import STRONGLY_OPTIMAL, run_pipeline
-from sdgames.solver import SolverOptions, solve
+from sdgames.solver import solve
 
 
 def _sym_dim(n: int) -> int:
@@ -209,7 +209,7 @@ class TestKhachiyan:
     @pytest.mark.parametrize("n,tau", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_solver_reproduces_closed_form(self, n, tau):
         prob = direct.primal_sdp(khachiyan_pair(n, tau))
-        r = solve(prob, SolverOptions(tol=1e-12, max_iters=400))
+        r = solve(prob, 1e-12)
         assert r.value == pytest.approx(float(_chain_optimum(n, tau)), rel=1e-3)
 
     def test_bad_arguments(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import decimal
 import json
 import re
 import threading
@@ -34,6 +36,14 @@ def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     assert main(["gen", "example-corpus", "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def kh15(tmp_path_factory):
+    """Khachiyan's chain at n = 15, tau = 1: its certified exponent has 4,675 digits."""
+    out = tmp_path_factory.mktemp("kh15")
+    assert main(["gen", "khachiyan", "--n", "15", "--tau", "1", "--out", str(out)]) == 0
+    return out / "khachiyan_n15_tau1.json"
 
 
 class TestProblemFormat:
@@ -562,6 +572,25 @@ class TestSolveAndBound:
         out = capsys.readouterr().out
         assert f"etabar1     : {eta_bar(1, 1, 1)}" in out
         assert f"certified lg M: {eta_bar(1, 1, 1) + 2}" in out
+
+    def test_bound_certified_past_the_int_digit_limit(self, kh15, capsys):
+        # the exponent's 4,675 digits exceed the interpreter's int -> str cap
+        assert main(["bound", str(kh15), "--certified"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("certified lg M: ")
+        digits = line.removeprefix("certified lg M: ")
+        assert len(digits) == 4675
+        assert decimal.Decimal(digits) == certified_bound_M(load_problem(kh15)[0])
+
+    def test_reduce_reports_the_exponent_past_the_int_digit_limit(self, kh15, bounded_pair, monkeypatch):
+        # the pipeline is stood in by bounded's outcome: only the report's
+        # exponent is under test, not a 30 x 30 solve
+        outcome = run_pipeline(bounded_pair)
+        monkeypatch.setattr(cli, "run_pipeline", lambda pair, config: outcome)
+        _, report = cli._reduce_one(kh15, argparse.Namespace(M="auto", tol=1e-10))
+        digits = report["M"]["certified_log2"]
+        assert len(digits) == 4675
+        assert decimal.Decimal(digits) == certified_bound_M(load_problem(kh15)[0])
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e400", "one"])
     @pytest.mark.parametrize(

@@ -115,7 +115,7 @@ class TestPayoff:
             s2 = rand_s2(rng, 2, 1)
             alpha = float(rng.uniform(0, 1))
             mix = Strategy1(
-                SymMat.from_array(alpha * a.X.array + (1 - alpha) * b2.X.array, symmetrize=True),
+                SymMat.from_array(alpha * a.X.array + (1 - alpha) * b2.X.array),
                 alpha * a.y + (1 - alpha) * b2.y,
                 alpha * a.t + (1 - alpha) * b2.t,
                 alpha * a.u + (1 - alpha) * b2.u,
@@ -235,23 +235,23 @@ class TestSubgame:
 
 
 class TestGameSdps:
-    def test_bounded_value_zero(self, bounded_pair, game_opts):
-        r1 = solve(game_sdp_player1(bounded_pair.to_float(), 3.0), game_opts)
-        r2 = solve(game_sdp_player2(bounded_pair.to_float(), 3.0), game_opts)
+    def test_bounded_value_zero(self, bounded_pair, game_tol):
+        r1 = solve(game_sdp_player1(bounded_pair.to_float(), 3.0), game_tol)
+        r2 = solve(game_sdp_player2(bounded_pair.to_float(), 3.0), game_tol)
         assert abs(r1.value) <= 1e-7
         assert abs(r2.value) <= 1e-7
 
-    def test_both_infeasible_value_third(self, both_infeasible_pair, game_opts):
-        r1 = solve(game_sdp_player1(both_infeasible_pair.to_float(), 1.0), game_opts)
-        r2 = solve(game_sdp_player2(both_infeasible_pair.to_float(), 1.0), game_opts)
+    def test_both_infeasible_value_third(self, both_infeasible_pair, game_tol):
+        r1 = solve(game_sdp_player1(both_infeasible_pair.to_float(), 1.0), game_tol)
+        r2 = solve(game_sdp_player2(both_infeasible_pair.to_float(), 1.0), game_tol)
         assert r1.value == pytest.approx(1.0 / 3.0, abs=1e-7)
         assert r2.value == pytest.approx(1.0 / 3.0, abs=1e-7)
 
-    def test_minimax_duality_random(self, game_opts):
+    def test_minimax_duality_random(self, game_tol):
         pair = random_slater(2, 2, 97)
         M = practical_bound_M(pair).value
-        r1 = solve(game_sdp_player1(pair.to_float(), M), game_opts)
-        r2 = solve(game_sdp_player2(pair.to_float(), M), game_opts)
+        r1 = solve(game_sdp_player1(pair.to_float(), M), game_tol)
+        r2 = solve(game_sdp_player2(pair.to_float(), M), game_tol)
         assert r1.value == pytest.approx(r2.value, abs=1e-6)
         assert r1.value >= -1e-7
 
@@ -310,33 +310,33 @@ class TestPlayerSdpRows:
 
 
 class TestSolveGame:
-    def test_bounded(self, bounded_pair, game_opts):
-        g = solve_game(bounded_pair, 3.0, game_opts)
+    def test_bounded(self, bounded_pair, game_tol):
+        g = solve_game(bounded_pair, 3.0, game_tol)
         assert abs(g.value) <= 1e-7
         assert g.s2.t == pytest.approx(1.0 / 3.0, abs=1e-5)
         assert g.s2.y[0] == pytest.approx(1.0 / 3.0, abs=1e-5)
         assert g.upper - g.lower <= 1e-6
 
-    def test_both_infeasible(self, both_infeasible_pair, game_opts):
-        g = solve_game(both_infeasible_pair, 1.0, game_opts)
+    def test_both_infeasible(self, both_infeasible_pair, game_tol):
+        g = solve_game(both_infeasible_pair, 1.0, game_tol)
         assert g.value == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert g.s1.y[0] == pytest.approx(2.0 / 3.0, abs=1e-5)
         assert g.s1.t <= 1e-7
         assert g.s1.u == pytest.approx(g.value, abs=1e-6)
 
-    def test_unbounded_has_vanishing_t(self, unbounded_pair, game_opts):
-        g = solve_game(unbounded_pair, 1.0, game_opts)
+    def test_unbounded_has_vanishing_t(self, unbounded_pair, game_tol):
+        g = solve_game(unbounded_pair, 1.0, game_tol)
         assert g.value > 0.1
         assert g.s1.t <= 1e-7
 
-    def test_unattained_variant_regression_value(self, unattained_pair, game_opts):
+    def test_unattained_variant_regression_value(self, unattained_pair, game_tol):
         # hand-derived equilibrium value of the modified game at M = 1
-        g = solve_game(unattained_pair, 1.0, game_opts)
+        g = solve_game(unattained_pair, 1.0, game_tol)
         assert g.value == pytest.approx((6.0 + np.sqrt(17.0)) / 19.0, abs=1e-7)
 
-    def test_unbounded_example_known_optimal_strategy(self, unbounded_pair, game_opts):
+    def test_unbounded_example_known_optimal_strategy(self, unbounded_pair, game_tol):
         # the worked example's second-player strategy attains the value 1/3
-        g = solve_game(unbounded_pair, 1.0, game_opts)
+        g = solve_game(unbounded_pair, 1.0, game_tol)
         Y = s2_zeros(np.array([[1.0, 1.5], [1.5, 5.0]]) / 9.0, [0.0], 1.0 / 3.0)
         assert best_response_value_p1(unbounded_pair, 1.0, Y) == pytest.approx(
             g.value, abs=1e-8
@@ -347,7 +347,7 @@ class TestSolveGame:
         with pytest.raises(ValueError):
             solve_game(bounded_pair, 0.0)
 
-    def test_certifies_sees_only_strategies_past_the_threshold(self, game_opts):
+    def test_certifies_sees_only_strategies_past_the_threshold(self, game_tol):
         # random_unbounded(10, 10, 2) at M = 10 (threshold 1/22): player 1's
         # solve ends at the first strategy that certifies accepts
         pair, M = random_unbounded(10, 10, 2), 10.0
@@ -357,7 +357,7 @@ class TestSolveGame:
             seen.append(s1)
             return len(seen) == 2
 
-        g, solves = solves_of(pair, lambda: solve_game(pair, M, game_opts, certifies))
+        g, solves = solves_of(pair, lambda: solve_game(pair, M, game_tol, certifies))
         assert len(seen) == 2 and g.s1 is seen[-1] and g.s1.t <= 1e-6 and g.certificate is True
         for s1 in seen:
             assert s1.t <= 1e-6 and best_response_value_p2(pair, M, s1) > 0.5 / (M + 1)
@@ -365,26 +365,26 @@ class TestSolveGame:
         assert g.lower <= g.upper
         # player 2 then stops at the verification tolerance: still Optimal,
         # in fewer iterations, and its upper end still bounds the value
-        full, full_solves = solves_of(pair, lambda: solve_game(pair, M, game_opts))
+        full, full_solves = solves_of(pair, lambda: solve_game(pair, M, game_tol))
         p2, full_p2 = solves["game-p2"], full_solves["game-p2"]
         assert p2.status == OPTIMAL and p2.iterations < full_p2.iterations
         assert full.lower <= g.upper <= full.upper + 1e-6 and abs(g.lower - full.lower) <= 1e-4
 
-    def test_bounded_pair_s2_unchanged_by_certifies(self, game_opts):
-        # player 1 never stops early at value 0, so player 2 keeps opts.tol
+    def test_bounded_pair_s2_unchanged_by_certifies(self, game_tol):
+        # player 1 never stops early at value 0, so player 2 keeps tol
         pair = random_slater(4, 4, 1)
         M = practical_bound_M(pair).value
-        plain = solve_game(pair, M, game_opts)
-        g = solve_game(pair, M, game_opts, lambda s1: True)
+        plain = solve_game(pair, M, game_tol)
+        g = solve_game(pair, M, game_tol, lambda s1: True)
         assert g.certificate is None
         for a, b in [(g.s2.X.array, plain.s2.X.array), (g.s2.y, plain.s2.y), (g.s2.t, plain.s2.t)]:
             assert np.array_equal(a, b)
 
-    def test_certifies_never_called_at_value_zero(self, bounded_pair, game_opts):
+    def test_certifies_never_called_at_value_zero(self, bounded_pair, game_tol):
         def certifies(s1):
             raise AssertionError("called on a pair with game value 0")
 
-        g = solve_game(bounded_pair, 3.0, game_opts, certifies)
+        g = solve_game(bounded_pair, 3.0, game_tol, certifies)
         assert abs(g.value) <= 1e-7
 
 
@@ -400,10 +400,10 @@ class TestPlayer2Start:
     """Player 2's solve starts at player 1's iterate read through the duality
     of the two player SDPs."""
 
-    def test_mapped_start_swaps_the_infeasibilities(self, bounded_pair, game_opts):
+    def test_mapped_start_swaps_the_infeasibilities(self, bounded_pair, game_tol):
         pair = bounded_pair.to_float()
         p1, p2 = game_sdp_player1(pair, 3.0), game_sdp_player2(pair, 3.0)
-        r1 = solve(p1, game_opts)
+        r1 = solve(p1, game_tol)
         x, y, s = start = _player2_start(r1)
         pinf, dinf = _infeasibilities(p2, *start)
         assert abs(pinf - r1.dual_infeas) <= 1e-14 and abs(dinf - r1.primal_infeas) <= 1e-14
@@ -414,28 +414,28 @@ class TestPlayer2Start:
         assert np.all(np.linalg.eigvalsh(x[0]) > 0) and np.all(np.linalg.eigvalsh(s[4]) > 0)
 
     @pytest.mark.parametrize("name, M", [("bounded", 3.0), ("both_infeasible", 1.0), ("aux_unattained", 1.0)])
-    def test_player2_converges_at_once_from_player1(self, corpus, game_opts, name, M):
+    def test_player2_converges_at_once_from_player1(self, corpus, game_tol, name, M):
         pair = corpus[name][0]
-        g, solves = solves_of(pair, lambda: solve_game(pair, M, game_opts))
+        g, solves = solves_of(pair, lambda: solve_game(pair, M, game_tol))
         assert solves["game-p1"].status == solves["game-p2"].status == OPTIMAL
         assert solves["game-p2"].iterations <= 2
         assert g.upper - g.lower <= 1e-8
 
     @pytest.mark.parametrize("farkas", [PRIMAL_INFEASIBLE, DUAL_INFEASIBLE])
-    def test_farkas_status_on_player1_starts_player2_cold(self, monkeypatch, bounded_pair, game_opts, farkas):
+    def test_farkas_status_on_player1_starts_player2_cold(self, monkeypatch, bounded_pair, game_tol, farkas):
         pair = bounded_pair.to_float()
         solved = {}
 
-        def forced(problem, opts=None, **kwargs):
-            res = solve(problem, opts, **kwargs)
+        def forced(problem, *args, **kwargs):
+            res = solve(problem, *args, **kwargs)
             if problem.name.endswith("-game-p1"):
                 res.status = farkas
             solved[problem.name[-2:]] = res
             return res
 
         monkeypatch.setattr(sdgames.game, "solve", forced)
-        g = solve_game(pair, 3.0, game_opts)
-        cold = solve(game_sdp_player2(pair, 3.0), game_opts)
+        g = solve_game(pair, 3.0, game_tol)
+        cold = solve(game_sdp_player2(pair, 3.0), game_tol)
         assert g.status == (farkas, OPTIMAL)
         assert solve_digest._solve_bytes(solved["p2"]) == solve_digest._solve_bytes(cold)
 
@@ -449,13 +449,13 @@ class TestPlayer1Start:
         "make", [lambda corpus: corpus["bounded"][0], lambda corpus: random_slater(4, 4, 2)],
         ids=["bounded", "slater-n4-m4-s2"],
     )
-    def test_aux_point_gives_a_feasible_interior_iterate(self, corpus, game_opts, make):
+    def test_aux_point_gives_a_feasible_interior_iterate(self, corpus, game_tol, make):
         pair = make(corpus)
         bound = practical_bound_M(pair)
         aux = bound.derived_from
         prob = game_sdp_player1(pair.to_float(), bound.value)
         x, y, s = _player1_start(pair.to_float(), bound.value, aux.X.array, aux.y)
-        ipm = _Ipm(prob, game_opts)
+        ipm = _Ipm(prob, game_tol)
         xf, sf = ipm._flat(x), ipm._flat(s)
         pinf, dinf = ipm._infeasibilities(*ipm._residuals(xf, y, sf))
         assert pinf <= 1e-12 and dinf <= 1e-12
@@ -471,11 +471,11 @@ class TestPlayer1Start:
         gap = float(prob.structure.flat(x) @ prob.structure.flat(s))
         assert gap == pytest.approx(v2 - v1, rel=1e-12)
 
-    def test_started_player1_converges_to_the_same_value(self, bounded_pair, game_opts):
+    def test_started_player1_converges_to_the_same_value(self, bounded_pair, game_tol):
         aux = practical_bound_M(bounded_pair).derived_from
-        g, solves = solves_of(bounded_pair, lambda: solve_game(bounded_pair, 4.0, game_opts,
+        g, solves = solves_of(bounded_pair, lambda: solve_game(bounded_pair, 4.0, game_tol,
                                                               point=(aux.X.array, aux.y)))
-        cold, cold_solves = solves_of(bounded_pair, lambda: solve_game(bounded_pair, 4.0, game_opts))
+        cold, cold_solves = solves_of(bounded_pair, lambda: solve_game(bounded_pair, 4.0, game_tol))
         assert solves["game-p1"].status == OPTIMAL
         assert solves["game-p1"].iterations < cold_solves["game-p1"].iterations
         assert abs(g.lower - cold.lower) <= 1e-9 and g.upper - g.lower <= 1e-9
@@ -510,7 +510,7 @@ class TestDiagonalReduction:
             rows.append([payoff(pair, M, s1, s2) for s2 in basis2])
         return np.array(rows)
 
-    def test_restriction_reproduces_lp_game_matrix(self, game_opts):
+    def test_restriction_reproduces_lp_game_matrix(self, game_tol):
         rng = np.random.default_rng(31)
         checked = 0
         for seed in range(10):
@@ -534,7 +534,7 @@ class TestDiagonalReduction:
             # the subgame block is antisymmetric, so the subgame has value zero
             assert np.allclose(top, -top.T, atol=1e-12)
             v_lp = matrix_game_value(Q)
-            g = solve_game(pair, M, game_opts)
+            g = solve_game(pair, M, game_tol)
             assert g.value == pytest.approx(v_lp, abs=1e-6)
             checked += 1
         assert checked == 10

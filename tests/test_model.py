@@ -55,6 +55,20 @@ class TestSymMat:
         with pytest.raises(ValueError):
             M.array[0, 0] = 5.0
 
+    def test_from_array_takes_the_symmetric_part(self):
+        a = np.random.default_rng(3).normal(size=(4, 4))
+        M = SymMat.from_array(a)
+        assert np.array_equal(M.array, M.array.T)
+        assert np.allclose(M.array, 0.5 * (a + a.T), rtol=0, atol=1e-15)
+        with pytest.raises(ValueError, match="symmetric"):
+            SymMat(a)  # the constructor stays strict
+
+    def test_from_array_keeps_a_symmetric_array_bit_for_bit(self):
+        g = np.triu(np.random.default_rng(4).normal(size=(4, 4)))
+        a = g + np.triu(g, 1).T
+        a[0, 1] = a[1, 0] = 5e-324  # the least subnormal survives too
+        assert SymMat.from_array(a).array.tobytes() == a.tobytes()
+
     def test_to_float_is_one_way(self):
         M = SymMat([[1, 2], [2, 2]])
         F = M.to_float()
@@ -86,7 +100,7 @@ class TestFrobeniusInner:
         for _ in range(50):
             n = int(rng.integers(1, 6))
             A, B, C = (rng.normal(size=(n, n)) for _ in range(3))
-            A, B, C = (SymMat.from_array(M, symmetrize=True) for M in (A, B, C))
+            A, B, C = (SymMat.from_array(M) for M in (A, B, C))
             alpha = float(rng.normal())
             scale = 1.0 + max(M.max_abs_entry() for M in (A, B, C)) ** 2 * n * n
             lhs = frobenius_inner(SymMat.from_array(alpha * A.array + B.array), C)
@@ -116,7 +130,7 @@ class TestMinEigenvalue:
             n = int(rng.integers(2, 7))
             Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
             d = rng.normal(size=n)
-            M = SymMat.from_array(Q.T @ np.diag(d) @ Q, symmetrize=True)
+            M = SymMat.from_array(Q.T @ np.diag(d) @ Q)
             assert min_eigenvalue(M) == pytest.approx(float(np.min(d)), abs=1e-10)
 
 
@@ -142,8 +156,8 @@ class TestIsPsd:
         for _ in range(20):
             n = int(rng.integers(1, 6))
             G, H = rng.normal(size=(n, n)), rng.normal(size=(n, n))
-            A = SymMat.from_array(G.T @ G, symmetrize=True)
-            B = SymMat.from_array(H.T @ H, symmetrize=True)
+            A = SymMat.from_array(G.T @ G)
+            B = SymMat.from_array(H.T @ H)
             assert is_psd(A, 0.0) or min_eigenvalue(A) > -1e-12
             assert frobenius_inner(A, B) >= -1e-10
 
@@ -256,7 +270,7 @@ def test_check_strongly_optimal_matches_the_reference(index, tol, sx, dx, sy, dy
     # candidates scaled and shifted from a base point: ok and the three
     # slack numbers equal the reference's bit for bit
     pair, X0, y0 = _base_candidates()[index]
-    X = SymMat.from_array((1.0 + sx * tol) * X0 + dx * tol * np.eye(pair.n), symmetrize=True)
+    X = SymMat.from_array((1.0 + sx * tol) * X0 + dx * tol * np.eye(pair.n))
     y = (1.0 + sy * tol) * y0 + dy * tol
     check = check_strongly_optimal(pair, X, y, tol)
     point, multipliers = PrimalPoint(X), DualPoint(tuple(y))
@@ -351,7 +365,7 @@ def _exact_pair(rng, n, m):
 
 def _float_pair(rng, n, m):
     def mat():
-        return SymMat.from_array(rng.normal(size=(n, n)), symmetrize=True)
+        return SymMat.from_array(rng.normal(size=(n, n)))
 
     return SdpPair(C=mat(), A=tuple(mat() for _ in range(m)), b=tuple(rng.normal(size=m)))
 
@@ -377,7 +391,7 @@ class TestConstraintOperator:
     def test_apply_A_matches_per_row_inner_products(self, pairs):
         rng = np.random.default_rng(12)
         for pair in pairs:
-            X = SymMat.from_array(rng.normal(size=(pair.n, pair.n)), symmetrize=True)
+            X = SymMat.from_array(rng.normal(size=(pair.n, pair.n)))
             ref = [frobenius_inner(Ai.to_float(), X) for Ai in pair.A]
             np.testing.assert_allclose(pair.apply_A(X), ref, rtol=1e-13, atol=1e-13)
 
@@ -401,7 +415,7 @@ class TestConstraintOperator:
     def test_adjoint_identity(self, pairs):
         rng = np.random.default_rng(14)
         for pair in pairs:
-            X = SymMat.from_array(rng.normal(size=(pair.n, pair.n)), symmetrize=True)
+            X = SymMat.from_array(rng.normal(size=(pair.n, pair.n)))
             y = rng.normal(size=pair.m)
             lhs = float(np.tensordot(pair.apply_AT(y), X.array, axes=2))
             rhs = float(y @ pair.apply_A(X))

@@ -17,7 +17,7 @@ import sdgames
 from sdgames import cli, reduction
 from sdgames.auxiliary import ATTAINED, solve_aux
 from sdgames.bounds import practical_bound_M
-from sdgames.game import GAME_OPTS, GameSolution, Strategy1, Strategy2, solve_game
+from sdgames.game import GAME_TOL, GameSolution, Strategy1, Strategy2, solve_game
 from sdgames.generators import random_diagonal, random_dual_unbounded, random_slater, random_unbounded
 from sdgames.model import (
     DualPoint,
@@ -114,10 +114,10 @@ class TestAuxValueRelation:
     def test_both_infeasible_value(self):
         assert aux_value_relation(1.0 / 3.0, 1.0) == pytest.approx(1.0, abs=1e-15)
 
-    def test_invert_on_unbounded_example(self, unbounded_pair, game_opts):
+    def test_invert_on_unbounded_example(self, unbounded_pair, game_tol):
         # aux optimum 1 at M = 1 forces game value 1/3
         aux = solve_aux(unbounded_pair)
-        g = solve_game(unbounded_pair, 1.0, game_opts)
+        g = solve_game(unbounded_pair, 1.0, game_tol)
         assert aux_value_relation(g.value, 1.0) == pytest.approx(aux.w, abs=1e-5)
 
     def test_rejects_value_at_least_one(self):
@@ -139,7 +139,7 @@ class TestPipelineConfig:
     def test_two_settings_and_a_fixed_verification_tolerance(self):
         assert [f.name for f in fields(PipelineConfig)] == ["game_tol", "bound_mode"]
         assert PipelineConfig().verify_tol == PipelineConfig.verify_tol == 1e-6
-        assert PipelineConfig(bound_mode=10.0).game_tol == GAME_OPTS.tol
+        assert PipelineConfig(bound_mode=10.0).game_tol == GAME_TOL
         with pytest.raises(TypeError):
             PipelineConfig(verify_tol=0.1)
 
@@ -184,12 +184,12 @@ class TestRouting:
     player's strategy yields a verified primal direction."""
 
     @pytest.fixture(scope="class")
-    def game(self, unbounded_pair, game_opts):
-        return solve_game(unbounded_pair, 1.0, game_opts)
+    def game(self, unbounded_pair, game_tol):
+        return solve_game(unbounded_pair, 1.0, game_tol)
 
     def _run(self, monkeypatch, pair, game, lower, upper):
         planted = GameSolution(game.s1, game.s2, lower, upper)
-        monkeypatch.setattr(reduction, "solve_game", lambda pf, M, opts, certifies, point: planted)
+        monkeypatch.setattr(reduction, "solve_game", lambda pf, M, tol, certifies, point: planted)
         return run_pipeline(pair, PipelineConfig(bound_mode=1.0))
 
     def test_straddling_bracket_tries_both_branches(self, monkeypatch, unbounded_pair, game):
@@ -283,7 +283,7 @@ class TestEarlyStop:
         report.write_text(json.dumps(report_to_dict(out)))
         assert cli.main(["verify", str(problem), str(report)]) == 0
         assert capsys.readouterr().out.startswith("PASS (Farkas certificate, ")
-        full = solve_game(pair, 10.0, GAME_OPTS)
+        full = solve_game(pair, 10.0, GAME_TOL)
         assert abs(json.loads(report.read_text())["game_value"] - full.value) <= 1e-5
 
     def test_accepted_strategy_is_not_worked_out_again(self, monkeypatch):
@@ -356,10 +356,10 @@ class TestAuxStart:
     def test_other_pairs_start_cold(self, monkeypatch, pair, config):
         starts = []
 
-        def recorded(problem, opts=None, **kwargs):
+        def recorded(problem, *args, **kwargs):
             if problem.name.endswith("-game-p1"):
                 starts.append(kwargs.get("start"))
-            return solve(problem, opts, **kwargs)
+            return solve(problem, *args, **kwargs)
 
         monkeypatch.setattr(sdgames.game, "solve", recorded)
         out = run_pipeline(pair, config)
@@ -374,8 +374,8 @@ class TestFailedGameSolve:
     NOTE = "a game solve ended NumericalFailure; its best iterate was used"
 
     def _run(self, monkeypatch, pair, player):
-        def failing(problem, opts=None, **kwargs):
-            res = solve(problem, opts, **kwargs)
+        def failing(problem, *args, **kwargs):
+            res = solve(problem, *args, **kwargs)
             if problem.name.endswith(f"-game-{player}"):
                 res.status = NUMERICAL_FAILURE
             return res
@@ -405,9 +405,9 @@ class TestFailedGameSolve:
 @pytest.mark.parametrize(
     "name", ["bounded", "unbounded", "both_infeasible", "aux_unattained", "duality_gap"]
 )
-def test_value_bracket_is_ordered_on_corpus(corpus, game_opts, name):
+def test_value_bracket_is_ordered_on_corpus(corpus, game_tol, name):
     pair, meta = corpus[name]
-    g = solve_game(pair, float(meta["recommended_M"]), game_opts)
+    g = solve_game(pair, float(meta["recommended_M"]), game_tol)
     assert g.lower <= g.upper + 1e-12 * (1.0 + abs(g.upper))
 
 

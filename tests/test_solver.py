@@ -31,7 +31,6 @@ from sdgames.solver import (
     OPTIMAL,
     PRIMAL_INFEASIBLE,
     STOPPED_EARLY,
-    SolverOptions,
     StandardSdp,
     _ConeScaling,
     _Ipm,
@@ -277,10 +276,30 @@ class TestProblemData:
 
 
 class TestSolverOptions:
+    """A solve's one setting is its tolerance; the iteration cap is
+    ``solver.MAX_ITERS`` for every solve."""
+
     @pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf, -np.inf])
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="tol must be finite and positive"):
-            SolverOptions(tol=tol)
+            solve(_scalar_lp(1.0, 1.0, 1.0), tol)
+
+    def test_one_cap_for_every_role(self, monkeypatch):
+        # the auxiliary, game and direct solves all stop at the same cap
+        monkeypatch.setattr(solver, "MAX_ITERS", 2)
+        pair = random_slater(4, 4, 1)
+        seen = []
+
+        def on_solve(problem, res):
+            seen.append((solve_digest.role(problem, pair), res.iterations))
+
+        with solve_digest.recording(on_solve):
+            run_pipeline(pair)
+            direct.solve_both(pair)
+        roles = [r for r, _ in seen]
+        assert set(roles) == {"primal-aux", "refined-aux", "game-p1", "game-p2", "primal", "dual"}
+        assert roles[-2:] == ["primal", "dual"]
+        assert all(its <= 2 for _, its in seen), seen
 
 
 class TestMatrixEquality:
@@ -343,7 +362,7 @@ class TestExamples:
 
     def test_khachiyan_2_2_value(self):
         # the chain's optimum 2^-((tau+1) 2^n - tau) at n = tau = 2
-        r = solve(direct.primal_sdp(khachiyan_pair(2, 2)), SolverOptions(tol=1e-12, max_iters=400))
+        r = solve(direct.primal_sdp(khachiyan_pair(2, 2)), 1e-12)
         assert r.value == pytest.approx(2.0**-10, rel=1e-3)
 
     def test_gap_consistency(self):
@@ -591,7 +610,7 @@ class TestConstraintOperator:
         rng = np.random.default_rng(101)
         for _ in range(5):
             prob = _random_mixed_sdp(rng)
-            ipm = _Ipm(prob, SolverOptions())
+            ipm = _Ipm(prob, 1e-8)
             rows = [prob.structure.split(a) for a in prob.A]
             for symmetric in (True, False):
                 x = _random_point(rng, prob.structure, symmetric)
@@ -602,7 +621,7 @@ class TestConstraintOperator:
         rng = np.random.default_rng(103)
         for _ in range(5):
             prob = _random_mixed_sdp(rng)
-            ipm = _Ipm(prob, SolverOptions())
+            ipm = _Ipm(prob, 1e-8)
             x = _random_point(rng, prob.structure, symmetric=False)
             y = rng.normal(size=ipm.p)
             aty = ipm._blocks(ipm.A.T @ y)
@@ -614,7 +633,7 @@ class TestConstraintOperator:
         rng = np.random.default_rng(107)
         for _ in range(5):
             prob = _random_mixed_sdp(rng)
-            ipm = _Ipm(prob, SolverOptions())
+            ipm = _Ipm(prob, 1e-8)
             x = _random_point(rng, prob.structure)
             s = _random_point(rng, prob.structure)
             rows = [prob.structure.split(a) for a in prob.A]
@@ -641,7 +660,7 @@ class TestConstraintOperator:
         ):
             st = BlockStructure(blocks)
             rows = [(_random_point(rng, st, symmetric=False), 1.0) for _ in range(2)]
-            ipm = _Ipm(_sdp(st, st.split(np.zeros(st.dim)), rows), SolverOptions())
+            ipm = _Ipm(_sdp(st, st.split(np.zeros(st.dim)), rows), 1e-8)
             x = _random_point(rng, st, symmetric=False)
             back = ipm._blocks(ipm._flat(x))
             assert [a.shape for a in back] == list(st.shapes)
@@ -667,7 +686,7 @@ class TestConstraintOperator:
         rng = np.random.default_rng(113)
         for trial in range(10):
             prob = _random_mixed_sdp(rng)
-            ipm = _Ipm(prob, SolverOptions())
+            ipm = _Ipm(prob, 1e-8)
             x = _random_point(rng, prob.structure)
             s = _random_point(rng, prob.structure)
             dx = _random_point(rng, prob.structure, symmetric=False)
@@ -716,7 +735,7 @@ class TestLayout:
     def test_blocks_are_views_equal_to_the_scatter(self, pair):
         rng = np.random.default_rng(5)
         for prob in _built_sdps(pair):
-            ipm = _Ipm(prob, SolverOptions())
+            ipm = _Ipm(prob, 1e-8)
             v = rng.normal(size=prob.structure.dim)
             got, ref = ipm._blocks(v), _scatter_split(ipm, v)
             assert [a.shape for a in got] == [a.shape for a in ref], prob.name
@@ -730,8 +749,8 @@ class TestLayout:
         st1, st2 = build(), build()
         assert st1 is not st2 and st1 == st2
         rows = [(_random_point(np.random.default_rng(3), st1), 1.0)]
-        ipm1 = _Ipm(_sdp(st1, st1.split(np.ones(st1.dim)), rows), SolverOptions())
-        ipm2 = _Ipm(_sdp(st2, st2.split(np.zeros(st2.dim)), rows), SolverOptions())
+        ipm1 = _Ipm(_sdp(st1, st1.split(np.ones(st1.dim)), rows), 1e-8)
+        ipm2 = _Ipm(_sdp(st2, st2.split(np.zeros(st2.dim)), rows), 1e-8)
         assert ipm1.layout is ipm2.layout
         for a in (ipm1.layout.perm, ipm1.layout.tr, ipm1.layout.e):
             with pytest.raises(ValueError):
@@ -902,7 +921,7 @@ class TestStackedKernels:
         rng = np.random.default_rng(127)
         st = BlockStructure(blocks)
         rows = [(_symmetric_direction(rng, st), float(rng.normal())) for _ in range(5)]
-        ipm = _Ipm(_sdp(st, _random_point(rng, st), rows), SolverOptions())
+        ipm = _Ipm(_sdp(st, _random_point(rng, st), rows), 1e-8)
         assert [(g, k) for _, g, k in ipm.stacks] == stacks
         ref = _RefKernels(ipm)
         for _ in range(3):
@@ -961,7 +980,7 @@ class TestStackedKernels:
 
 
 class TestInvariants:
-    def test_iterates_stay_exactly_symmetric(self, bounded_pair, game_opts, monkeypatch):
+    def test_iterates_stay_exactly_symmetric(self, bounded_pair, game_tol, monkeypatch):
         # the Cholesky factors and the x update rely on x and s being exactly
         # symmetric on every matrix block, without a symmetrization of their own
         scalings = _Ipm._scalings
@@ -976,7 +995,7 @@ class TestInvariants:
         monkeypatch.setattr(_Ipm, "_scalings", checked)
         solve_aux(bounded_pair)
         solve_aux(random_slater(4, 4, 1))
-        solve_game(random_slater(4, 4, 1), 10.0, game_opts)
+        solve_game(random_slater(4, 4, 1), 10.0, game_tol)
         # rows given with non-symmetric matrix parts, of which StandardSdp keeps
         # the symmetric part; s is still symmetrized after each step
         rng = np.random.default_rng(7)
